@@ -132,7 +132,7 @@ def run_ega(inst: Instance, params: GAParams) -> GAResult:
         if batch.fitness_units[gen_best] > best_units:
             best_units = batch.fitness_units[gen_best]
             best_row = population[gen_best]
-        history.append(evaluator.tuned_fitness(best_units))
+        history.append(evaluator.to_fraction(best_units))
 
     mask = int(sum(1 << i for i, b in enumerate(best_row) if b))
     partition = decode_partition(g, mask)
@@ -141,34 +141,79 @@ def run_ega(inst: Instance, params: GAParams) -> GAResult:
                     time.perf_counter() - t0, best_eval.feasible)
 
 
-def _lloyd(points: np.ndarray, k: int, rng: random.Random) -> np.ndarray:
+def _sq_distances(points: np.ndarray, sq_norms: np.ndarray,
+                  centroids: np.ndarray) -> np.ndarray:
+    """(m, k) squared distances screened as |x|^2 - 2 x.c + |c|^2."""
+    return sq_norms[:, None] - 2.0 * (points @ centroids.T) \
+        + (centroids ** 2).sum(axis=1)
+
+
+def _equal_rows(points: np.ndarray) -> np.ndarray:
+    """Group id per row; equal rows share one."""
+    return np.unique(points, axis=0, return_inverse=True)[1].ravel()
+
+
+def _nearest(d2: np.ndarray, points: np.ndarray, sq_norms: np.ndarray,
+             centroids: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Nearest centroid per point, as the direct sum of (x - c)^2 picks it.
+
+    ``d2`` holds the screened distances. A row whose best centroids lie
+    within rounding error of each other is settled on exact differences
+    (first index on ties). Every row's candidates include its exact
+    nearest centroid, and equal points (same ``group``) choose alike, so
+    one member settles its whole group.
+    """
+    # far above the rounding error of either form for any practical m
+    slack = 1e-9 * (sq_norms + (centroids ** 2).sum(axis=1).max())
+    close = d2 <= (d2.min(axis=1) + slack)[:, None]
+    assign = close.argmax(axis=1)
+    for g in np.unique(group[close.sum(axis=1) > 1]):
+        members = group == g
+        row = members.argmax()
+        tied = np.flatnonzero(close[row])
+        exact = ((points[row] - centroids[tied]) ** 2).sum(axis=1)
+        assign[members] = tied[exact.argmin()]
+    return assign
+
+
+def _lloyd(points: np.ndarray, group: np.ndarray, k: int,
+           rng: random.Random) -> np.ndarray:
     """Euclidean k-means to an assignment fixpoint (cap 100 iterations).
 
     Centroids start on k distinct rows; an empty cluster is re-seeded on the
-    row farthest from its assigned centroid.
+    row farthest from its assigned centroid. ``group`` is
+    ``_equal_rows(points)``. Memory is O(m * k), and every choice is the one
+    exact differences (x - c)^2 would make.
     """
     m = len(points)
+    sq_norms = (points ** 2).sum(axis=1)
+    columns = np.arange(m)
     centroids = points[rng.sample(range(m), k)].copy()
     assign = None
     for _ in range(100):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
+        d2 = _sq_distances(points, sq_norms, centroids)
+        new_assign = _nearest(d2, points, sq_norms, centroids, group)
         for _ in range(k):
             counts = np.bincount(new_assign, minlength=k)
             empty = np.flatnonzero(counts == 0)
             if not len(empty):
                 break
-            farthest = int(d2[np.arange(m), new_assign].argmax())
-            centroids[empty[0]] = points[farthest]
-            d2[:, empty[0]] = ((points - centroids[empty[0]]) ** 2).sum(axis=1)
-            new_assign = d2.argmin(axis=1)
+            dist = ((points - centroids[new_assign]) ** 2).sum(axis=1)
+            centroids[empty[0]] = points[int(dist.argmax())]
+            d2[:, empty[0]] = _sq_distances(
+                points, sq_norms, centroids[empty[0]][None, :])[:, 0]
+            new_assign = _nearest(d2, points, sq_norms, centroids, group)
         if assign is not None and (new_assign == assign).all():
             break
         assign = new_assign
-        for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+        # bincount adds each cluster's rows in index order, as mean() does,
+        # so the centroids are bit-identical to per-cluster means
+        sums = np.bincount((assign[:, None] * m + columns).ravel(),
+                           weights=points.ravel(),
+                           minlength=k * m).reshape(k, m)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
     return assign
 
 
@@ -176,26 +221,36 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
                     seed: int = 0) -> Evaluation | None:
     """Cluster traffic-matrix rows for every k in [ceil(m/N), m-1].
 
-    Returns the best feasible clustering over all k values and restarts, or
-    None when every clustering violates a constraint (UF).
+    Returns the best feasible clustering over all k values and restarts (the
+    first one met, restarts outer and k ascending, among those with the
+    least traffic), or None when every clustering violates a constraint
+    (UF). A clustering is scored as ``evaluate_partition`` scores it: its
+    boundary edges are removed and the cells are read off the remaining
+    graph, so a cluster that is disconnected in the flow graph counts as
+    its connected pieces. All clusterings are scored in one batch.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    g = build_graph(inst)
+    traffic = compute_traffic(inst)
+    g = build_graph(inst, traffic)
     cfg = make_fitness_config(g, inst)
     m = inst.machine_count
-    points = np.array([[float(x) for x in row]
-                       for row in compute_traffic(inst).as_dense()])
+    points = np.array([[float(x) for x in row] for row in traffic.as_dense()])
+    group = _equal_rows(points)
     rng = random.Random(seed)
-    best: Evaluation | None = None
-    for _ in range(restarts):
-        for k in range(compute_k(m, inst.max_cell_size), m):
-            assign = _lloyd(points, k, rng)
-            ev = evaluate_partition(g, inst,
-                                    partition_from_labels(assign), cfg)
-            if ev.feasible and (best is None or ev.traffic < best.traffic):
-                best = ev
-    return best
+    labels = np.array([_lloyd(points, group, k, rng)
+                       for _ in range(restarts)
+                       for k in range(compute_k(m, inst.max_cell_size), m)],
+                      dtype=np.int64).reshape(-1, m)
+    evaluator = PopulationEvaluator(g, inst, cfg)
+    batch = evaluator.evaluate_keeps(
+        labels[:, evaluator.edge_u] == labels[:, evaluator.edge_v])
+    feasible = np.flatnonzero(batch.violations == 0)
+    if not len(feasible):
+        return None
+    best = feasible[np.argmin(batch.traffic_units[feasible])]
+    return evaluate_partition(g, inst, partition_from_labels(labels[best]),
+                              cfg)
 
 
 def exhaustive_oracle(inst: Instance) -> Evaluation | None:

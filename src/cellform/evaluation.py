@@ -9,12 +9,14 @@ where B bounds Z (the sum of all flows, or 1 if that is zero), u is the
 constraint count m + |SC| + |SN| and v the number of violated constraints
 (oversize cells, split cohabitation pairs, united separation pairs). Any
 solution violating fewer constraints then outranks every solution violating
-more, and among equal violation counts lower traffic wins. An optional
-power transform Y^gamma sharpens selection while preserving order.
+more, and among equal violation counts lower traffic wins. Y itself is
+always kept exact; an optional power tuning only sharpens the roulette
+weights, as (Y / Y_max)^gamma, which preserves order and cannot overflow.
 
-``PopulationEvaluator`` is the vectorized engine the genetic algorithms run
-on: one scipy connected-components call per generation over a block-diagonal
-graph holding the whole population. Its results match the scalar
+``PopulationEvaluator`` is the vectorized engine the genetic algorithms and
+multi-k-means run on: one scipy connected-components call per population,
+over a block-diagonal graph holding every individual, for any machine count
+and any number of chromosome parts. Its results match the scalar
 ``evaluate`` exactly (weights are scaled to integers by their common
 denominator, so no rounding is involved).
 """
@@ -89,13 +91,8 @@ def count_violations(partition: Partition, inst: Instance) -> int:
     return sum(violation_breakdown(partition, inst))
 
 
-def fitness(traffic: Fraction, violations: int,
-            cfg: FitnessConfig) -> Fraction | float:
-    """Penalized fitness Y, tuned per the config.
-
-    Identity tuning keeps Y exact; power tuning returns float(Y)^gamma,
-    an order-preserving transform.
-    """
+def _exact_fitness(traffic: Fraction, violations: int,
+                   cfg: FitnessConfig) -> Fraction:
     if violations > cfg.constraint_count:
         raise ValueError(
             f"internal inconsistency: {violations} violations exceed the "
@@ -104,7 +101,18 @@ def fitness(traffic: Fraction, violations: int,
         raise ValueError(
             f"internal inconsistency: traffic {traffic} exceeds the bound "
             f"{cfg.bound}")
-    y = (cfg.bound - traffic) + (cfg.constraint_count - violations) * cfg.bound
+    return (cfg.bound - traffic) \
+        + (cfg.constraint_count - violations) * cfg.bound
+
+
+def fitness(traffic: Fraction, violations: int,
+            cfg: FitnessConfig) -> Fraction | float:
+    """Penalized fitness Y, tuned per the config.
+
+    Identity tuning keeps Y exact; power tuning returns float(Y)^gamma,
+    an order-preserving transform.
+    """
+    y = _exact_fitness(traffic, violations, cfg)
     if cfg.tuning == "power":
         return float(y) ** cfg.gamma
     return y
@@ -112,13 +120,14 @@ def fitness(traffic: Fraction, violations: int,
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Everything known about one solution."""
+    """Everything known about one solution; ``fitness`` is the exact Y,
+    whatever the tuning."""
 
     partition: Partition
     traffic: Fraction
     violations: int
     feasible: bool
-    fitness: Fraction | float
+    fitness: Fraction
 
 
 def evaluate(g: FlowGraph, inst: Instance, edge_mask: int,
@@ -128,7 +137,7 @@ def evaluate(g: FlowGraph, inst: Instance, edge_mask: int,
     traffic = intercellular_traffic(g, edge_mask)
     violations = count_violations(partition, inst)
     return Evaluation(partition, traffic, violations, violations == 0,
-                      fitness(traffic, violations, cfg))
+                      _exact_fitness(traffic, violations, cfg))
 
 
 def evaluate_partition(g: FlowGraph, inst: Instance, partition: Partition,
@@ -139,7 +148,12 @@ def evaluate_partition(g: FlowGraph, inst: Instance, partition: Partition,
 
 @dataclass
 class EvalBatch:
-    """Vector results for one population (all int64 numpy arrays)."""
+    """Vector results for one population.
+
+    ``traffic_units`` and ``fitness_units`` have the evaluator's unit dtype
+    (int64, or object when the fitness range exceeds int64); violations are
+    int64 and labels are the component ids of the decoded cells.
+    """
 
     traffic_units: np.ndarray
     violations: np.ndarray
@@ -147,98 +161,106 @@ class EvalBatch:
     labels: np.ndarray
 
 
+_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
 class PopulationEvaluator:
-    """Evaluates whole populations at once.
+    """Evaluates whole populations at once, for any m and any part count.
 
     Edge weights are scaled by the least common multiple of their
-    denominators to exact int64 units; ``traffic_fraction`` and
-    ``fitness_fraction`` convert back. Traffic is always measured on the
-    decoded partition (edges whose endpoints land in different cells). For
-    masks that are unions of cuts this equals the marked-edge sum; for
-    arbitrary masks it is the honest cost of the decoded solution.
+    denominators to exact integer units; ``to_fraction`` converts traffic
+    and fitness units back. The unit arrays are int64 when the largest
+    fitness (u + 1) * B fits with room to spare, and Python ints (object
+    dtype) otherwise; the same code runs on either.
+
+    Traffic is always measured on the decoded partition (edges whose
+    endpoints land in different cells). For masks that are unions of cuts
+    this equals the marked-edge sum; for arbitrary masks it is the honest
+    cost of the decoded solution.
 
     Chromosome parts are interpreted against the default cut basis (excluded
     vertex = highest index, bit v of a part selects the cut isolating vertex
-    v). Falls back to a scalar path when m is too large for int64 bit tricks
-    or the fitness range would overflow.
+    v). The signature of vertex v is the K-bit string whose bit j is bit v of
+    part j, held in ceil(K / 64) uint64 words; an edge survives the union of
+    cuts exactly when its endpoints have equal signatures.
     """
 
     def __init__(self, g: FlowGraph, inst: Instance, cfg: FitnessConfig):
-        self.graph = g
-        self.instance = inst
         self.cfg = cfg
         self.m = g.machine_count
         self.edge_u = np.array([e.u for e in g.edges], dtype=np.int64)
         self.edge_v = np.array([e.v for e in g.edges], dtype=np.int64)
         self.scale = math.lcm(*(e.weight.denominator for e in g.edges)) \
             if g.edges else 1
-        self.weight_units = np.array(
-            [int(e.weight * self.scale) for e in g.edges], dtype=np.int64)
         self.bound_units = int(cfg.bound * self.scale)
         self.u = cfg.constraint_count
+        fits_int64 = (self.u + 1) * self.bound_units < 2 ** 62
+        self.units_dtype = np.int64 if fits_int64 else object
+        self.weight_units = np.array(
+            [int(e.weight * self.scale) for e in g.edges],
+            dtype=self.units_dtype)
         self.max_size = inst.max_cell_size
         self.sc = np.array(sorted(inst.cohabit), dtype=np.int64).reshape(-1, 2)
         self.sn = np.array(sorted(inst.separate),
                            dtype=np.int64).reshape(-1, 2)
-        fits_int64 = (self.u + 1) * self.bound_units < 2 ** 62
-        self.vector_ok = fits_int64 and self.m <= 63
-        self._pow2k_cache: dict[int, np.ndarray] = {}
+        # uint64 words per part: parts are below 2^(m-1)
+        self.part_words = (self.m - 2) // 64 + 1
 
-    # ----- exact conversions -------------------------------------------
+    # ----- exact conversions and selection ------------------------------
 
-    def traffic_fraction(self, units: int) -> Fraction:
+    def to_fraction(self, units) -> Fraction:
+        """Exact value of a traffic or fitness amount given in units."""
         return Fraction(int(units), self.scale)
-
-    def fitness_fraction(self, units: int) -> Fraction:
-        return Fraction(int(units), self.scale)
-
-    def tuned_fitness(self, units: int) -> Fraction | float:
-        y = self.fitness_fraction(units)
-        if self.cfg.tuning == "power":
-            return float(y) ** self.cfg.gamma
-        return y
 
     def selection_weights(self, fitness_units: np.ndarray) -> np.ndarray:
-        """Float weights proportional to tuned fitness (scale-invariant)."""
+        """Float roulette weights: Y, or (Y / Y_max)^gamma under power
+        tuning. Both preserve order; the power form stays in [0, 1]."""
         base = fitness_units.astype(np.float64) / self.scale
         if self.cfg.tuning == "power":
-            return base ** self.cfg.gamma
+            top = base.max()
+            return (base / top) ** self.cfg.gamma if top > 0 else base
         return base
 
     # ----- population paths --------------------------------------------
 
     def evaluate_parts(self, population) -> EvalBatch:
-        """Evaluate chromosomes given as sequences of K part integers."""
-        if not self.vector_ok:
-            return self._scalar_parts(population)
-        parts = np.asarray(population, dtype=np.int64)
-        pop, k = parts.shape
-        if k > 62:
-            return self._scalar_parts(population)
-        pow2 = self._pow2k_cache.get(k)
-        if pow2 is None:
-            pow2 = (1 << np.arange(k, dtype=np.int64))
-            self._pow2k_cache[k] = pow2
-        sig = np.zeros((pop, self.m), dtype=np.int64)
-        for v in range(self.m - 1):
-            sig[:, v] = ((parts >> v) & 1) @ pow2
-        keep = sig[:, self.edge_u] == sig[:, self.edge_v]
+        """Evaluate chromosomes given as sequences of K Python int parts."""
+        pop = len(population)
+        width = 8 * self.part_words
+        raw = b"".join([p.to_bytes(width, "little")
+                        for parts in population for p in parts])
+        words = np.frombuffer(raw, dtype="<u8").reshape(
+            pop, -1, self.part_words)
+        k = words.shape[1]
+        # sig[w, i, v]: bits 64w.. of vertex v's signature in individual i;
+        # the spare last column holds vertex m - 1 when m - 1 = 64 * words
+        sig = np.zeros(((k + 63) // 64, pop, 64 * self.part_words + 1),
+                       dtype=np.uint64)
+        for j in range(k):
+            w, bit = divmod(j, 64)
+            sig[w, :, :-1] |= (((words[:, j, :, None] >> _SHIFTS) & 1)
+                               << np.uint64(bit)).reshape(pop, -1)
+        keep = sig[0][:, self.edge_u] == sig[0][:, self.edge_v]
+        for word in sig[1:]:
+            keep &= word[:, self.edge_u] == word[:, self.edge_v]
         return self._eval_keep(keep)
 
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
         """Evaluate masks given as a (pop, E) boolean keep matrix."""
-        if not self.vector_ok:
-            return self._scalar_keeps(keep)
         return self._eval_keep(np.asarray(keep, dtype=bool))
 
     def _eval_keep(self, keep: np.ndarray) -> EvalBatch:
         pop, ecount = keep.shape
         n = pop * self.m
-        ind, edge = np.nonzero(keep)
+        # 1-D nonzero and a division: cheaper than 2-D nonzero
+        flat = np.flatnonzero(keep)
+        ind = flat // ecount
+        edge = flat - ind * ecount
         src = ind * self.m + self.edge_u[edge]
         dst = ind * self.m + self.edge_v[edge]
-        graph = sparse.csr_matrix(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+        # float64 COO is what connected_components converts to most cheaply
+        graph = sparse.coo_matrix((np.ones(len(src)), (src, dst)),
+                                  shape=(n, n))
         ncomp, flat = csgraph.connected_components(graph, directed=False)
         labels = flat.reshape(pop, self.m)
 
@@ -255,65 +277,10 @@ class PopulationEvaluator:
             violations = violations + (
                 labels[:, self.sn[:, 0]] == labels[:, self.sn[:, 1]]
             ).sum(axis=1)
+        violations = violations.astype(np.int64)
         crossing = labels[:, self.edge_u] != labels[:, self.edge_v]
-        traffic = crossing.astype(np.int64) @ self.weight_units
+        traffic = crossing.astype(self.units_dtype) @ self.weight_units
         fitness_units = (self.bound_units - traffic) \
-            + (self.u - violations) * self.bound_units
-        return EvalBatch(traffic, violations.astype(np.int64),
-                         fitness_units, labels)
-
-    # ----- scalar fallbacks (large m or overflow risk) ------------------
-
-    def _scalar_parts(self, population) -> EvalBatch:
-        masks = []
-        incidence = [0] * self.m
-        for i, e in enumerate(self.graph.edges):
-            incidence[e.u] |= 1 << i
-            incidence[e.v] |= 1 << i
-        for parts in population:
-            mask = 0
-            for val in parts:
-                cut = 0
-                v = 0
-                rest = int(val)
-                while rest:
-                    if rest & 1:
-                        cut ^= incidence[v]
-                    rest >>= 1
-                    v += 1
-                mask |= cut
-            masks.append(mask)
-        return self._scalar_masks(masks)
-
-    def _scalar_keeps(self, keep: np.ndarray) -> EvalBatch:
-        masks = []
-        for row in np.asarray(keep, dtype=bool):
-            mask = 0
-            for i, kept in enumerate(row):
-                if not kept:
-                    mask |= 1 << i
-            masks.append(mask)
-        return self._scalar_masks(masks)
-
-    def _scalar_masks(self, masks) -> EvalBatch:
-        pop = len(masks)
-        # object dtype: this path exists for values beyond int64
-        traffic = np.zeros(pop, dtype=object)
-        violations = np.zeros(pop, dtype=np.int64)
-        fitness_units = np.zeros(pop, dtype=object)
-        labels = np.zeros((pop, self.m), dtype=np.int64)
-        for i, mask in enumerate(masks):
-            partition = decode_partition(self.graph, mask)
-            lab = partition.labels(self.m)
-            cross = 0
-            for j, e in enumerate(self.graph.edges):
-                if lab[e.u] != lab[e.v]:
-                    cross |= 1 << j
-            z = intercellular_traffic(self.graph, cross)
-            v = count_violations(partition, self.instance)
-            traffic[i] = int(z * self.scale)
-            violations[i] = v
-            fitness_units[i] = (self.bound_units - traffic[i]) \
-                + (self.u - v) * self.bound_units
-            labels[i] = lab
+            + (self.u - violations).astype(self.units_dtype) \
+            * self.bound_units
         return EvalBatch(traffic, violations, fitness_units, labels)

@@ -257,8 +257,9 @@ def run_ga(inst: Instance, params: GAParams) -> GAResult:
     of parents, cross each pair with one of the two operators (uniform
     choice), top the population up with fresh random individuals, mutate a
     mutation_rate share (one part each), sort everyone (SCGA), evaluate,
-    and reinsert the elite over the worst individual. Same seed, same
-    best_history.
+    and reinsert the elite over the worst individual. best_history holds
+    the exact Y of the best individual so far after each generation,
+    whatever the tuning. Same seed, same best_history.
     """
     t0 = time.perf_counter()
     g = build_graph(inst)
@@ -313,7 +314,7 @@ def run_ga(inst: Instance, params: GAParams) -> GAResult:
         if batch.fitness_units[gen_best] > best_units:
             best_units = batch.fitness_units[gen_best]
             best_chromosome = population[gen_best]
-        history.append(evaluator.tuned_fitness(best_units))
+        history.append(evaluator.to_fraction(best_units))
 
     best_eval = evaluate(g, inst, chromosome_mask(best_chromosome, basis),
                          cfg)

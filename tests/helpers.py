@@ -10,7 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cellform import Instance, Part
+import numpy as np
+
+from cellform import Instance, Part, build_graph, compute_k, \
+    compute_traffic, evaluate_partition, make_fitness_config, \
+    partition_from_labels
 
 
 def make_instance(machine_count, max_cell_size, routings,
@@ -123,3 +127,56 @@ def brute_force_optimum(inst: Instance):
         if best is None or t < best:
             best, best_cells = t, cells
     return best, best_cells
+
+
+def reference_lloyd(points: np.ndarray, k: int,
+                    rng: random.Random) -> np.ndarray:
+    """Reference for ``_lloyd``: exact differences in an (m, k, m) tensor
+    and a per-cluster mean() loop.
+
+    Same draws, same re-seeding rule and same stopping rule as the
+    library's ``_lloyd``; only the arithmetic layout differs.
+    """
+    m = len(points)
+    centroids = points[rng.sample(range(m), k)].copy()
+    assign = None
+    for _ in range(100):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        for _ in range(k):
+            counts = np.bincount(new_assign, minlength=k)
+            empty = np.flatnonzero(counts == 0)
+            if not len(empty):
+                break
+            farthest = int(d2[np.arange(m), new_assign].argmax())
+            centroids[empty[0]] = points[farthest]
+            d2[:, empty[0]] = ((points - centroids[empty[0]]) ** 2).sum(axis=1)
+            new_assign = d2.argmin(axis=1)
+        if assign is not None and (new_assign == assign).all():
+            break
+        assign = new_assign
+        for c in range(k):
+            members = points[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return assign
+
+
+def reference_multikmeans(inst: Instance, restarts: int = 1, seed: int = 0):
+    """Reference for ``run_multikmeans``: one ``evaluate_partition`` per
+    clustering, the best kept as the clusterings arrive."""
+    g = build_graph(inst)
+    cfg = make_fitness_config(g, inst)
+    m = inst.machine_count
+    points = np.array([[float(x) for x in row]
+                       for row in compute_traffic(inst).as_dense()])
+    rng = random.Random(seed)
+    best = None
+    for _ in range(restarts):
+        for k in range(compute_k(m, inst.max_cell_size), m):
+            assign = reference_lloyd(points, k, rng)
+            ev = evaluate_partition(g, inst, partition_from_labels(assign),
+                                    cfg)
+            if ev.feasible and (best is None or ev.traffic < best.traffic):
+                best = ev
+    return best

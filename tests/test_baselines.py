@@ -4,13 +4,17 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cellform import (EdgeChromosome, GAParams, InstanceWarning,
-                      generate_instance, run_ega, run_ga, run_multikmeans)
-from cellform.baselines import exhaustive_oracle
+                      boundary_mask, build_graph, compute_k, compute_traffic,
+                      decode_partition, generate_instance,
+                      partition_from_labels, run_ega, run_ga,
+                      run_multikmeans)
+from cellform.baselines import _equal_rows, _lloyd, exhaustive_oracle
 from helpers import (brute_force_optimum, make_instance, partition_traffic,
-                     random_instance)
+                     random_instance, reference_lloyd, reference_multikmeans)
 
 
 CHAIN_ROUTINGS = [(4, (1, 2)), (1, (2, 3)), (3, (3, 4))]
@@ -126,6 +130,50 @@ class TestRunMultikmeans:
             res = run_multikmeans(inst, restarts=2, seed=rng.randint(0, 99))
             if res is not None:
                 assert res.traffic >= oracle.traffic
+
+
+def _kmeans_shops():
+    """Seeded shops, m from 20 to 100, fractional volumes, SC/SN pairs."""
+    rng = random.Random(53)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstanceWarning)
+        return [random_instance(rng, m, max_parts=2 * m,
+                                max_cell_size=rng.randint(3, 9))
+                for m in (20, 37, 52, 64, 81, 100)]
+
+
+class TestKmeansMatchesReference:
+    """The O(m k) distances and the batched scoring change no result."""
+
+    def test_lloyd_assignments_identical(self):
+        saw_oversize = saw_disconnected = False
+        for seed, inst in enumerate(_kmeans_shops()):
+            m = inst.machine_count
+            g = build_graph(inst)
+            points = np.array([[float(x) for x in row]
+                               for row in compute_traffic(inst).as_dense()])
+            group = _equal_rows(points)
+            ours, ref = random.Random(seed), random.Random(seed)
+            for k in range(compute_k(m, inst.max_cell_size), m):
+                assign = _lloyd(points, group, k, ours)
+                assert np.array_equal(assign,
+                                      reference_lloyd(points, k, ref))
+                saw_oversize |= bool(
+                    (np.bincount(assign) > inst.max_cell_size).any())
+                clusters = partition_from_labels(assign)
+                pieces = decode_partition(g, boundary_mask(g, clusters))
+                saw_disconnected |= pieces.cell_count > clusters.cell_count
+        # the shops exercise both cases the decoded scoring must handle
+        assert saw_oversize and saw_disconnected
+
+    def test_results_identical(self):
+        shops = _kmeans_shops()
+        assert any(inst.cohabit for inst in shops)
+        assert any(inst.separate for inst in shops)
+        for seed, inst in enumerate(shops):
+            restarts = 1 + seed % 2
+            assert run_multikmeans(inst, restarts, seed) == \
+                reference_multikmeans(inst, restarts, seed)
 
 
 class TestExhaustiveOracle:

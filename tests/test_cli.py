@@ -115,6 +115,15 @@ class TestSolve:
                         .split()[1:])
         assert listed == [1, 2, 3, 4, 5]
 
+    def test_power_tuning_large_gamma(self, tmp_path, capsys):
+        # Y^200 overflows a float; the (Y / Y_max)^200 weights cannot
+        path = str(tmp_path / "shop.txt")
+        assert run_cli(["generate", "-m", "30", "-p", "60", "-N", "5",
+                        "--seed", "3", "--out", path]) == 0
+        assert run_cli(["solve", path, "--tuning", "power:200",
+                        "--pop", "60", "--gens", "30"]) == 0
+        assert "feasible: yes" in capsys.readouterr().out
+
     def test_oracle_five_machine(self, five_machine_file, capsys):
         assert run_cli(["solve", five_machine_file,
                         "--method", "oracle"]) == 0

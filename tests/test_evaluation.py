@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellform import (FitnessConfig, InstanceWarning, Partition,
                       PopulationEvaluator, boundary_mask, build_basis,
@@ -182,29 +183,78 @@ class TestEvaluate:
         assert not ev.feasible
 
 
-def random_parts_population(rng, k, part_count, size):
-    return [tuple(rng.randrange(part_count) for _ in range(k))
+@st.composite
+def fractional_shops(draw):
+    """(instance, population): up to 130 machines, volumes with
+    denominators up to 10^9, SC/SN pairs, any part count."""
+    m = draw(st.integers(2, 130))
+    n = draw(st.integers(1, m))
+    part_total = draw(st.integers(0, 2 * m))
+    max_den = draw(st.sampled_from([1, 7, 10 ** 3, 10 ** 9]))
+    k = draw(st.integers(1, 70))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    size = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    parts = []
+    for _ in range(part_total):
+        routing = [rng.randrange(m)]
+        for _ in range(rng.randint(1, 7)):
+            step = rng.randrange(m - 1)
+            routing.append(step + (step >= routing[-1]))
+        volume = Fraction(rng.randint(0, 10 ** 6), rng.randint(1, max_den))
+        parts.append(Part(volume, tuple(routing)))
+    low = min(m, 12)
+    all_pairs = [(a, b) for a in range(low) for b in range(a + 1, low)]
+    pairs = rng.sample(all_pairs, min(rng.randint(0, 3), len(all_pairs)))
+    split = rng.randint(0, len(pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstanceWarning)
+        inst = Instance(m, n, tuple(parts), frozenset(pairs[:split]),
+                        frozenset(pairs[split:]))
+    return inst, random_parts_population(rng, k, 1 << (m - 1), size,
+                                         density)
+
+
+def check_parts_against_scalar(inst, population):
+    """evaluate_parts agrees exactly with the scalar evaluate() per row."""
+    g = build_graph(inst)
+    basis = build_basis(g)
+    cfg = make_fitness_config(g, inst)
+    ev = PopulationEvaluator(g, inst, cfg)
+    batch = ev.evaluate_parts(population)
+    for i, parts in enumerate(population):
+        scalar = evaluate(g, inst, chromosome_mask(
+            Chromosome(parts, basis.dimension), basis), cfg)
+        assert ev.to_fraction(batch.traffic_units[i]) == scalar.traffic
+        assert batch.violations[i] == scalar.violations
+        assert ev.to_fraction(batch.fitness_units[i]) == scalar.fitness
+        assert partition_from_labels(batch.labels[i]) == scalar.partition
+    return ev
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(fractional_shops())
+def test_evaluate_parts_equals_scalar_evaluate(shop):
+    check_parts_against_scalar(*shop)
+
+
+def random_parts_population(rng, k, part_count, size, density=1.0):
+    """Chromosomes; below density 1 a part is drawn only with probability
+    ``density`` and is 0 otherwise."""
+    return [tuple(rng.randrange(part_count)
+                  if density == 1 or rng.random() < density else 0
+                  for _ in range(k))
             for _ in range(size)]
 
 
 class TestPopulationEvaluator:
-    def _check_parts_against_scalar(self, inst, rng, size=40):
-        g = build_graph(inst)
-        basis = build_basis(g)
-        cfg = make_fitness_config(g, inst)
-        ev = PopulationEvaluator(g, inst, cfg)
-        k = rng.randint(1, 4)
-        pop = random_parts_population(rng, k, basis.max_index + 1, size)
-        batch = ev.evaluate_parts(pop)
-        for i, parts in enumerate(pop):
-            ch = Chromosome(parts, basis.dimension)
-            scalar = evaluate(g, inst, chromosome_mask(ch, basis), cfg)
-            assert ev.traffic_fraction(batch.traffic_units[i]) == \
-                scalar.traffic
-            assert batch.violations[i] == scalar.violations
-            assert ev.fitness_fraction(batch.fitness_units[i]) == \
-                scalar.fitness
-            assert partition_from_labels(batch.labels[i]) == scalar.partition
+    def _check_parts_against_scalar(self, inst, rng, size=40, k=None,
+                                    density=1.0):
+        if k is None:
+            k = rng.randint(1, 4)
+        part_count = 1 << (inst.machine_count - 1)
+        return check_parts_against_scalar(
+            inst, random_parts_population(rng, k, part_count, size, density))
 
     def test_parts_match_scalar_unit_weights(self, five_machine_instance):
         self._check_parts_against_scalar(five_machine_instance,
@@ -226,6 +276,38 @@ class TestPopulationEvaluator:
                 inst = random_instance(rng, rng.randint(3, 9))
                 self._check_parts_against_scalar(inst, rng, size=15)
 
+    @pytest.mark.parametrize("m", [64, 65, 96, 130])
+    def test_parts_match_scalar_wide_shops(self, m):
+        # one, one (vertex m - 1 past the part bits), two and three words
+        rng = random.Random(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstanceWarning)
+            inst = random_instance(rng, m, max_parts=3 * m,
+                                   max_cell_size=rng.randint(2, 9))
+        self._check_parts_against_scalar(inst, rng, size=12,
+                                         k=rng.randint(2, 9))
+
+    def test_parts_match_scalar_two_signature_words(self):
+        # N = 1 at m = 70: K = 70 parts, so signatures span two words;
+        # sparse parts leave cells that only the second word tells apart
+        rng = random.Random(70)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstanceWarning)
+            inst = random_instance(rng, 70, max_parts=150, max_cell_size=1)
+        self._check_parts_against_scalar(inst, rng, size=30, k=70,
+                                         density=0.03)
+
+    def test_parts_match_scalar_beyond_int64(self):
+        # (u + 1) * B >= 2^62 in units: the unit arrays hold Python ints
+        primes = [1000003, 1000033, 1000037, 1000039]
+        routings = [(F(7 * i + 3, p), (i + 1, (i + 2) % 12 + 1, i % 12 + 1))
+                    for i, p in enumerate(primes * 3)]
+        inst = make_instance(12, 4, routings, cohabit=[(1, 2)],
+                             separate=[(3, 4)])
+        ev = self._check_parts_against_scalar(inst, random.Random(46))
+        assert ev.units_dtype is object
+        assert (ev.u + 1) * ev.bound_units >= 2 ** 62
+
     def test_keeps_match_decoded_partition(self, five_machine_instance):
         # arbitrary masks: batch measures the decoded partition's cost
         inst = five_machine_instance
@@ -240,39 +322,35 @@ class TestPopulationEvaluator:
         for i, mask in enumerate(masks):
             p = decode_partition(g, mask)
             scalar = evaluate_partition(g, inst, p, cfg)
-            assert ev.traffic_fraction(batch.traffic_units[i]) == \
+            assert ev.to_fraction(batch.traffic_units[i]) == \
                 scalar.traffic
             assert batch.violations[i] == scalar.violations
-            assert ev.fitness_fraction(batch.fitness_units[i]) == \
+            assert ev.to_fraction(batch.fitness_units[i]) == \
                 scalar.fitness
             assert partition_from_labels(batch.labels[i]) == p
 
-    def test_scalar_fallback_matches_vector(self, five_machine_instance):
-        inst = five_machine_instance
+    def test_keeps_match_decoded_partition_wide(self):
+        # past 63 machines, arbitrary keep masks decode like the scalar path
+        rng = random.Random(45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstanceWarning)
+            inst = random_instance(rng, 80, max_parts=200, max_cell_size=6)
         g = build_graph(inst)
         cfg = make_fitness_config(g, inst)
-        fast = PopulationEvaluator(g, inst, cfg)
-        slow = PopulationEvaluator(g, inst, cfg)
-        slow.vector_ok = False
-        rng = random.Random(45)
-        pop = random_parts_population(rng, 3, 16, 30)
-        a = fast.evaluate_parts(pop)
-        b = slow.evaluate_parts(pop)
-        assert [int(x) for x in a.traffic_units] == \
-            [int(x) for x in b.traffic_units]
-        assert list(a.violations) == list(b.violations)
-        assert [int(x) for x in a.fitness_units] == \
-            [int(x) for x in b.fitness_units]
-        for row_a, row_b in zip(a.labels, b.labels):
-            assert partition_from_labels(row_a) == \
-                partition_from_labels(row_b)
-        keep = np.array([[bool(rng.getrandbits(1)) for _ in range(8)]
-                         for _ in range(30)])
-        a = fast.evaluate_keeps(keep)
-        b = slow.evaluate_keeps(keep)
-        assert [int(x) for x in a.traffic_units] == \
-            [int(x) for x in b.traffic_units]
-        assert list(a.violations) == list(b.violations)
+        ev = PopulationEvaluator(g, inst, cfg)
+        ecount = g.edge_count
+        masks = [rng.getrandbits(ecount) | rng.getrandbits(ecount)
+                 for _ in range(20)]
+        keep = np.array([[not ((mask >> i) & 1) for i in range(ecount)]
+                         for mask in masks])
+        batch = ev.evaluate_keeps(keep)
+        for i, mask in enumerate(masks):
+            p = decode_partition(g, mask)
+            scalar = evaluate_partition(g, inst, p, cfg)
+            assert ev.to_fraction(batch.traffic_units[i]) == scalar.traffic
+            assert batch.violations[i] == scalar.violations
+            assert ev.to_fraction(batch.fitness_units[i]) == scalar.fitness
+            assert partition_from_labels(batch.labels[i]) == p
 
     def test_exact_scaling_with_fraction_weights(self):
         inst = make_instance(3, 1, [(F(1, 2), (1, 2)), (F(1, 3), (2, 3))])
@@ -280,7 +358,8 @@ class TestPopulationEvaluator:
         cfg = make_fitness_config(g, inst)
         ev = PopulationEvaluator(g, inst, cfg)
         assert ev.scale == 6
-        assert ev.traffic_fraction(3) == F(1, 2)
+        assert ev.to_fraction(3) == F(1, 2)
+        assert isinstance(ev.to_fraction(3), Fraction)
         assert ev.bound_units == 5
 
     def test_selection_weights_proportional(self, five_machine_instance):
@@ -300,12 +379,17 @@ class TestPopulationEvaluator:
         units = np.array([8, 16], dtype=np.int64)
         w = ev.selection_weights(units)
         assert w[1] / w[0] == pytest.approx(4.0)
-        assert ev.tuned_fitness(16) == pytest.approx(256.0)
-        assert isinstance(ev.tuned_fitness(16), float)
+        assert w[1] == 1.0
 
-    def test_tuned_fitness_identity_exact(self, five_machine_instance):
+    def test_selection_weights_power_never_overflows(self,
+                                                     five_machine_instance):
         g = build_graph(five_machine_instance)
-        cfg = make_fitness_config(g, five_machine_instance)
+        cfg = make_fitness_config(g, five_machine_instance, tuning="power",
+                                  gamma=200.0)
         ev = PopulationEvaluator(g, five_machine_instance, cfg)
-        assert ev.tuned_fitness(13) == F(13)
-        assert isinstance(ev.tuned_fitness(13), Fraction)
+        units = np.array([10 ** 6, 2 * 10 ** 6, 0], dtype=np.int64)
+        w = ev.selection_weights(units)
+        assert np.isfinite(w).all()
+        assert w[1] == 1.0 and 0 < w[0] < w[1] and w[2] == 0
+        zeros = np.zeros(3, dtype=np.int64)
+        assert (ev.selection_weights(zeros) == 0).all()

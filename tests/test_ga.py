@@ -403,7 +403,9 @@ class TestRunGA:
     def test_power_tuning_run(self, five_machine_instance):
         res = run_ga(five_machine_instance,
                      self._params(tuning="power", gamma=2.0))
-        assert all(isinstance(h, float) for h in res.best_history)
+        # the history is the exact Y of the best so far, as with identity
+        assert all(isinstance(h, Fraction) for h in res.best_history)
+        assert res.best_history[-1] == res.best_evaluation.fitness
         assert res.best_evaluation.traffic == 6
 
     def test_uf_reported_when_infeasible(self):
