@@ -243,19 +243,27 @@ class PopulationEvaluator:
         keep = sig[0][:, self.edge_u] == sig[0][:, self.edge_v]
         for word in sig[1:]:
             keep &= word[:, self.edge_u] == word[:, self.edge_v]
-        return self._eval_keep(keep)
+        # an edge left out of a union of cuts joins two different
+        # signatures, hence two cells: the removed edges are the crossing ones
+        return self._eval_keep(keep, crossing=~keep)
 
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
         """Evaluate masks given as a (pop, E) boolean keep matrix."""
         return self._eval_keep(np.asarray(keep, dtype=bool))
 
-    def _eval_keep(self, keep: np.ndarray) -> EvalBatch:
+    def _eval_keep(self, keep: np.ndarray,
+                   crossing: np.ndarray | None = None) -> EvalBatch:
+        """Cells, violations and traffic for a (pop, E) keep matrix.
+
+        ``crossing`` (edges between different cells) is read off the
+        decoded cells unless the caller already knows it.
+        """
         pop, ecount = keep.shape
         n = pop * self.m
         # 1-D nonzero and a division: cheaper than 2-D nonzero
-        flat = np.flatnonzero(keep)
-        ind = flat // ecount
-        edge = flat - ind * ecount
+        hits = np.flatnonzero(keep)
+        ind = hits // ecount
+        edge = hits - ind * ecount
         src = ind * self.m + self.edge_u[edge]
         dst = ind * self.m + self.edge_v[edge]
         # float64 COO is what connected_components converts to most cheaply
@@ -278,7 +286,8 @@ class PopulationEvaluator:
                 labels[:, self.sn[:, 0]] == labels[:, self.sn[:, 1]]
             ).sum(axis=1)
         violations = violations.astype(np.int64)
-        crossing = labels[:, self.edge_u] != labels[:, self.edge_v]
+        if crossing is None:
+            crossing = labels[:, self.edge_u] != labels[:, self.edge_v]
         traffic = crossing.astype(self.units_dtype) @ self.weight_units
         fitness_units = (self.bound_units - traffic) \
             + (self.u - violations).astype(self.units_dtype) \
