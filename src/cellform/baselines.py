@@ -148,42 +148,32 @@ def _sq_distances(points: np.ndarray, sq_norms: np.ndarray,
         + (centroids ** 2).sum(axis=1)
 
 
-def _equal_rows(points: np.ndarray) -> np.ndarray:
-    """Group id per row; equal rows share one."""
-    return np.unique(points, axis=0, return_inverse=True)[1].ravel()
-
-
 def _nearest(d2: np.ndarray, points: np.ndarray, sq_norms: np.ndarray,
-             centroids: np.ndarray, group: np.ndarray) -> np.ndarray:
+             centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per point, as the direct sum of (x - c)^2 picks it.
 
     ``d2`` holds the screened distances. A row whose best centroids lie
     within rounding error of each other is settled on exact differences
-    (first index on ties). Every row's candidates include its exact
-    nearest centroid, and equal points (same ``group``) choose alike, so
-    one member settles its whole group.
+    (first index on ties); its candidates always include its exact
+    nearest centroid.
     """
     # far above the rounding error of either form for any practical m
     slack = 1e-9 * (sq_norms + (centroids ** 2).sum(axis=1).max())
     close = d2 <= (d2.min(axis=1) + slack)[:, None]
     assign = close.argmax(axis=1)
-    for g in np.unique(group[close.sum(axis=1) > 1]):
-        members = group == g
-        row = members.argmax()
+    for row in np.flatnonzero(close.sum(axis=1) > 1):
         tied = np.flatnonzero(close[row])
         exact = ((points[row] - centroids[tied]) ** 2).sum(axis=1)
-        assign[members] = tied[exact.argmin()]
+        assign[row] = tied[exact.argmin()]
     return assign
 
 
-def _lloyd(points: np.ndarray, group: np.ndarray, k: int,
-           rng: random.Random) -> np.ndarray:
+def _lloyd(points: np.ndarray, k: int, rng: random.Random) -> np.ndarray:
     """Euclidean k-means to an assignment fixpoint (cap 100 iterations).
 
     Centroids start on k distinct rows; an empty cluster is re-seeded on the
-    row farthest from its assigned centroid. ``group`` is
-    ``_equal_rows(points)``. Memory is O(m * k), and every choice is the one
-    exact differences (x - c)^2 would make.
+    row farthest from its assigned centroid. Memory is O(m * k), and every
+    choice is the one exact differences (x - c)^2 would make.
     """
     m = len(points)
     sq_norms = (points ** 2).sum(axis=1)
@@ -192,7 +182,7 @@ def _lloyd(points: np.ndarray, group: np.ndarray, k: int,
     assign = None
     for _ in range(100):
         d2 = _sq_distances(points, sq_norms, centroids)
-        new_assign = _nearest(d2, points, sq_norms, centroids, group)
+        new_assign = _nearest(d2, points, sq_norms, centroids)
         for _ in range(k):
             counts = np.bincount(new_assign, minlength=k)
             empty = np.flatnonzero(counts == 0)
@@ -202,7 +192,7 @@ def _lloyd(points: np.ndarray, group: np.ndarray, k: int,
             centroids[empty[0]] = points[int(dist.argmax())]
             d2[:, empty[0]] = _sq_distances(
                 points, sq_norms, centroids[empty[0]][None, :])[:, 0]
-            new_assign = _nearest(d2, points, sq_norms, centroids, group)
+            new_assign = _nearest(d2, points, sq_norms, centroids)
         if assign is not None and (new_assign == assign).all():
             break
         assign = new_assign
@@ -236,9 +226,8 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     cfg = make_fitness_config(g, inst)
     m = inst.machine_count
     points = np.array([[float(x) for x in row] for row in traffic.as_dense()])
-    group = _equal_rows(points)
     rng = random.Random(seed)
-    labels = np.array([_lloyd(points, group, k, rng)
+    labels = np.array([_lloyd(points, k, rng)
                        for _ in range(restarts)
                        for k in range(compute_k(m, inst.max_cell_size), m)],
                       dtype=np.int64).reshape(-1, m)

@@ -224,7 +224,11 @@ class PopulationEvaluator:
     # ----- population paths --------------------------------------------
 
     def evaluate_parts(self, population) -> EvalBatch:
-        """Evaluate chromosomes given as sequences of K Python int parts."""
+        """Evaluate chromosomes given as sequences of K Python int parts.
+
+        numpy integers are not accepted: for m > 64 a part no longer fits
+        in int64, so the population stays in Python ints.
+        """
         pop = len(population)
         width = 8 * self.part_words
         raw = b"".join([p.to_bytes(width, "little")

@@ -12,7 +12,7 @@ from cellform import (EdgeChromosome, GAParams, InstanceWarning,
                       decode_partition, generate_instance,
                       partition_from_labels, run_ega, run_ga,
                       run_multikmeans)
-from cellform.baselines import _equal_rows, _lloyd, exhaustive_oracle
+from cellform.baselines import _lloyd, exhaustive_oracle
 from helpers import (brute_force_optimum, make_instance, partition_traffic,
                      random_instance, reference_lloyd, reference_multikmeans)
 
@@ -152,10 +152,9 @@ class TestKmeansMatchesReference:
             g = build_graph(inst)
             points = np.array([[float(x) for x in row]
                                for row in compute_traffic(inst).as_dense()])
-            group = _equal_rows(points)
             ours, ref = random.Random(seed), random.Random(seed)
             for k in range(compute_k(m, inst.max_cell_size), m):
-                assign = _lloyd(points, group, k, ours)
+                assign = _lloyd(points, k, ours)
                 assert np.array_equal(assign,
                                       reference_lloyd(points, k, ref))
                 saw_oversize |= bool(
