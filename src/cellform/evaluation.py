@@ -161,7 +161,7 @@ class EvalBatch:
     labels: np.ndarray
 
 
-_SHIFTS = np.arange(64, dtype=np.uint64)
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class PopulationEvaluator:
@@ -233,17 +233,20 @@ class PopulationEvaluator:
         width = 8 * self.part_words
         raw = b"".join([p.to_bytes(width, "little")
                         for parts in population for p in parts])
-        words = np.frombuffer(raw, dtype="<u8").reshape(
-            pop, -1, self.part_words)
-        k = words.shape[1]
-        # sig[w, i, v]: bits 64w.. of vertex v's signature in individual i;
-        # the spare last column holds vertex m - 1 when m - 1 = 64 * words
-        sig = np.zeros(((k + 63) // 64, pop, 64 * self.part_words + 1),
+        # bits[i, j, v]: bit v of part j of individual i
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(pop, -1, width),
+            axis=2, bitorder="little")
+        # sig[w, i, v]: bits 64w.. of vertex v's signature in individual i,
+        # a sum of distinct powers of two (einsum casts the uint8 bits in
+        # small buffers; a full uint64 copy of them was slower); the spare
+        # last column holds vertex m - 1 when m - 1 = 64 * part_words
+        sig = np.zeros(((bits.shape[1] + 63) // 64, pop, 8 * width + 1),
                        dtype=np.uint64)
-        for j in range(k):
-            w, bit = divmod(j, 64)
-            sig[w, :, :-1] |= (((words[:, j, :, None] >> _SHIFTS) & 1)
-                               << np.uint64(bit)).reshape(pop, -1)
+        for w in range(len(sig)):
+            block = bits[:, 64 * w:64 * w + 64]
+            np.einsum("ijv,j->iv", block, _POW2[:block.shape[1]],
+                      out=sig[w, :, :-1])
         keep = sig[0][:, self.edge_u] == sig[0][:, self.edge_v]
         for word in sig[1:]:
             keep &= word[:, self.edge_u] == word[:, self.edge_v]
