@@ -7,7 +7,8 @@ algorithms (or the exact oracle / k-means baselines).
 
 from .baselines import EdgeChromosome, exhaustive_oracle, run_ega, \
     run_multikmeans
-from .bench import BenchmarkRow, render_csv, render_table, run_benchmark
+from .bench import BenchmarkRow, render_csv, render_table, run_benchmark, \
+    solve
 from .cuts import Cut, CutBasis, Partition, bits_from_mask, boundary_mask, \
     build_basis, cut_from_index, decode_partition, enumerate_all_cuts, \
     mask_from_bits, partition_from_labels, union_cuts, xor_cuts
@@ -38,6 +39,7 @@ __all__ = [
     "intercellular_traffic", "make_fitness_config", "mask_from_bits",
     "mutate", "parse_instance", "partition_from_labels", "render_csv",
     "render_table", "roulette_select", "run_benchmark", "run_ega", "run_ga",
-    "run_multikmeans", "serialize_instance", "sort_chromosome", "union_cuts",
+    "run_multikmeans", "serialize_instance", "solve", "sort_chromosome",
+    "union_cuts",
     "violation_breakdown", "xor_cuts",
 ]

@@ -1,7 +1,7 @@
 """Reference methods the cut-based GA is compared against.
 
-* run_ega: a GA over raw edge bit strings (1 = intercellular). Same
-  selection, elitism and penalty fitness as the cut GA; only the encoding
+* run_ega: a GA over raw edge bit strings (1 = intercellular), run by the
+  same generational engine as the cut GA (``ga.evolve``); only the encoding
   differs. Fitness is measured on the decoded partition, so values are
   comparable across methods even when a mask marks edges that do not
   actually separate anything.
@@ -14,17 +14,18 @@
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cuts import bits_from_mask, decode_partition, partition_from_labels
+from .cuts import bits_from_mask, decode_partition, mask_from_bits, \
+    partition_from_labels
 from .evaluation import Evaluation, PopulationEvaluator, evaluate_partition, \
     make_fitness_config
 from .flowgraph import build_graph, compute_traffic
-from .ga import GAParams, GAResult, compute_k, roulette_select
+from .ga import Encoding, GAParams, GAResult, compute_k, draw_distinct, \
+    evolve
 from .instance import Instance
 
 _ORACLE_GUARD = 12
@@ -41,104 +42,53 @@ class EdgeChromosome:
         return bits_from_mask(self.edge_mask, self.edge_count)
 
 
-def _random_mask_row(rng: random.Random, ecount: int) -> np.ndarray:
-    """Uniform 0/1 row of length ecount from one getrandbits draw."""
-    raw = rng.getrandbits(ecount).to_bytes((ecount + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little")
-    return bits[:ecount]
+class _EdgeEncoding(Encoding):
+    """EGA: one uint8 gene per graph edge, 1 = intercellular."""
+
+    def initial(self, rng: random.Random) -> list[np.ndarray]:
+        return draw_distinct(self.params.population_size,
+                             2 ** self.graph.edge_count,
+                             lambda: self.draw(rng), np.ndarray.tobytes)
+
+    def draw(self, rng: random.Random) -> np.ndarray:
+        """Uniform 0/1 row from one getrandbits draw."""
+        ecount = self.graph.edge_count
+        raw = rng.getrandbits(ecount).to_bytes((ecount + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                             bitorder="little")
+        return bits[:ecount]
+
+    def crossover(self, a: np.ndarray, b: np.ndarray, rng: random.Random):
+        """One-point crossover at any of the E - 1 interior gaps."""
+        if len(a) < 2:
+            return a.copy(), b.copy()
+        cut = rng.randrange(1, len(a))
+        return (np.concatenate((a[:cut], b[cut:])),
+                np.concatenate((b[:cut], a[cut:])))
+
+    def mutate(self, row: np.ndarray, rng: random.Random) -> np.ndarray:
+        """Flip one uniformly chosen bit."""
+        row = row.copy()
+        row[rng.randrange(len(row))] ^= 1
+        return row
+
+    def evaluate(self, population: list[np.ndarray]):
+        return self.evaluator.evaluate_keeps(np.stack(population) == 0)
+
+    def decode(self, row: np.ndarray) -> tuple[EdgeChromosome, Evaluation]:
+        mask = mask_from_bits(row)
+        partition = decode_partition(self.graph, mask)
+        return (EdgeChromosome(mask, len(row)),
+                evaluate_partition(self.graph, self.inst, partition,
+                                   self.cfg))
 
 
 def run_ega(inst: Instance, params: GAParams) -> GAResult:
-    """Edge-encoding GA: one-point bit crossover, single bit-flip mutation.
-
-    Shares the generational scheme of run_ga (roulette mating share, random
-    top-up, mutation, elite reinserted over the worst). Deterministic per
-    seed.
+    """Edge-encoding GA on the engine of run_ga (``ga.evolve``): one-point
+    bit crossover, single bit-flip mutation, no canonical form.
+    params.variant is ignored. Deterministic per seed.
     """
-    t0 = time.perf_counter()
-    g = build_graph(inst)
-    cfg = make_fitness_config(g, inst, params.tuning, params.gamma)
-    rng = random.Random(params.seed)
-    evaluator = PopulationEvaluator(g, inst, cfg)
-    ecount = g.edge_count
-    size = params.population_size
-    if size > 2 ** ecount:
-        raise ValueError(
-            f"population size {size} exceeds the {2 ** ecount} distinct "
-            f"edge masks")
-
-    population: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    attempts = 0
-    while len(population) < size:
-        if attempts >= 1000 * size:
-            raise RuntimeError(
-                f"could not draw {size} distinct edge masks; the graph is "
-                f"too small for this population size")
-        attempts += 1
-        row = _random_mask_row(rng, ecount)
-        key = row.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        population.append(row)
-
-    def eval_population(pop: list[np.ndarray]):
-        matrix = np.stack(pop)
-        return evaluator.evaluate_keeps(matrix == 0)
-
-    batch = eval_population(population)
-    best_idx = int(batch.fitness_units.argmax())
-    best_units = batch.fitness_units[best_idx]
-    best_row = population[best_idx]
-
-    n_mate = round(params.crossover_rate * size)
-    if n_mate % 2:
-        n_mate -= 1
-    n_mutate = round(params.mutation_rate * size)
-    history = []
-
-    for _ in range(params.generations):
-        elite_idx = int(batch.fitness_units.argmax())
-        elite = population[elite_idx]
-        elite_units = batch.fitness_units[elite_idx]
-
-        weights = evaluator.selection_weights(batch.fitness_units)
-        parents = roulette_select(population, weights.tolist(), n_mate, rng)
-        nxt: list[np.ndarray] = []
-        for i in range(0, n_mate, 2):
-            a, b = parents[i], parents[i + 1]
-            if ecount < 2:
-                nxt.extend((a.copy(), b.copy()))
-                continue
-            cut = rng.randrange(1, ecount)
-            nxt.append(np.concatenate((a[:cut], b[cut:])))
-            nxt.append(np.concatenate((b[:cut], a[cut:])))
-        while len(nxt) < size:
-            nxt.append(_random_mask_row(rng, ecount))
-        for idx in rng.sample(range(size), n_mutate):
-            row = nxt[idx].copy()
-            row[rng.randrange(ecount)] ^= 1
-            nxt[idx] = row
-
-        population = nxt
-        batch = eval_population(population)
-        worst = int(batch.fitness_units.argmin())
-        population[worst] = elite
-        batch.fitness_units[worst] = elite_units
-
-        gen_best = int(batch.fitness_units.argmax())
-        if batch.fitness_units[gen_best] > best_units:
-            best_units = batch.fitness_units[gen_best]
-            best_row = population[gen_best]
-        history.append(evaluator.to_fraction(best_units))
-
-    mask = int(sum(1 << i for i, b in enumerate(best_row) if b))
-    partition = decode_partition(g, mask)
-    best_eval = evaluate_partition(g, inst, partition, cfg)
-    return GAResult(EdgeChromosome(mask, ecount), best_eval, history,
-                    time.perf_counter() - t0, best_eval.feasible)
+    return evolve(_EdgeEncoding, inst, params)
 
 
 def _sq_distances(points: np.ndarray, sq_norms: np.ndarray,

@@ -1,5 +1,8 @@
 """Replicated benchmark sweeps and their CSV / table rendering.
 
+``solve`` runs any method by name; the CLI's solve verb and every
+replication of a sweep go through it.
+
 Each (method, population, generations) setting is replicated with seeds
 base_seed, base_seed+1, ... and summarized by the average and best traffic
 over the feasible replications, the average solver wall time, and the
@@ -19,12 +22,38 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .baselines import run_ega, run_multikmeans
+from .baselines import exhaustive_oracle, run_ega, run_multikmeans
+from .evaluation import Evaluation
 from .ga import GAParams, run_ga
 from .instance import Instance
 
-GA_METHODS = ("cga", "scga", "ega")
-BENCH_METHODS = GA_METHODS + ("multikmeans",)
+# solve takes every method; bench sweeps all but the (m <= 12) oracle
+METHODS = ("cga", "scga", "ega", "multikmeans", "oracle")
+BENCH_METHODS = METHODS[:-1]
+
+
+def solve(inst: Instance, method: str, seed: int = 0, restarts: int = 1,
+          **ga_params) -> tuple[Evaluation | None, float]:
+    """Run one method once: (best evaluation, wall seconds).
+
+    ``ga_params`` are the GAParams fields other than variant and seed; only
+    the GA methods read them, and only multikmeans reads ``restarts``. The
+    evaluation is None when multikmeans finds no feasible clustering or the
+    oracle proves that no feasible partition exists.
+    """
+    t0 = time.perf_counter()
+    if method in ("cga", "scga"):
+        ev = run_ga(inst, GAParams(variant=method, seed=seed,
+                                   **ga_params)).best_evaluation
+    elif method == "ega":
+        ev = run_ega(inst, GAParams(seed=seed, **ga_params)).best_evaluation
+    elif method == "multikmeans":
+        ev = run_multikmeans(inst, restarts=restarts, seed=seed)
+    elif method == "oracle":
+        ev = exhaustive_oracle(inst)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return ev, time.perf_counter() - t0
 
 
 @dataclass(frozen=True)
@@ -77,36 +106,23 @@ def run_benchmark(inst: Instance, methods, pop_sizes, generation_counts,
     rows = []
     for method in methods:
         if method == "multikmeans":
+            grid = [(None, None)]
+        else:
+            grid = [(pop, gens) for pop in sorted(pop_sizes)
+                    for gens in sorted(generation_counts)]
+        for pop, gens in grid:
             outcomes = []
             elapsed = 0.0
             for r in range(replications):
-                t0 = time.perf_counter()
-                ev = run_multikmeans(inst, restarts=1, seed=base_seed + r)
-                elapsed += time.perf_counter() - t0
-                outcomes.append((ev is not None,
-                                 ev.traffic if ev is not None else None))
+                ev, wall = solve(
+                    inst, method, base_seed + r, population_size=pop,
+                    generations=gens, crossover_rate=crossover_rate,
+                    mutation_rate=mutation_rate, tuning=tuning, gamma=gamma)
+                elapsed += wall
+                feasible = ev is not None and ev.feasible
+                outcomes.append((feasible, ev.traffic if feasible else None))
             cpu = elapsed / replications if measure_time else None
-            rows.append(_summarize(method, None, None, outcomes, cpu))
-            continue
-        runner = run_ega if method == "ega" else run_ga
-        for pop in sorted(pop_sizes):
-            for gens in sorted(generation_counts):
-                outcomes = []
-                elapsed = 0.0
-                for r in range(replications):
-                    params = GAParams(
-                        population_size=pop, generations=gens,
-                        crossover_rate=crossover_rate,
-                        mutation_rate=mutation_rate,
-                        variant=method if method != "ega" else "scga",
-                        seed=base_seed + r, tuning=tuning, gamma=gamma)
-                    result = runner(inst, params)
-                    elapsed += result.wall_time
-                    outcomes.append((result.feasible_found,
-                                     result.best_evaluation.traffic
-                                     if result.feasible_found else None))
-                cpu = elapsed / replications if measure_time else None
-                rows.append(_summarize(method, pop, gens, outcomes, cpu))
+            rows.append(_summarize(method, pop, gens, outcomes, cpu))
     return rows
 
 

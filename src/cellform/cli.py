@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
-from .baselines import exhaustive_oracle, run_ega, run_multikmeans
-from .bench import BENCH_METHODS, render_csv, render_table, run_benchmark
+from .bench import BENCH_METHODS, METHODS, render_csv, render_table, \
+    run_benchmark, solve
 from .evaluation import Evaluation, violation_breakdown
 from .flowgraph import build_graph
-from .ga import GAParams, run_ga
 from .instance import Instance, InstanceError, generate_instance, \
     parse_instance, serialize_instance
 
@@ -91,41 +89,20 @@ def _print_solution(ev: Evaluation, inst: Instance, wall: float):
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     tuning, gamma = args.tuning
-    if args.method in ("cga", "scga", "ega"):
-        params = GAParams(
-            population_size=args.pop, generations=args.gens,
-            crossover_rate=args.pc, mutation_rate=args.pm,
-            variant=args.method if args.method != "ega" else "scga",
-            seed=args.seed, tuning=tuning, gamma=gamma)
-        runner = run_ega if args.method == "ega" else run_ga
-        result = runner(inst, params)
-        print(f"method: {args.method}")
-        _print_solution(result.best_evaluation, inst, result.wall_time)
-        if not result.feasible_found:
-            print("UF: no feasible solution found")
-            return 3
-        return 0
-    if args.method == "multikmeans":
-        t0 = time.perf_counter()
-        ev = run_multikmeans(inst, restarts=args.reps, seed=args.seed)
-        wall = time.perf_counter() - t0
-        print("method: multikmeans")
-        if ev is None:
-            print(f"wall_time_s: {wall:.3f}")
-            print("UF: no feasible solution found")
-            return 3
-        _print_solution(ev, inst, wall)
-        return 0
-    # oracle
-    t0 = time.perf_counter()
-    ev = exhaustive_oracle(inst)
-    wall = time.perf_counter() - t0
-    print("method: oracle")
+    ev, wall = solve(inst, args.method, args.seed, restarts=args.reps,
+                     population_size=args.pop, generations=args.gens,
+                     crossover_rate=args.pc, mutation_rate=args.pm,
+                     tuning=tuning, gamma=gamma)
+    print(f"method: {args.method}")
     if ev is None:
         print(f"wall_time_s: {wall:.3f}")
-        print("infeasible: the constraints admit no partition")
+        print("infeasible: the constraints admit no partition"
+              if args.method == "oracle" else "UF: no feasible solution found")
         return 3
     _print_solution(ev, inst, wall)
+    if not ev.feasible:
+        print("UF: no feasible solution found")
+        return 3
     return 0
 
 
@@ -192,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve one instance with one method")
     ps.add_argument("instance", help="instance file path")
     ps.add_argument("--method", default="scga",
-                    choices=("cga", "scga", "ega", "multikmeans", "oracle"))
+                    choices=METHODS)
     ps.add_argument("--pop", type=int, default=300,
                     help="population size (default 300)")
     ps.add_argument("--gens", type=int, default=300,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flowgraph import FlowGraph
+from .instance import vertex_groups
 
 
 def mask_from_bits(bits) -> int:
@@ -160,18 +161,14 @@ class Partition:
         return lab
 
 
-def _canonical_cells(groups) -> Partition:
-    cells = sorted((tuple(sorted(g)) for g in groups), key=lambda c: c[0])
-    return Partition(tuple(cells))
-
-
 def partition_from_labels(labels) -> Partition:
     """Partition from any per-machine label sequence (labels need not be
     canonical; the cells come out in canonical order)."""
     groups: dict[int, list[int]] = {}
     for v, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(v)
-    return _canonical_cells(groups.values())
+    # vertices ascending: each cell is sorted, cells come by lowest vertex
+    return Partition(tuple(map(tuple, groups.values())))
 
 
 def decode_partition(g: FlowGraph, edge_mask: int) -> Partition:
@@ -180,21 +177,9 @@ def decode_partition(g: FlowGraph, edge_mask: int) -> Partition:
     For a mask that is a union of cuts, every masked edge ends up joining two
     different cells and every unmasked edge stays inside one.
     """
-    parent = list(range(g.machine_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, e in enumerate(g.edges):
-        if not (edge_mask >> i) & 1:
-            parent[find(e.u)] = find(e.v)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.machine_count):
-        groups.setdefault(find(v), []).append(v)
-    return _canonical_cells(groups.values())
+    kept = [(e.u, e.v) for i, e in enumerate(g.edges)
+            if not (edge_mask >> i) & 1]
+    return Partition(tuple(map(tuple, vertex_groups(g.machine_count, kept))))
 
 
 def boundary_mask(g: FlowGraph, partition: Partition) -> int:

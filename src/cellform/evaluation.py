@@ -91,8 +91,11 @@ def count_violations(partition: Partition, inst: Instance) -> int:
     return sum(violation_breakdown(partition, inst))
 
 
-def _exact_fitness(traffic: Fraction, violations: int,
-                   cfg: FitnessConfig) -> Fraction:
+def fitness(traffic: Fraction, violations: int,
+            cfg: FitnessConfig) -> Fraction:
+    """Penalized fitness Y, exact whatever the tuning (the tuning shapes
+    only the roulette weights, see ``PopulationEvaluator.selection_weights``).
+    """
     if violations > cfg.constraint_count:
         raise ValueError(
             f"internal inconsistency: {violations} violations exceed the "
@@ -103,19 +106,6 @@ def _exact_fitness(traffic: Fraction, violations: int,
             f"{cfg.bound}")
     return (cfg.bound - traffic) \
         + (cfg.constraint_count - violations) * cfg.bound
-
-
-def fitness(traffic: Fraction, violations: int,
-            cfg: FitnessConfig) -> Fraction | float:
-    """Penalized fitness Y, tuned per the config.
-
-    Identity tuning keeps Y exact; power tuning returns float(Y)^gamma,
-    an order-preserving transform.
-    """
-    y = _exact_fitness(traffic, violations, cfg)
-    if cfg.tuning == "power":
-        return float(y) ** cfg.gamma
-    return y
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,7 @@ def evaluate(g: FlowGraph, inst: Instance, edge_mask: int,
     traffic = intercellular_traffic(g, edge_mask)
     violations = count_violations(partition, inst)
     return Evaluation(partition, traffic, violations, violations == 0,
-                      _exact_fitness(traffic, violations, cfg))
+                      fitness(traffic, violations, cfg))
 
 
 def evaluate_partition(g: FlowGraph, inst: Instance, partition: Partition,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Instance
+from .instance import Instance, vertex_groups
 
 
 class TrafficMatrix:
@@ -119,21 +119,7 @@ def build_graph(inst: Instance,
                   in_sn=(a, b) in inst.separate)
              for a, b in keys]
 
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in keys:
-        parent[find(a)] = find(b)
-    components: dict[int, int] = {}
-    for v in range(m):
-        root = find(v)
-        components.setdefault(root, v)
-    reps = sorted(components.values())
+    reps = [group[0] for group in vertex_groups(m, keys)]
     for other in reps[1:]:
         edges.append(Edge(reps[0], other, Fraction(0), fictive=True))
 

@@ -5,12 +5,18 @@ graph (0 = no cut). Decoding ORs the named cuts together and reads off the
 resulting cells, so every individual is a valid partition by construction;
 cell-size and cohabitation constraints are handled by the penalty fitness.
 
-Two variants share the machinery:
+Three encodings run on one generational engine, ``evolve``, which owns the
+distinct-draw initial population, roulette selection, random top-up,
+mutation, elitism and the best-so-far history:
 
 * CGA keeps chromosomes as raw part chains.
 * SCGA canonicalizes every chromosome with a sorting procedure (parts in
   descending order, duplicates zeroed, zeros last), which collapses the many
   chains that decode to the same cut set and so removes phantom diversity.
+* EGA (``baselines.run_ega``) writes one bit per graph edge instead.
+
+Each encoding supplies its draw, crossover, mutation, canonical form,
+population evaluation and decoding of the best individual.
 
 The bit chain seen by the any-position crossover lays parts end to end,
 alleles within a part ordered by basis vertex (vertex 0 first = bit 0 of the
@@ -122,6 +128,38 @@ def sort_chromosome(ch: Chromosome) -> Chromosome:
     return Chromosome(padded, ch.part_bits)
 
 
+def _random_chromosome(rng: random.Random, k: int, bits: int) -> Chromosome:
+    """K uniform parts in [0, 2^bits - 1]."""
+    return Chromosome(tuple(rng.randrange(1 << bits) for _ in range(k)), bits)
+
+
+def draw_distinct(size: int, capacity: int, draw, key) -> list:
+    """``size`` individuals from ``draw()`` with pairwise distinct ``key``.
+
+    Raises ValueError when ``size`` exceeds the ``capacity`` of distinct
+    individuals (pigeonhole) and RuntimeError when 1000 * size draws fail to
+    fill the population.
+    """
+    if size > capacity:
+        raise ValueError(
+            f"population size {size} exceeds the {capacity} distinct "
+            f"individuals this encoding admits")
+    population = []
+    seen = set()
+    max_attempts = 1000 * size
+    for _ in range(max_attempts):
+        individual = draw()
+        tag = key(individual)
+        if tag not in seen:
+            seen.add(tag)
+            population.append(individual)
+            if len(population) == size:
+                return population
+    raise RuntimeError(
+        f"could not draw {size} distinct individuals in {max_attempts} "
+        f"attempts; the instance is too small for this population size")
+
+
 def init_population(params: GAParams, machine_count: int, k: int,
                     rng: random.Random | None = None) -> list[Chromosome]:
     """Distinct random chromosomes; SCGA checks distinctness on canonical
@@ -133,36 +171,18 @@ def init_population(params: GAParams, machine_count: int, k: int,
     if rng is None:
         rng = random.Random(params.seed)
     bits = machine_count - 1
-    size = params.population_size
     part_count = 1 << bits
     if params.variant == "cga":
         capacity = part_count ** k
     else:
         capacity = sum(math.comb(part_count - 1, j) for j in range(k + 1))
-    if size > capacity:
-        raise ValueError(
-            f"population size {size} exceeds the {capacity} distinct "
-            f"individuals this encoding admits")
-    population: list[Chromosome] = []
-    seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    max_attempts = 1000 * size
-    while len(population) < size:
-        if attempts >= max_attempts:
-            raise RuntimeError(
-                f"could not draw {size} distinct individuals in "
-                f"{max_attempts} attempts; the instance is too small for "
-                f"this population size")
-        attempts += 1
-        ch = Chromosome(tuple(rng.randrange(part_count) for _ in range(k)),
-                        bits)
-        if params.variant == "scga":
-            ch = sort_chromosome(ch)
-        if ch.parts in seen:
-            continue
-        seen.add(ch.parts)
-        population.append(ch)
-    return population
+
+    def draw() -> Chromosome:
+        ch = _random_chromosome(rng, k, bits)
+        return sort_chromosome(ch) if params.variant == "scga" else ch
+
+    return draw_distinct(params.population_size, capacity, draw,
+                         lambda ch: ch.parts)
 
 
 def roulette_select(population: Sequence, fitnesses: Sequence, count: int,
@@ -250,32 +270,90 @@ def mutate(ch: Chromosome, rng: random.Random) -> Chromosome:
     return Chromosome(parts, ch.part_bits)
 
 
-def run_ga(inst: Instance, params: GAParams) -> GAResult:
-    """Run the cut-based GA (CGA or SCGA per params.variant).
+class Encoding:
+    """One way of writing individuals, as the generational engine uses it.
+
+    Built from (instance, params), it holds the flow graph, the fitness
+    config and the ``evaluator``. Subclasses supply ``initial`` (the first,
+    pairwise distinct population, from ``draw_distinct``), ``draw`` (one
+    random individual), ``crossover`` (a pair into two children),
+    ``mutate`` (one individual), ``evaluate`` (a population into an
+    EvalBatch) and ``decode`` (the best individual into its reported
+    chromosome and exact Evaluation). ``canonicalise`` returns the
+    population unchanged unless an encoding has a canonical form.
+    """
+
+    def __init__(self, inst: Instance, params: GAParams):
+        self.inst = inst
+        self.params = params
+        self.graph = build_graph(inst)
+        self.cfg = make_fitness_config(self.graph, inst, params.tuning,
+                                       params.gamma)
+        self.evaluator = PopulationEvaluator(self.graph, inst, self.cfg)
+
+    def canonicalise(self, population: list) -> list:
+        return population
+
+
+class _CutEncoding(Encoding):
+    """CGA: K cut-index parts per chromosome, kept as raw chains."""
+
+    def __init__(self, inst: Instance, params: GAParams):
+        super().__init__(inst, params)
+        self.basis = build_basis(self.graph)
+        self.k = compute_k(inst.machine_count, inst.max_cell_size)
+
+    def initial(self, rng: random.Random) -> list[Chromosome]:
+        return init_population(self.params, self.inst.machine_count, self.k,
+                               rng)
+
+    def draw(self, rng: random.Random) -> Chromosome:
+        return _random_chromosome(rng, self.k, self.inst.machine_count - 1)
+
+    def crossover(self, a: Chromosome, b: Chromosome, rng: random.Random):
+        op = crossover_any if rng.random() < 0.5 else crossover_boundary
+        return op(a, b, rng)
+
+    def mutate(self, ch: Chromosome, rng: random.Random) -> Chromosome:
+        return mutate(ch, rng)
+
+    def evaluate(self, population: list[Chromosome]):
+        return self.evaluator.evaluate_parts([c.parts for c in population])
+
+    def decode(self, ch: Chromosome) -> tuple[Chromosome, Evaluation]:
+        mask = chromosome_mask(ch, self.basis)
+        return ch, evaluate(self.graph, self.inst, mask, self.cfg)
+
+
+class _SortedCutEncoding(_CutEncoding):
+    """SCGA: the cut encoding with every chromosome in sorted form."""
+
+    def canonicalise(self, population: list[Chromosome]) -> list[Chromosome]:
+        return [sort_chromosome(c) for c in population]
+
+
+def evolve(encoding: type[Encoding], inst: Instance,
+           params: GAParams) -> GAResult:
+    """Run the generational GA on an instance in the given encoding.
 
     Per generation: save the elite, roulette-select a crossover_rate share
-    of parents, cross each pair with one of the two operators (uniform
-    choice), top the population up with fresh random individuals, mutate a
-    mutation_rate share (one part each), sort everyone (SCGA), evaluate,
-    and reinsert the elite over the worst individual. best_history holds
-    the exact Y of the best individual so far after each generation,
-    whatever the tuning. Same seed, same best_history.
+    of parents, cross each pair, top the population up with fresh random
+    individuals, mutate a mutation_rate share (one gene each),
+    canonicalise everyone, evaluate, and reinsert the elite over the worst
+    individual. best_history holds the exact Y of the best individual so
+    far after each generation, whatever the tuning. Same seed, same
+    best_history.
     """
     t0 = time.perf_counter()
-    g = build_graph(inst)
-    basis = build_basis(g)
-    cfg = make_fitness_config(g, inst, params.tuning, params.gamma)
-    k = compute_k(inst.machine_count, inst.max_cell_size)
+    enc = encoding(inst, params)
+    evaluator = enc.evaluator
     rng = random.Random(params.seed)
-    evaluator = PopulationEvaluator(g, inst, cfg)
-    bits = inst.machine_count - 1
-    part_count = 1 << bits
 
-    population = init_population(params, inst.machine_count, k, rng)
-    batch = evaluator.evaluate_parts([c.parts for c in population])
+    population = enc.initial(rng)
+    batch = enc.evaluate(population)
     best_idx = int(batch.fitness_units.argmax())
     best_units = batch.fitness_units[best_idx]
-    best_chromosome = population[best_idx]
+    best = population[best_idx]
 
     size = params.population_size
     n_mate = round(params.crossover_rate * size)
@@ -291,21 +369,16 @@ def run_ga(inst: Instance, params: GAParams) -> GAResult:
 
         weights = evaluator.selection_weights(batch.fitness_units)
         parents = roulette_select(population, weights.tolist(), n_mate, rng)
-        nxt: list[Chromosome] = []
+        nxt = []
         for i in range(0, n_mate, 2):
-            op = crossover_any if rng.random() < 0.5 else crossover_boundary
-            c1, c2 = op(parents[i], parents[i + 1], rng)
-            nxt.extend((c1, c2))
+            nxt.extend(enc.crossover(parents[i], parents[i + 1], rng))
         while len(nxt) < size:
-            nxt.append(Chromosome(
-                tuple(rng.randrange(part_count) for _ in range(k)), bits))
+            nxt.append(enc.draw(rng))
         for idx in rng.sample(range(size), n_mutate):
-            nxt[idx] = mutate(nxt[idx], rng)
-        if params.variant == "scga":
-            nxt = [sort_chromosome(c) for c in nxt]
+            nxt[idx] = enc.mutate(nxt[idx], rng)
 
-        population = nxt
-        batch = evaluator.evaluate_parts([c.parts for c in population])
+        population = enc.canonicalise(nxt)
+        batch = enc.evaluate(population)
         worst = int(batch.fitness_units.argmin())
         population[worst] = elite
         batch.fitness_units[worst] = elite_units
@@ -313,10 +386,15 @@ def run_ga(inst: Instance, params: GAParams) -> GAResult:
         gen_best = int(batch.fitness_units.argmax())
         if batch.fitness_units[gen_best] > best_units:
             best_units = batch.fitness_units[gen_best]
-            best_chromosome = population[gen_best]
+            best = population[gen_best]
         history.append(evaluator.to_fraction(best_units))
 
-    best_eval = evaluate(g, inst, chromosome_mask(best_chromosome, basis),
-                         cfg)
+    best_chromosome, best_eval = enc.decode(best)
     return GAResult(best_chromosome, best_eval, history,
                     time.perf_counter() - t0, best_eval.feasible)
+
+
+def run_ga(inst: Instance, params: GAParams) -> GAResult:
+    """Run the cut-based GA, CGA or SCGA per params.variant (see evolve)."""
+    return evolve(_SortedCutEncoding if params.variant == "scga"
+                  else _CutEncoding, inst, params)

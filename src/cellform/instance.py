@@ -47,6 +47,28 @@ class InstanceWarning(UserWarning):
     """Non-fatal instance oddities, e.g. a cohabitation group larger than N."""
 
 
+def vertex_groups(n: int, pairs) -> list[list[int]]:
+    """Connected groups of vertices 0..n-1 joined by the (a, b) pairs.
+
+    Each group lists its vertices ascending; groups come ordered by their
+    lowest vertex.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class Part:
     """One part: production volume and machine routing (0-based indices)."""
@@ -112,22 +134,9 @@ class Instance:
         self._warn_large_cohabit_groups()
 
     def _warn_large_cohabit_groups(self):
-        parent = list(range(self.machine_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.cohabit:
-            parent[find(a)] = find(b)
-        sizes: dict[int, list[int]] = {}
-        for v in range(self.machine_count):
-            sizes.setdefault(find(v), []).append(v)
-        for group in sizes.values():
+        for group in vertex_groups(self.machine_count, self.cohabit):
             if len(group) > self.max_cell_size:
-                members = ", ".join(str(v + 1) for v in sorted(group))
+                members = ", ".join(str(v + 1) for v in group)
                 warnings.warn(
                     f"cohabitation group {{{members}}} has {len(group)} "
                     f"machines, more than max cell size "

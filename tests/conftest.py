@@ -13,11 +13,35 @@ hence the optimal intercellular traffic is 6.
 
 from __future__ import annotations
 
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cellform import Instance, Part, build_basis, build_graph
+
+# Every property test runs under this profile: the same examples on every
+# run, no example database written to disk, no per-example deadline.
+settings.register_profile("cellform", derandomize=True, database=None,
+                          deadline=None, max_examples=40)
+settings.load_profile("cellform")
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from the source,
+    # whatever the profile; keep that cache out of the checkout
+    home = tempfile.TemporaryDirectory(prefix="cellform-hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
+
 
 FIVE_MACHINE_EDGES = [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
                       (3, 5), (4, 5)]

@@ -8,11 +8,13 @@ checked against genuinely independent implementations.
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
-from cellform import Instance, Part, build_graph, compute_k, \
+from cellform import Instance, InstanceWarning, Part, build_graph, compute_k, \
     compute_traffic, evaluate_partition, make_fitness_config, \
     partition_from_labels
 
@@ -53,6 +55,34 @@ def random_instance(rng: random.Random, machine_count=None, *,
             (separate if rng.random() < 0.5 else cohabit).add(pair)
     return Instance(m, n, tuple(parts), frozenset(cohabit),
                     frozenset(separate))
+
+
+@st.composite
+def instances(draw, min_machines=2, max_machines=12):
+    """Hypothesis strategy: valid instances with fractional volumes, routings
+    of 1-6 steps and disjoint SC/SN pairs. A cohabitation group may exceed
+    N; its InstanceWarning is silenced."""
+    m = draw(st.integers(min_machines, max_machines))
+    n = draw(st.integers(1, m))
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        routing = [draw(st.integers(0, m - 1))]
+        for _ in range(draw(st.integers(0, 5))):
+            routing.append((routing[-1] + draw(st.integers(1, m - 1))) % m)
+        volume = Fraction(draw(st.integers(0, 10 ** 6)),
+                          draw(st.integers(1, 10 ** 6)))
+        parts.append(Part(volume, tuple(routing)))
+    all_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    pairs = draw(st.lists(st.sampled_from(all_pairs), max_size=4,
+                          unique=True))
+    cohabit = draw(st.lists(st.booleans(), min_size=len(pairs),
+                            max_size=len(pairs)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstanceWarning)
+        return Instance(
+            m, n, tuple(parts),
+            frozenset(p for p, sc in zip(pairs, cohabit) if sc),
+            frozenset(p for p, sc in zip(pairs, cohabit) if not sc))
 
 
 def vertex_cut_mask(graph, vertex_set) -> int:

@@ -6,15 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cellform import (EdgeChromosome, GAParams, InstanceWarning,
                       boundary_mask, build_graph, compute_k, compute_traffic,
                       decode_partition, generate_instance,
                       partition_from_labels, run_ega, run_ga,
-                      run_multikmeans)
+                      run_multikmeans, solve)
 from cellform.baselines import _lloyd, exhaustive_oracle
-from helpers import (brute_force_optimum, make_instance, partition_traffic,
-                     random_instance, reference_lloyd, reference_multikmeans)
+from cellform.bench import BENCH_METHODS
+from helpers import (brute_force_optimum, instances, make_instance,
+                     partition_traffic, random_instance, reference_lloyd,
+                     reference_multikmeans)
 
 
 CHAIN_ROUTINGS = [(4, (1, 2)), (1, (2, 3)), (3, (3, 4))]
@@ -266,3 +269,15 @@ class TestHeuristicsAgainstOracle:
             mk = run_multikmeans(inst, restarts=1, seed=seed)
             if mk is not None:
                 assert mk.traffic >= oracle.traffic
+
+
+@given(instances(4, 7), st.integers(0, 1000))
+def test_oracle_bounds_every_heuristic(inst, seed):
+    # pop 8 fits every encoding from m = 4 up: 8 cut values per part, and
+    # the connected graph has at least m - 1 = 3 edges
+    oracle = exhaustive_oracle(inst)
+    for method in BENCH_METHODS:
+        ev, _ = solve(inst, method, seed, population_size=8, generations=5)
+        if ev is not None and ev.feasible:
+            assert oracle is not None
+            assert ev.traffic >= oracle.traffic

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from cellform import (BenchmarkRow, GAParams, InstanceWarning, render_csv,
-                      render_table, run_benchmark, run_ega, run_ga,
-                      run_multikmeans)
+from cellform import (BenchmarkRow, GAParams, InstanceWarning,
+                      exhaustive_oracle, render_csv, render_table,
+                      run_benchmark, run_ega, run_ga, run_multikmeans, solve)
 from helpers import make_instance
 
 SAMPLE_ROWS = [
@@ -117,6 +117,29 @@ class TestRunBenchmark:
         b = run_benchmark(*args, 2, 3, measure_time=False)
         assert a == b
         assert render_csv(a) == render_csv(b)
+
+
+class TestSolve:
+    def test_each_method_runs_its_solver(self, five_machine_instance):
+        inst = five_machine_instance
+        ga = dict(population_size=12, generations=6, tuning="power",
+                  gamma=3.0)
+        expected = {
+            "cga": run_ga(inst, GAParams(variant="cga", seed=4, **ga)),
+            "scga": run_ga(inst, GAParams(variant="scga", seed=4, **ga)),
+            "ega": run_ega(inst, GAParams(seed=4, **ga)),
+        }
+        for method, result in expected.items():
+            ev, wall = solve(inst, method, 4, **ga)
+            assert ev == result.best_evaluation
+            assert wall >= 0
+        assert solve(inst, "multikmeans", 4, restarts=2)[0] == \
+            run_multikmeans(inst, restarts=2, seed=4)
+        assert solve(inst, "oracle")[0] == exhaustive_oracle(inst)
+
+    def test_unknown_method(self, five_machine_instance):
+        with pytest.raises(ValueError, match="unknown method"):
+            solve(five_machine_instance, "sa")
 
 
 class TestRenderCSV:

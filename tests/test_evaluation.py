@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from cellform import (FitnessConfig, InstanceWarning, Partition,
                       PopulationEvaluator, boundary_mask, build_basis,
@@ -120,19 +120,34 @@ class TestFitnessFormula:
             v = rng.randint(0, u - 1)
             assert fitness(z_low, v, cfg) > fitness(z_high, v + 1, cfg)
 
-    def test_power_tuning_order_preserving(self):
+    def test_power_tuning_order_preserving(self, five_machine_instance,
+                                           five_machine_graph):
+        # Y stays exact under power tuning; only the roulette weights are
+        # reshaped, and they must keep the order of Y (B = 8, u = 5 here)
+        g, inst = five_machine_graph, five_machine_instance
+        ident = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+        power = PopulationEvaluator(
+            g, inst, make_fitness_config(g, inst, "power", 2.5))
         rng = random.Random(9)
-        ident = FitnessConfig(F(50), 4)
-        power = FitnessConfig(F(50), 4, tuning="power", gamma=2.5)
-        samples = [(F(rng.randint(0, 50)), rng.randint(0, 4))
+        samples = [(F(rng.randint(0, 8)), rng.randint(0, 5))
                    for _ in range(60)]
-        for (z1, v1) in samples:
-            y_pow = fitness(z1, v1, power)
-            assert isinstance(y_pow, float)
-            for (z2, v2) in samples:
-                a, b = fitness(z1, v1, ident), fitness(z2, v2, ident)
+        ys = [fitness(z, v, power.cfg) for z, v in samples]
+        assert ys == [fitness(z, v, ident.cfg) for z, v in samples]
+        units = np.array([int(y * power.scale) for y in ys], dtype=np.int64)
+        w_ident = ident.selection_weights(units)
+        w_power = power.selection_weights(units)
+        assert w_power.dtype == np.float64
+        for i, a in enumerate(ys):
+            for j, b in enumerate(ys):
                 if a > b:
-                    assert y_pow > fitness(z2, v2, power)
+                    assert w_ident[i] > w_ident[j]
+                    assert w_power[i] > w_power[j]
+
+    def test_power_tuning_fitness_is_exact_y(self):
+        # float(Y) ** gamma overflowed here: 59 ** 200 is beyond float range
+        y = fitness(F(1), 0, FitnessConfig(F(10), 5, "power", 200.0))
+        assert y == 59
+        assert isinstance(y, Fraction)
 
 
 class TestEvaluate:
@@ -232,7 +247,6 @@ def check_parts_against_scalar(inst, population):
     return ev
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(fractional_shops())
 def test_evaluate_parts_equals_scalar_evaluate(shop):
     check_parts_against_scalar(*shop)

@@ -5,10 +5,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from cellform import (Instance, InstanceError, InstanceWarning, Part,
                       generate_instance, parse_instance, serialize_instance)
-from helpers import random_instance
+from cellform.instance import vertex_groups
+from helpers import instances, random_instance
 
 
 class TestParse:
@@ -250,3 +252,16 @@ class TestGenerate:
             generate_instance(4, 0, 2)
         with pytest.raises(InstanceError, match="routing length"):
             generate_instance(4, 5, 2, max_routing_len=1)
+
+
+@given(instances())
+def test_serialize_parse_round_trip(inst):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstanceWarning)
+        assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_vertex_groups_sorted_by_lowest_member():
+    assert vertex_groups(7, [(4, 1), (5, 2), (2, 0), (6, 4)]) == \
+        [[0, 2, 5], [1, 4, 6], [3]]
+    assert vertex_groups(3, []) == [[0], [1], [2]]
