@@ -5,8 +5,8 @@ one edge per routed machine pair; a partition into cells is encoded as an
 OR-union of basis cuts, so every chromosome decodes to a valid partition.
 """
 
-from cellform import (Instance, Part, build_basis, build_graph,
-                      bits_from_mask, decode_partition, evaluate,
+from cellform import (Instance, Part, PopulationEvaluator, build_basis,
+                      build_graph, bits_from_mask, decode_partition,
                       make_fitness_config, xor_cuts)
 
 ROUTED_PAIRS = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4),
@@ -43,8 +43,13 @@ print("decoded cells (1-based):",
       " ".join("{" + " ".join(str(v + 1) for v in cell) + "}"
                for cell in partition.cells))
 
+# the solvers score whole populations; here a population of one
+# chromosome whose parts name the two cuts
 cfg = make_fitness_config(g, inst)
-ev = evaluate(g, inst, mask, cfg)
+evaluator = PopulationEvaluator(g, inst, cfg)
+batch = evaluator.evaluate_parts([(w1.basis_index, w2.basis_index)])
+ev = evaluator.result(batch, 0)
+assert ev.partition == partition
 print(f"\nintercellular traffic: {ev.traffic}  (total flow {cfg.bound})")
 print(f"violations: {ev.violations}  feasible: {ev.feasible}")
 print(f"penalized fitness: {ev.fitness}")

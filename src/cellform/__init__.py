@@ -13,8 +13,7 @@ from .cuts import Cut, CutBasis, Partition, bits_from_mask, boundary_mask, \
     build_basis, cut_from_index, decode_partition, enumerate_all_cuts, \
     mask_from_bits, partition_from_labels, union_cuts, xor_cuts
 from .evaluation import EvalBatch, Evaluation, FitnessConfig, \
-    PopulationEvaluator, count_violations, evaluate, evaluate_partition, \
-    fitness, intercellular_traffic, make_fitness_config, violation_breakdown
+    PopulationEvaluator, fitness, make_fitness_config, violation_breakdown
 from .flowgraph import Edge, FlowGraph, TrafficMatrix, build_graph, \
     compute_traffic
 from .ga import Chromosome, GAParams, GAResult, chromosome_mask, compute_k, \
@@ -32,14 +31,12 @@ __all__ = [
     "PopulationEvaluator", "TrafficMatrix",
     "BenchmarkRow", "bits_from_mask", "boundary_mask", "build_basis",
     "build_graph", "chromosome_mask", "compute_k", "compute_traffic",
-    "count_violations", "crossover_any", "crossover_boundary",
-    "cut_from_index", "decode_chromosome", "decode_partition",
-    "enumerate_all_cuts", "evaluate", "evaluate_partition",
+    "crossover_any", "crossover_boundary", "cut_from_index",
+    "decode_chromosome", "decode_partition", "enumerate_all_cuts",
     "exhaustive_oracle", "fitness", "generate_instance", "init_population",
-    "intercellular_traffic", "make_fitness_config", "mask_from_bits",
-    "mutate", "parse_instance", "partition_from_labels", "render_csv",
-    "render_table", "roulette_select", "run_benchmark", "run_ega", "run_ga",
-    "run_multikmeans", "serialize_instance", "solve", "sort_chromosome",
-    "union_cuts",
+    "make_fitness_config", "mask_from_bits", "mutate", "parse_instance",
+    "partition_from_labels", "render_csv", "render_table", "roulette_select",
+    "run_benchmark", "run_ega", "run_ga", "run_multikmeans",
+    "serialize_instance", "solve", "sort_chromosome", "union_cuts",
     "violation_breakdown", "xor_cuts",
 ]

@@ -19,10 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cuts import bits_from_mask, decode_partition, mask_from_bits, \
-    partition_from_labels
-from .evaluation import Evaluation, PopulationEvaluator, evaluate_partition, \
-    make_fitness_config
+from .cuts import bits_from_mask, mask_from_bits
+from .evaluation import Evaluation, PopulationEvaluator, make_fitness_config
 from .flowgraph import build_graph, compute_traffic
 from .ga import Encoding, GAParams, GAResult, compute_k, draw_distinct, \
     evolve
@@ -75,12 +73,8 @@ class _EdgeEncoding(Encoding):
     def evaluate(self, population: list[np.ndarray]):
         return self.evaluator.evaluate_keeps(np.stack(population) == 0)
 
-    def decode(self, row: np.ndarray) -> tuple[EdgeChromosome, Evaluation]:
-        mask = mask_from_bits(row)
-        partition = decode_partition(self.graph, mask)
-        return (EdgeChromosome(mask, len(row)),
-                evaluate_partition(self.graph, self.inst, partition,
-                                   self.cfg))
+    def report(self, row: np.ndarray) -> EdgeChromosome:
+        return EdgeChromosome(mask_from_bits(row), len(row))
 
 
 def run_ega(inst: Instance, params: GAParams) -> GAResult:
@@ -164,16 +158,15 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     Returns the best feasible clustering over all k values and restarts (the
     first one met, restarts outer and k ascending, among those with the
     least traffic), or None when every clustering violates a constraint
-    (UF). A clustering is scored as ``evaluate_partition`` scores it: its
-    boundary edges are removed and the cells are read off the remaining
-    graph, so a cluster that is disconnected in the flow graph counts as
-    its connected pieces. All clusterings are scored in one batch.
+    (UF). Clusterings are scored as cell labels
+    (``PopulationEvaluator.evaluate_labels``), so a cluster that is
+    disconnected in the flow graph counts as its connected pieces. All
+    clusterings are scored in one batch.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     traffic = compute_traffic(inst)
     g = build_graph(inst, traffic)
-    cfg = make_fitness_config(g, inst)
     m = inst.machine_count
     points = np.array([[float(x) for x in row] for row in traffic.as_dense()])
     rng = random.Random(seed)
@@ -181,15 +174,13 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
                        for _ in range(restarts)
                        for k in range(compute_k(m, inst.max_cell_size), m)],
                       dtype=np.int64).reshape(-1, m)
-    evaluator = PopulationEvaluator(g, inst, cfg)
-    batch = evaluator.evaluate_keeps(
-        labels[:, evaluator.edge_u] == labels[:, evaluator.edge_v])
+    evaluator = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+    batch = evaluator.evaluate_labels(labels)
     feasible = np.flatnonzero(batch.violations == 0)
     if not len(feasible):
         return None
-    best = feasible[np.argmin(batch.traffic_units[feasible])]
-    return evaluate_partition(g, inst, partition_from_labels(labels[best]),
-                              cfg)
+    return evaluator.result(
+        batch, feasible[np.argmin(batch.traffic_units[feasible])])
 
 
 def exhaustive_oracle(inst: Instance) -> Evaluation | None:
@@ -206,7 +197,6 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
             f"machine count {m} exceeds the exhaustive-search guard "
             f"({_ORACLE_GUARD})")
     g = build_graph(inst)
-    cfg = make_fitness_config(g, inst)
     max_size = inst.max_cell_size
 
     prior_weighted: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
@@ -255,5 +245,6 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
     assign(0, 0, Fraction(0))
     if best_labels is None:
         return None
-    return evaluate_partition(g, inst, partition_from_labels(best_labels),
-                              cfg)
+    evaluator = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+    batch = evaluator.evaluate_labels(np.array([best_labels]))
+    return evaluator.result(batch, 0)

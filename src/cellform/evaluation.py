@@ -13,12 +13,12 @@ more, and among equal violation counts lower traffic wins. Y itself is
 always kept exact; an optional power tuning only sharpens the roulette
 weights, as (Y / Y_max)^gamma, which preserves order and cannot overflow.
 
-``PopulationEvaluator`` is the vectorized engine the genetic algorithms and
-multi-k-means run on: one scipy connected-components call per population,
-over a block-diagonal graph holding every individual, for any machine count
-and any number of chromosome parts. Its results match the scalar
-``evaluate`` exactly (weights are scaled to integers by their common
-denominator, so no rounding is involved).
+``PopulationEvaluator`` is the one evaluator every solver runs on: one
+scipy connected-components call per population, over a block-diagonal graph
+holding every individual, for any machine count and any number of
+chromosome parts. Weights are scaled to integers by their common
+denominator, so no rounding is involved, and ``result`` turns any row of a
+batch into the exact ``Evaluation`` a solver reports.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .cuts import Partition, boundary_mask, decode_partition
+from .cuts import Partition, partition_from_labels
 from .flowgraph import FlowGraph
 from .instance import Instance
 
@@ -67,15 +67,6 @@ def make_fitness_config(g: FlowGraph, inst: Instance,
     return FitnessConfig(bound, u, tuning, gamma)
 
 
-def intercellular_traffic(g: FlowGraph, edge_mask: int) -> Fraction:
-    """Sum of the weights of the masked (intercellular) edges."""
-    total = Fraction(0)
-    for i, e in enumerate(g.edges):
-        if (edge_mask >> i) & 1:
-            total += e.weight
-    return total
-
-
 def violation_breakdown(partition: Partition,
                         inst: Instance) -> tuple[int, int, int]:
     """(oversize cells, split cohabit pairs, united separate pairs)."""
@@ -85,10 +76,6 @@ def violation_breakdown(partition: Partition,
     split = sum(1 for a, b in inst.cohabit if labels[a] != labels[b])
     united = sum(1 for a, b in inst.separate if labels[a] == labels[b])
     return oversize, split, united
-
-
-def count_violations(partition: Partition, inst: Instance) -> int:
-    return sum(violation_breakdown(partition, inst))
 
 
 def fitness(traffic: Fraction, violations: int,
@@ -118,22 +105,6 @@ class Evaluation:
     violations: int
     feasible: bool
     fitness: Fraction
-
-
-def evaluate(g: FlowGraph, inst: Instance, edge_mask: int,
-             cfg: FitnessConfig) -> Evaluation:
-    """Decode the mask, measure traffic and violations, compute fitness."""
-    partition = decode_partition(g, edge_mask)
-    traffic = intercellular_traffic(g, edge_mask)
-    violations = count_violations(partition, inst)
-    return Evaluation(partition, traffic, violations, violations == 0,
-                      fitness(traffic, violations, cfg))
-
-
-def evaluate_partition(g: FlowGraph, inst: Instance, partition: Partition,
-                       cfg: FitnessConfig) -> Evaluation:
-    """Evaluate a partition directly via its boundary edge mask."""
-    return evaluate(g, inst, boundary_mask(g, partition), cfg)
 
 
 @dataclass
@@ -202,6 +173,14 @@ class PopulationEvaluator:
         """Exact value of a traffic or fitness amount given in units."""
         return Fraction(int(units), self.scale)
 
+    def result(self, batch: EvalBatch, i: int) -> Evaluation:
+        """Exact Evaluation of row ``i`` of a batch."""
+        traffic = self.to_fraction(batch.traffic_units[i])
+        violations = int(batch.violations[i])
+        return Evaluation(partition_from_labels(batch.labels[i]), traffic,
+                          violations, violations == 0,
+                          fitness(traffic, violations, self.cfg))
+
     def selection_weights(self, fitness_units: np.ndarray) -> np.ndarray:
         """Float roulette weights: Y, or (Y / Y_max)^gamma under power
         tuning. Both preserve order; the power form stays in [0, 1]."""
@@ -247,6 +226,16 @@ class PopulationEvaluator:
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
         """Evaluate masks given as a (pop, E) boolean keep matrix."""
         return self._eval_keep(np.asarray(keep, dtype=bool))
+
+    def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
+        """Evaluate a (pop, m) matrix of per-machine cell labels.
+
+        The cells' boundary edges are removed and the cells read off the
+        remaining graph, so a labelled cell that is disconnected in the
+        flow graph counts as its connected pieces.
+        """
+        return self.evaluate_keeps(
+            labels[:, self.edge_u] == labels[:, self.edge_v])
 
     def _eval_keep(self, keep: np.ndarray,
                    crossing: np.ndarray | None = None) -> EvalBatch:

@@ -16,7 +16,9 @@ mutation, elitism and the best-so-far history:
 * EGA (``baselines.run_ega``) writes one bit per graph edge instead.
 
 Each encoding supplies its draw, crossover, mutation, canonical form,
-population evaluation and decoding of the best individual.
+population evaluation and the form in which the best individual is
+reported; the engine reports that individual's exact evaluation from the
+same population evaluator that ranked it.
 
 The bit chain seen by the any-position crossover lays parts end to end,
 alleles within a part ordered by basis vertex (vertex 0 first = bit 0 of the
@@ -34,9 +36,8 @@ from itertools import accumulate
 from typing import Sequence
 
 from .cuts import CutBasis, Partition, cut_from_index, decode_partition, \
-    union_cuts, build_basis
-from .evaluation import Evaluation, PopulationEvaluator, evaluate, \
-    make_fitness_config
+    union_cuts
+from .evaluation import Evaluation, PopulationEvaluator, make_fitness_config
 from .flowgraph import FlowGraph, build_graph
 from .instance import Instance
 
@@ -277,10 +278,10 @@ class Encoding:
     config and the ``evaluator``. Subclasses supply ``initial`` (the first,
     pairwise distinct population, from ``draw_distinct``), ``draw`` (one
     random individual), ``crossover`` (a pair into two children),
-    ``mutate`` (one individual), ``evaluate`` (a population into an
-    EvalBatch) and ``decode`` (the best individual into its reported
-    chromosome and exact Evaluation). ``canonicalise`` returns the
-    population unchanged unless an encoding has a canonical form.
+    ``mutate`` (one individual) and ``evaluate`` (a population into an
+    EvalBatch). ``canonicalise`` returns the population unchanged unless an
+    encoding has a canonical form, and ``report`` returns the best
+    individual as is unless an encoding reports it in another form.
     """
 
     def __init__(self, inst: Instance, params: GAParams):
@@ -294,13 +295,15 @@ class Encoding:
     def canonicalise(self, population: list) -> list:
         return population
 
+    def report(self, individual):
+        return individual
+
 
 class _CutEncoding(Encoding):
     """CGA: K cut-index parts per chromosome, kept as raw chains."""
 
     def __init__(self, inst: Instance, params: GAParams):
         super().__init__(inst, params)
-        self.basis = build_basis(self.graph)
         self.k = compute_k(inst.machine_count, inst.max_cell_size)
 
     def initial(self, rng: random.Random) -> list[Chromosome]:
@@ -320,10 +323,6 @@ class _CutEncoding(Encoding):
     def evaluate(self, population: list[Chromosome]):
         return self.evaluator.evaluate_parts([c.parts for c in population])
 
-    def decode(self, ch: Chromosome) -> tuple[Chromosome, Evaluation]:
-        mask = chromosome_mask(ch, self.basis)
-        return ch, evaluate(self.graph, self.inst, mask, self.cfg)
-
 
 class _SortedCutEncoding(_CutEncoding):
     """SCGA: the cut encoding with every chromosome in sorted form."""
@@ -342,7 +341,8 @@ def evolve(encoding: type[Encoding], inst: Instance,
     canonicalise everyone, evaluate, and reinsert the elite over the worst
     individual. best_history holds the exact Y of the best individual so
     far after each generation, whatever the tuning. Same seed, same
-    best_history.
+    best_history. The best individual is evaluated once more on its own
+    for its exact Evaluation.
     """
     t0 = time.perf_counter()
     enc = encoding(inst, params)
@@ -389,8 +389,8 @@ def evolve(encoding: type[Encoding], inst: Instance,
             best = population[gen_best]
         history.append(evaluator.to_fraction(best_units))
 
-    best_chromosome, best_eval = enc.decode(best)
-    return GAResult(best_chromosome, best_eval, history,
+    best_eval = evaluator.result(enc.evaluate([best]), 0)
+    return GAResult(enc.report(best), best_eval, history,
                     time.perf_counter() - t0, best_eval.feasible)
 
 

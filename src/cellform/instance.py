@@ -47,6 +47,22 @@ class InstanceWarning(UserWarning):
     """Non-fatal instance oddities, e.g. a cohabitation group larger than N."""
 
 
+# Largest accepted machine count, 8x the widest shop the tests solve
+# (m = 130). Checking an instance and building its flow graph cost O(m)
+# time and memory, so without a limit a one-line header such as
+# "machines 1000000000" would ask for hundreds of gigabytes.
+MAX_MACHINES = 1024
+
+
+def _check_machine_count(m: int, line: int | None = None):
+    if m < 2:
+        raise InstanceError(f"machine count must be at least 2, got {m}",
+                            line)
+    if m > MAX_MACHINES:
+        raise InstanceError(
+            f"machine count {m} exceeds the limit of {MAX_MACHINES}", line)
+
+
 def vertex_groups(n: int, pairs) -> list[list[int]]:
     """Connected groups of vertices 0..n-1 joined by the (a, b) pairs.
 
@@ -95,8 +111,7 @@ class Instance:
 
     def __post_init__(self):
         m = self.machine_count
-        if m < 2:
-            raise InstanceError(f"machine count must be at least 2, got {m}")
+        _check_machine_count(m)
         if self.max_cell_size < 1:
             raise InstanceError(
                 f"max cell size must be at least 1, got {self.max_cell_size}")
@@ -204,10 +219,7 @@ def parse_instance(text: str) -> Instance:
             except ValueError:
                 raise InstanceError(
                     f"bad machine count {fields[1]!r}", lineno) from None
-            if machine_count < 2:
-                raise InstanceError(
-                    f"machine count must be at least 2, got {machine_count}",
-                    lineno)
+            _check_machine_count(machine_count, lineno)
         elif kw == "max_cell_size":
             if max_cell_size is not None:
                 raise InstanceError("duplicate max_cell_size line", lineno)
@@ -294,9 +306,7 @@ def generate_instance(machine_count: int, part_count: int,
     machines so no machine repeats consecutively), then an integer volume
     uniform in [1, 10]. No cohabitation or separation pairs are generated.
     """
-    if machine_count < 2:
-        raise InstanceError(
-            f"machine count must be at least 2, got {machine_count}")
+    _check_machine_count(machine_count)
     if part_count < 1:
         raise InstanceError(f"part count must be at least 1, got {part_count}")
     if max_routing_len < 2:

@@ -14,9 +14,10 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from cellform import Instance, InstanceWarning, Part, build_graph, compute_k, \
-    compute_traffic, evaluate_partition, make_fitness_config, \
-    partition_from_labels
+from cellform import Evaluation, Instance, InstanceWarning, Part, \
+    boundary_mask, build_graph, compute_k, compute_traffic, \
+    decode_partition, fitness, make_fitness_config, partition_from_labels, \
+    violation_breakdown
 
 
 def make_instance(machine_count, max_cell_size, routings,
@@ -129,6 +130,17 @@ def partition_traffic(inst: Instance, cells) -> Fraction:
     return total
 
 
+def reference_evaluation(inst: Instance, partition, cfg) -> Evaluation:
+    """Reference for ``PopulationEvaluator.result``: traffic recounted from
+    the routings, violations from ``violation_breakdown``, Y from
+    ``fitness``. The caller decodes the partition (``decode_chromosome`` or
+    ``decode_partition``)."""
+    traffic = partition_traffic(inst, partition.cells)
+    violations = sum(violation_breakdown(partition, inst))
+    return Evaluation(partition, traffic, violations, violations == 0,
+                      fitness(traffic, violations, cfg))
+
+
 def partition_feasible(inst: Instance, cells) -> bool:
     label = {}
     for ci, cell in enumerate(cells):
@@ -193,8 +205,9 @@ def reference_lloyd(points: np.ndarray, k: int,
 
 
 def reference_multikmeans(inst: Instance, restarts: int = 1, seed: int = 0):
-    """Reference for ``run_multikmeans``: one ``evaluate_partition`` per
-    clustering, the best kept as the clusterings arrive."""
+    """Reference for ``run_multikmeans``: one ``reference_evaluation`` per
+    clustering, on the connected pieces its boundary leaves, the best kept
+    as the clusterings arrive."""
     g = build_graph(inst)
     cfg = make_fitness_config(g, inst)
     m = inst.machine_count
@@ -205,8 +218,8 @@ def reference_multikmeans(inst: Instance, restarts: int = 1, seed: int = 0):
     for _ in range(restarts):
         for k in range(compute_k(m, inst.max_cell_size), m):
             assign = reference_lloyd(points, k, rng)
-            ev = evaluate_partition(g, inst, partition_from_labels(assign),
-                                    cfg)
+            mask = boundary_mask(g, partition_from_labels(assign))
+            ev = reference_evaluation(inst, decode_partition(g, mask), cfg)
             if ev.feasible and (best is None or ev.traffic < best.traffic):
                 best = ev
     return best

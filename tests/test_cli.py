@@ -6,8 +6,11 @@ import warnings
 
 import pytest
 
-from cellform import (InstanceWarning, generate_instance, serialize_instance)
+from cellform import (Chromosome, InstanceWarning, generate_instance,
+                      serialize_instance)
+from cellform import ga
 from cellform.cli import main
+from cellform.instance import MAX_MACHINES
 from helpers import make_instance
 
 FIVE_MACHINE_ROUTINGS = [(1, p) for p in
@@ -95,6 +98,25 @@ class TestInputErrors:
 
     def test_generate_bad_dimensions(self, capsys):
         assert run_cli(["generate", "-m", "1", "-p", "5", "-N", "2"]) == 2
+
+    def test_machine_count_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"machines {MAX_MACHINES + 1}\nmax_cell_size 3\n",
+                        encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "exceeds the limit" in err
+        assert run_cli(["generate", "-m", str(MAX_MACHINES + 1), "-p", "5",
+                        "-N", "3"]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_draws_exhausted(self, five_machine_file, capsys, monkeypatch):
+        # every draw is the same chromosome, so no distinct population exists
+        monkeypatch.setattr(ga, "_random_chromosome",
+                            lambda rng, k, bits: Chromosome((0,) * k, bits))
+        assert run_cli(["solve", five_machine_file, "--pop", "2",
+                        "--gens", "1"]) == 2
+        assert "could not draw 2 distinct" in capsys.readouterr().err
 
 
 class TestSolve:

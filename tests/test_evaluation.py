@@ -9,16 +9,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cellform import (FitnessConfig, InstanceWarning, Partition,
-                      PopulationEvaluator, boundary_mask, build_basis,
-                      build_graph, chromosome_mask, count_violations,
-                      cut_from_index, decode_partition, evaluate,
-                      evaluate_partition, fitness, intercellular_traffic,
-                      make_fitness_config, partition_from_labels, union_cuts,
-                      violation_breakdown)
+                      PopulationEvaluator, build_basis, build_graph,
+                      cut_from_index, decode_chromosome, decode_partition,
+                      fitness, make_fitness_config, partition_from_labels,
+                      union_cuts, violation_breakdown)
 from cellform import Chromosome, Instance, Part, mask_from_bits
-from helpers import make_instance, random_instance
+from helpers import make_instance, random_instance, reference_evaluation
 
 F = Fraction
+
+
+def evaluate_mask(inst, mask):
+    """The evaluator's exact Evaluation of one edge mask (1 = removed)."""
+    g = build_graph(inst)
+    ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+    keep = np.array([[not (mask >> i) & 1 for i in range(g.edge_count)]])
+    return ev.result(ev.evaluate_keeps(keep), 0)
+
+
+def evaluate_cells(inst, partition):
+    """The evaluator's exact Evaluation of one partition's cell labels."""
+    g = build_graph(inst)
+    ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+    labels = np.array([partition.labels(inst.machine_count)])
+    return ev.result(ev.evaluate_labels(labels), 0)
 
 
 class TestFitnessConfig:
@@ -53,11 +67,12 @@ class TestFitnessConfig:
 
 
 class TestTrafficAndViolations:
-    def test_intercellular_traffic_golden(self, five_machine_graph):
+    def test_intercellular_traffic_golden(self, five_machine_instance):
+        inst = five_machine_instance
         mask = mask_from_bits((0, 1, 1, 1, 1, 1, 1, 0))
-        assert intercellular_traffic(five_machine_graph, mask) == 6
-        assert intercellular_traffic(five_machine_graph, 0) == 0
-        assert intercellular_traffic(five_machine_graph, 0xFF) == 8
+        assert evaluate_mask(inst, mask).traffic == 6
+        assert evaluate_mask(inst, 0).traffic == 0
+        assert evaluate_mask(inst, 0xFF).traffic == 8
 
     def test_breakdown_split_cohabit(self):
         # all singletons with a cohabit pair: exactly one split pair
@@ -65,18 +80,18 @@ class TestTrafficAndViolations:
             inst = make_instance(3, 1, [(1, (1, 2))], cohabit=[(1, 2)])
         p = Partition(((0,), (1,), (2,)))
         assert violation_breakdown(p, inst) == (0, 1, 0)
-        assert count_violations(p, inst) == 1
+        assert evaluate_cells(inst, p).violations == 1
 
     def test_breakdown_oversize_and_united(self):
         # everything in one cell of 6 > N=5, plus a separate pair united
         inst = make_instance(6, 5, [(1, (1, 2))], separate=[(1, 2)])
         p = Partition((tuple(range(6)),))
         assert violation_breakdown(p, inst) == (1, 0, 1)
-        assert count_violations(p, inst) == 2
+        assert evaluate_cells(inst, p).violations == 2
 
     def test_feasible_partition_counts_zero(self, five_machine_instance):
         p = Partition(((0, 2), (1,), (3, 4)))
-        assert count_violations(p, five_machine_instance) == 0
+        assert evaluate_cells(five_machine_instance, p).violations == 0
 
 
 class TestFitnessFormula:
@@ -151,11 +166,9 @@ class TestFitnessFormula:
 
 
 class TestEvaluate:
-    def test_five_machine_golden(self, five_machine_instance,
-                                 five_machine_graph):
-        cfg = make_fitness_config(five_machine_graph, five_machine_instance)
+    def test_five_machine_golden(self, five_machine_instance):
         mask = mask_from_bits((0, 1, 1, 1, 1, 1, 1, 0))
-        ev = evaluate(five_machine_graph, five_machine_instance, mask, cfg)
+        ev = evaluate_mask(five_machine_instance, mask)
         assert ev.partition.cells == ((0, 2), (1,), (3, 4))
         assert ev.traffic == 6
         assert ev.violations == 0
@@ -166,7 +179,7 @@ class TestEvaluate:
         inst = make_instance(4, 4, [(2, (1, 2, 3, 4))])
         g = build_graph(inst)
         cfg = make_fitness_config(g, inst)
-        ev = evaluate(g, inst, 0, cfg)
+        ev = evaluate_mask(inst, 0)
         assert ev.traffic == 0 and ev.feasible
         assert ev.fitness == (cfg.constraint_count + 1) * cfg.bound
 
@@ -178,22 +191,24 @@ class TestEvaluate:
                 inst = random_instance(rng, 6, max_parts=8)
                 g = build_graph(inst)
                 basis = build_basis(g)
-                cfg = make_fitness_config(g, inst)
-                union = union_cuts(
-                    [cut_from_index(basis, rng.randint(1, basis.max_index))
-                     for _ in range(rng.randint(1, 3))])
-                ev = evaluate(g, inst, union, cfg)
+                evaluator = PopulationEvaluator(g, inst,
+                                                make_fitness_config(g, inst))
+                parts = [rng.randint(1, basis.max_index)
+                         for _ in range(rng.randint(1, 3))]
+                union = union_cuts([cut_from_index(basis, n) for n in parts])
+                ev = evaluator.result(evaluator.evaluate_parts([parts]), 0)
+                assert ev.partition == decode_partition(g, union)
                 # independent recomputation over the decoded partition
                 labels = ev.partition.labels(6)
                 boundary = sum((e.weight for e in g.edges
                                 if labels[e.u] != labels[e.v]), F(0))
-                assert ev.traffic == boundary
-                assert evaluate_partition(g, inst, ev.partition, cfg) == ev
+                marked = sum((e.weight for i, e in enumerate(g.edges)
+                              if (union >> i) & 1), F(0))
+                assert ev.traffic == boundary == marked
+                assert evaluate_cells(inst, ev.partition) == ev
 
-    def test_infeasible_flag(self, five_machine_instance,
-                             five_machine_graph):
-        cfg = make_fitness_config(five_machine_graph, five_machine_instance)
-        ev = evaluate(five_machine_graph, five_machine_instance, 0, cfg)
+    def test_infeasible_flag(self, five_machine_instance):
+        ev = evaluate_mask(five_machine_instance, 0)
         assert ev.violations == 1  # one cell of five > max size 2
         assert not ev.feasible
 
@@ -231,19 +246,20 @@ def fractional_shops(draw):
 
 
 def check_parts_against_scalar(inst, population):
-    """evaluate_parts agrees exactly with the scalar evaluate() per row."""
+    """evaluate_parts agrees exactly with the scalar reference per row."""
     g = build_graph(inst)
     basis = build_basis(g)
     cfg = make_fitness_config(g, inst)
     ev = PopulationEvaluator(g, inst, cfg)
     batch = ev.evaluate_parts(population)
     for i, parts in enumerate(population):
-        scalar = evaluate(g, inst, chromosome_mask(
-            Chromosome(parts, basis.dimension), basis), cfg)
+        scalar = reference_evaluation(inst, decode_chromosome(
+            Chromosome(parts, basis.dimension), basis, g), cfg)
         assert ev.to_fraction(batch.traffic_units[i]) == scalar.traffic
         assert batch.violations[i] == scalar.violations
         assert ev.to_fraction(batch.fitness_units[i]) == scalar.fitness
         assert partition_from_labels(batch.labels[i]) == scalar.partition
+        assert ev.result(batch, i) == scalar
     return ev
 
 
@@ -335,7 +351,7 @@ class TestPopulationEvaluator:
         batch = ev.evaluate_keeps(keep)
         for i, mask in enumerate(masks):
             p = decode_partition(g, mask)
-            scalar = evaluate_partition(g, inst, p, cfg)
+            scalar = reference_evaluation(inst, p, cfg)
             assert ev.to_fraction(batch.traffic_units[i]) == \
                 scalar.traffic
             assert batch.violations[i] == scalar.violations
@@ -360,7 +376,7 @@ class TestPopulationEvaluator:
         batch = ev.evaluate_keeps(keep)
         for i, mask in enumerate(masks):
             p = decode_partition(g, mask)
-            scalar = evaluate_partition(g, inst, p, cfg)
+            scalar = reference_evaluation(inst, p, cfg)
             assert ev.to_fraction(batch.traffic_units[i]) == scalar.traffic
             assert batch.violations[i] == scalar.violations
             assert ev.to_fraction(batch.fitness_units[i]) == scalar.fitness

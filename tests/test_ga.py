@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cellform import (Chromosome, GAParams, InstanceWarning,
-                      chromosome_mask, compute_k, crossover_any,
-                      crossover_boundary, decode_chromosome,
-                      generate_instance, init_population, mask_from_bits,
-                      mutate, roulette_select, run_ga, sort_chromosome)
+                      PopulationEvaluator, build_graph, chromosome_mask,
+                      compute_k, crossover_any, crossover_boundary,
+                      decode_chromosome, generate_instance, init_population,
+                      make_fitness_config, mask_from_bits, mutate,
+                      roulette_select, run_ga, sort_chromosome)
 from cellform.baselines import exhaustive_oracle
-from helpers import make_instance
+from helpers import instances, make_instance
 
 
 class ScriptedRng:
@@ -144,6 +146,25 @@ class TestSortChromosome:
             rng.shuffle(shuffled)
             assert sort_chromosome(Chromosome(tuple(parts), 4)) == \
                 sort_chromosome(Chromosome(tuple(shuffled), 4))
+
+
+@given(instances(), st.data())
+def test_sort_chromosome_idempotent_and_evaluation_invariant(inst, data):
+    # parts drawn from a small pool, so repeats and zeros are common
+    top = (1 << (inst.machine_count - 1)) - 1
+    pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    parts = data.draw(st.lists(st.sampled_from(pool + [0]), min_size=1,
+                               max_size=6))
+    ch = Chromosome(tuple(parts), inst.machine_count - 1)
+    s = sort_chromosome(ch)
+    assert sort_chromosome(s) == s
+    g = build_graph(inst)
+    ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+    raw = ev.evaluate_parts([ch.parts])
+    canonical = ev.evaluate_parts([s.parts])
+    assert (raw.labels == canonical.labels).all()
+    assert raw.traffic_units[0] == canonical.traffic_units[0]
+    assert raw.violations[0] == canonical.violations[0]
 
 
 class TestInitPopulation:

@@ -9,7 +9,7 @@ from hypothesis import given
 
 from cellform import (Instance, InstanceError, InstanceWarning, Part,
                       generate_instance, parse_instance, serialize_instance)
-from cellform.instance import vertex_groups
+from cellform.instance import MAX_MACHINES, vertex_groups
 from helpers import instances, random_instance
 
 
@@ -81,6 +81,15 @@ class TestParse:
         with pytest.raises(InstanceError, match="at least 1, got 0"):
             parse_instance("machines 3\nmax_cell_size 0\n")
 
+    def test_machine_count_limit(self):
+        inst = parse_instance(f"machines {MAX_MACHINES}\nmax_cell_size 3\n")
+        assert inst.machine_count == MAX_MACHINES
+        with pytest.raises(InstanceError,
+                           match=f"line 2: machine count {MAX_MACHINES + 1} "
+                                 f"exceeds the limit of {MAX_MACHINES}"):
+            parse_instance(f"# shop\nmachines {MAX_MACHINES + 1}\n"
+                           f"max_cell_size 3\n")
+
     def test_part_syntax(self):
         with pytest.raises(InstanceError, match="line 3: expected: part"):
             parse_instance("machines 3\nmax_cell_size 2\npart 1 1 2\n")
@@ -136,6 +145,11 @@ class TestValidation:
     def test_machine_count(self):
         with pytest.raises(InstanceError, match="at least 2"):
             Instance(1, 1)
+
+    def test_machine_count_limit(self):
+        assert Instance(MAX_MACHINES, 3).machine_count == MAX_MACHINES
+        with pytest.raises(InstanceError, match="exceeds the limit"):
+            Instance(MAX_MACHINES + 1, 3)
 
     def test_max_cell_size(self):
         with pytest.raises(InstanceError, match="at least 1"):
@@ -252,6 +266,12 @@ class TestGenerate:
             generate_instance(4, 0, 2)
         with pytest.raises(InstanceError, match="routing length"):
             generate_instance(4, 5, 2, max_routing_len=1)
+
+    def test_machine_count_limit(self):
+        inst = generate_instance(MAX_MACHINES, 5, 3)
+        assert inst.machine_count == MAX_MACHINES
+        with pytest.raises(InstanceError, match="exceeds the limit"):
+            generate_instance(MAX_MACHINES + 1, 5, 3)
 
 
 @given(instances())
