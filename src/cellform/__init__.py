@@ -5,8 +5,7 @@ graph, encode partitions as unions of graph cuts, and search with genetic
 algorithms (or the exact oracle / k-means baselines).
 """
 
-from .baselines import EdgeChromosome, exhaustive_oracle, run_ega, \
-    run_multikmeans
+from .baselines import exhaustive_oracle, run_ega, run_multikmeans
 from .bench import BenchmarkRow, render_csv, render_table, run_benchmark, \
     solve
 from .cuts import Cut, CutBasis, Partition, bits_from_mask, boundary_mask, \
@@ -16,7 +15,7 @@ from .evaluation import EvalBatch, Evaluation, FitnessConfig, \
     PopulationEvaluator, fitness, make_fitness_config, violation_breakdown
 from .flowgraph import Edge, FlowGraph, TrafficMatrix, build_graph, \
     compute_traffic
-from .ga import Chromosome, GAParams, GAResult, chromosome_mask, compute_k, \
+from .ga import GAParams, GAResult, chromosome_mask, compute_k, \
     crossover_any, crossover_boundary, decode_chromosome, init_population, \
     mutate, roulette_select, run_ga, sort_chromosome
 from .instance import Instance, InstanceError, InstanceWarning, Part, \
@@ -25,8 +24,8 @@ from .instance import Instance, InstanceError, InstanceWarning, Part, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chromosome", "Cut", "CutBasis", "Edge", "EdgeChromosome", "EvalBatch",
-    "Evaluation", "FitnessConfig", "FlowGraph", "GAParams", "GAResult",
+    "Cut", "CutBasis", "Edge", "EvalBatch", "Evaluation", "FitnessConfig",
+    "FlowGraph", "GAParams", "GAResult",
     "Instance", "InstanceError", "InstanceWarning", "Part", "Partition",
     "PopulationEvaluator", "TrafficMatrix",
     "BenchmarkRow", "bits_from_mask", "boundary_mask", "build_basis",

@@ -2,9 +2,10 @@
 
 * run_ega: a GA over raw edge bit strings (1 = intercellular), run by the
   same generational engine as the cut GA (``ga.evolve``); only the encoding
-  differs. Fitness is measured on the decoded partition, so values are
-  comparable across methods even when a mask marks edges that do not
-  actually separate anything.
+  differs. Each individual, the reported best included, is a uint8 row
+  with one gene per graph edge. Fitness is measured on the decoded
+  partition, so values are comparable across methods even when a mask
+  marks edges that do not actually separate anything.
 * run_multikmeans: Lloyd's k-means on the traffic-matrix rows for every
   k in [ceil(m/N), m-1], keeping the best feasible clustering.
 * exhaustive_oracle: exact minimum-traffic feasible partition by
@@ -14,12 +15,10 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cuts import bits_from_mask, mask_from_bits
 from .evaluation import Evaluation, PopulationEvaluator, make_fitness_config
 from .flowgraph import build_graph, compute_traffic
 from .ga import Encoding, GAParams, GAResult, compute_k, draw_distinct, \
@@ -27,17 +26,6 @@ from .ga import Encoding, GAParams, GAResult, compute_k, draw_distinct, \
 from .instance import Instance
 
 _ORACLE_GUARD = 12
-
-
-@dataclass(frozen=True)
-class EdgeChromosome:
-    """Edge mask individual: bit i marks edge i as intercellular."""
-
-    edge_mask: int
-    edge_count: int
-
-    def bits(self) -> tuple[int, ...]:
-        return bits_from_mask(self.edge_mask, self.edge_count)
 
 
 class _EdgeEncoding(Encoding):
@@ -72,9 +60,6 @@ class _EdgeEncoding(Encoding):
 
     def evaluate(self, population: list[np.ndarray]):
         return self.evaluator.evaluate_keeps(np.stack(population) == 0)
-
-    def report(self, row: np.ndarray) -> EdgeChromosome:
-        return EdgeChromosome(mask_from_bits(row), len(row))
 
 
 def run_ega(inst: Instance, params: GAParams) -> GAResult:

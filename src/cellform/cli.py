@@ -17,8 +17,8 @@ from .bench import BENCH_METHODS, METHODS, render_csv, render_table, \
     run_benchmark, solve
 from .evaluation import Evaluation, violation_breakdown
 from .flowgraph import build_graph
-from .instance import Instance, InstanceError, generate_instance, \
-    parse_instance, serialize_instance
+from .instance import Instance, generate_instance, parse_instance, \
+    serialize_instance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,14 +221,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # a GA ran out of draws for its distinct initial population
+    except (ValueError, OSError, RuntimeError) as exc:
+        # InstanceError is a ValueError; a RuntimeError means a GA ran out
+        # of draws for its distinct initial population
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -146,12 +146,6 @@ class Partition:
     def cell_count(self) -> int:
         return len(self.cells)
 
-    def cell_of(self, v: int) -> int:
-        for i, cell in enumerate(self.cells):
-            if v in cell:
-                return i
-        raise KeyError(v)
-
     def labels(self, machine_count: int) -> list[int]:
         """Cell index per machine, as a dense list."""
         lab = [-1] * machine_count

@@ -195,17 +195,30 @@ class PopulationEvaluator:
     def evaluate_parts(self, population) -> EvalBatch:
         """Evaluate chromosomes given as sequences of K Python int parts.
 
-        numpy integers are not accepted: for m > 64 a part no longer fits
-        in int64, so the population stays in Python ints.
+        Raises ValueError unless every row has the same nonzero number of
+        parts and every part is a Python int in [0, 2^(m-1) - 1]. numpy
+        integers are not accepted: for m > 64 a part no longer fits in
+        int64, so the population stays in Python ints.
         """
+        counts = {len(parts) for parts in population}
+        if len(counts) != 1 or 0 in counts:
+            raise ValueError(f"chromosomes need one common, nonzero part "
+                             f"count, got {sorted(counts)}")
+        bad_part = f"chromosome parts must be Python ints in " \
+                   f"0..2^{self.m - 1} - 1"
         pop = len(population)
         width = 8 * self.part_words
-        raw = b"".join([p.to_bytes(width, "little")
-                        for parts in population for p in parts])
+        try:
+            raw = b"".join([p.to_bytes(width, "little")
+                            for parts in population for p in parts])
+        except (AttributeError, OverflowError):
+            raise ValueError(bad_part) from None
         # bits[i, j, v]: bit v of part j of individual i
         bits = np.unpackbits(
             np.frombuffer(raw, dtype=np.uint8).reshape(pop, -1, width),
             axis=2, bitorder="little")
+        if bits[:, :, self.m - 1:].any():
+            raise ValueError(bad_part)
         # sig[w, i, v]: bits 64w.. of vertex v's signature in individual i,
         # a sum of distinct powers of two (einsum casts the uint8 bits in
         # small buffers; a full uint64 copy of them was slower); the spare

@@ -88,15 +88,6 @@ class FlowGraph:
     def total_weight(self) -> Fraction:
         return sum((e.weight for e in self.edges), Fraction(0))
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (edge index, other endpoint)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in
-                                            range(self.machine_count)]
-        for i, e in enumerate(self.edges):
-            adj[e.u].append((i, e.v))
-            adj[e.v].append((i, e.u))
-        return adj
-
 
 def build_graph(inst: Instance,
                 traffic: TrafficMatrix | None = None) -> FlowGraph:

@@ -1,9 +1,13 @@
 """Cut-based genetic algorithms over the flow graph.
 
-A chromosome is K = ceil(m / N) integer parts, each naming a cut of the flow
-graph (0 = no cut). Decoding ORs the named cuts together and reads off the
-resulting cells, so every individual is a valid partition by construction;
-cell-size and cohabitation constraints are handled by the penalty fitness.
+A chromosome is a plain tuple of K = ceil(m / N) int parts, each in
+[0, 2^(m-1) - 1] and naming a cut of the flow graph (0 = no cut); the part
+width m - 1 belongs to the encoding, not to the chromosome. Decoding ORs the
+named cuts together and reads off the resulting cells, so every individual
+is a valid partition by construction; cell-size and cohabitation
+constraints are handled by the penalty fitness. The operators keep parts in
+range by construction; parts from outside are checked where they are
+evaluated (``PopulationEvaluator.evaluate_parts``).
 
 Three encodings run on one generational engine, ``evolve``, which owns the
 distinct-draw initial population, roulette selection, random top-up,
@@ -15,10 +19,10 @@ mutation, elitism and the best-so-far history:
   chains that decode to the same cut set and so removes phantom diversity.
 * EGA (``baselines.run_ega``) writes one bit per graph edge instead.
 
-Each encoding supplies its draw, crossover, mutation, canonical form,
-population evaluation and the form in which the best individual is
-reported; the engine reports that individual's exact evaluation from the
-same population evaluator that ranked it.
+Each encoding supplies its draw, crossover, mutation, canonical form and
+population evaluation; the engine reports the best individual as it was
+evolved, with its exact evaluation from the same population evaluator that
+ranked it.
 
 The bit chain seen by the any-position crossover lays parts end to end,
 alleles within a part ordered by basis vertex (vertex 0 first = bit 0 of the
@@ -50,25 +54,6 @@ def compute_k(machine_count: int, max_cell_size: int) -> int:
 
 
 @dataclass(frozen=True)
-class Chromosome:
-    """K part integers, each in [0, 2^part_bits - 1] (part_bits = m - 1)."""
-
-    parts: tuple[int, ...]
-    part_bits: int
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("chromosome needs at least one part")
-        if self.part_bits < 1:
-            raise ValueError("part_bits must be at least 1")
-        limit = 1 << self.part_bits
-        for p in self.parts:
-            if not 0 <= p < limit:
-                raise ValueError(
-                    f"part value {p} out of range 0..{limit - 1}")
-
-
-@dataclass(frozen=True)
 class GAParams:
     """Knobs for one GA run."""
 
@@ -96,7 +81,11 @@ class GAParams:
 
 @dataclass
 class GAResult:
-    """Outcome of a run: best individual, its evaluation, and the trace."""
+    """Outcome of a run: best individual, its evaluation, and the trace.
+
+    The best individual is a tuple of parts (CGA, SCGA) or a uint8 edge
+    row, 1 = intercellular (EGA).
+    """
 
     best_chromosome: object
     best_evaluation: Evaluation
@@ -105,36 +94,32 @@ class GAResult:
     feasible_found: bool
 
 
-def chromosome_mask(ch: Chromosome, basis: CutBasis) -> int:
-    """OR-union of the cuts named by the chromosome's nonzero parts."""
-    return union_cuts(cut_from_index(basis, p) for p in ch.parts if p)
+def chromosome_mask(parts: tuple[int, ...], basis: CutBasis) -> int:
+    """OR-union of the cuts named by the nonzero parts."""
+    return union_cuts(cut_from_index(basis, p) for p in parts if p)
 
 
-def decode_chromosome(ch: Chromosome, basis: CutBasis,
+def decode_chromosome(parts: tuple[int, ...], basis: CutBasis,
                       g: FlowGraph) -> Partition:
-    """Partition encoded by the chromosome (cells after removing its cuts)."""
-    if ch.part_bits != basis.dimension:
-        raise ValueError(
-            f"chromosome built for {ch.part_bits} basis cuts, basis has "
-            f"{basis.dimension}")
-    return decode_partition(g, chromosome_mask(ch, basis))
+    """Partition encoded by the parts (cells after removing their cuts)."""
+    return decode_partition(g, chromosome_mask(parts, basis))
 
 
-def sort_chromosome(ch: Chromosome) -> Chromosome:
+def sort_chromosome(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical form: distinct parts descending, duplicates zeroed, zeros
     gathered at the tail. Decodes to the same partition (OR is idempotent
     and order-blind)."""
-    distinct = sorted({p for p in ch.parts if p}, reverse=True)
-    padded = tuple(distinct) + (0,) * (len(ch.parts) - len(distinct))
-    return Chromosome(padded, ch.part_bits)
+    distinct = sorted({p for p in parts if p}, reverse=True)
+    return tuple(distinct) + (0,) * (len(parts) - len(distinct))
 
 
-def _random_chromosome(rng: random.Random, k: int, bits: int) -> Chromosome:
+def _random_chromosome(rng: random.Random, k: int,
+                       bits: int) -> tuple[int, ...]:
     """K uniform parts in [0, 2^bits - 1]."""
-    return Chromosome(tuple(rng.randrange(1 << bits) for _ in range(k)), bits)
+    return tuple(rng.randrange(1 << bits) for _ in range(k))
 
 
-def draw_distinct(size: int, capacity: int, draw, key) -> list:
+def draw_distinct(size: int, capacity: int, draw, key=lambda x: x) -> list:
     """``size`` individuals from ``draw()`` with pairwise distinct ``key``.
 
     Raises ValueError when ``size`` exceeds the ``capacity`` of distinct
@@ -162,7 +147,7 @@ def draw_distinct(size: int, capacity: int, draw, key) -> list:
 
 
 def init_population(params: GAParams, machine_count: int, k: int,
-                    rng: random.Random | None = None) -> list[Chromosome]:
+                    rng: random.Random | None = None) -> list[tuple]:
     """Distinct random chromosomes; SCGA checks distinctness on canonical
     forms, CGA on raw chains.
 
@@ -176,14 +161,19 @@ def init_population(params: GAParams, machine_count: int, k: int,
     if params.variant == "cga":
         capacity = part_count ** k
     else:
-        capacity = sum(math.comb(part_count - 1, j) for j in range(k + 1))
+        # canonical forms: sets of at most k nonzero parts; the sum stops
+        # once it admits the population, so it is exact whenever too small
+        capacity = 0
+        for j in range(k + 1):
+            capacity += math.comb(part_count - 1, j)
+            if capacity >= params.population_size:
+                break
 
-    def draw() -> Chromosome:
+    def draw() -> tuple[int, ...]:
         ch = _random_chromosome(rng, k, bits)
         return sort_chromosome(ch) if params.variant == "scga" else ch
 
-    return draw_distinct(params.population_size, capacity, draw,
-                         lambda ch: ch.parts)
+    return draw_distinct(params.population_size, capacity, draw)
 
 
 def roulette_select(population: Sequence, fitnesses: Sequence, count: int,
@@ -214,25 +204,25 @@ def roulette_select(population: Sequence, fitnesses: Sequence, count: int,
     return chosen
 
 
-def crossover_any(a: Chromosome, b: Chromosome,
-                  rng: random.Random) -> tuple[Chromosome, Chromosome]:
-    """One-point crossover at any position of the K*(m-1) bit chain.
+def crossover_any(a: tuple[int, ...], b: tuple[int, ...], bits: int,
+                  rng: random.Random) -> tuple[tuple, tuple]:
+    """One-point crossover at any position of the K*bits bit chain (bits =
+    m - 1, the part width).
 
     The cut position is uniform over the L-1 interior gaps, so it may fall
     inside a part and recombine its bits. Degenerate chains (length 1)
     return the parents unchanged.
     """
-    if a.part_bits != b.part_bits or len(a.parts) != len(b.parts):
+    if len(a) != len(b):
         raise ValueError("parents must share shape")
-    bits = a.part_bits
-    length = len(a.parts) * bits
+    length = len(a) * bits
     if length < 2:
         return a, b
     cut = rng.randrange(1, length)
     part_mask = (1 << bits) - 1
     child1 = []
     child2 = []
-    for p, (pa, pb) in enumerate(zip(a.parts, b.parts)):
+    for p, (pa, pb) in enumerate(zip(a, b)):
         start = p * bits
         if start + bits <= cut:
             child1.append(pa)
@@ -244,31 +234,30 @@ def crossover_any(a: Chromosome, b: Chromosome,
             low = (1 << (cut - start)) - 1
             child1.append((pa & low) | (pb & part_mask & ~low))
             child2.append((pb & low) | (pa & part_mask & ~low))
-    return (Chromosome(tuple(child1), bits), Chromosome(tuple(child2), bits))
+    return tuple(child1), tuple(child2)
 
 
-def crossover_boundary(a: Chromosome, b: Chromosome,
-                       rng: random.Random) -> tuple[Chromosome, Chromosome]:
+def crossover_boundary(a: tuple[int, ...], b: tuple[int, ...],
+                       rng: random.Random) -> tuple[tuple, tuple]:
     """One-point crossover restricted to the K-1 part boundaries.
 
     With K = 1 there is no boundary; the parents are returned unchanged.
     """
-    if a.part_bits != b.part_bits or len(a.parts) != len(b.parts):
+    if len(a) != len(b):
         raise ValueError("parents must share shape")
-    k = len(a.parts)
+    k = len(a)
     if k < 2:
         return a, b
     j = rng.randrange(1, k)
-    return (Chromosome(a.parts[:j] + b.parts[j:], a.part_bits),
-            Chromosome(b.parts[:j] + a.parts[j:], a.part_bits))
+    return a[:j] + b[j:], b[:j] + a[j:]
 
 
-def mutate(ch: Chromosome, rng: random.Random) -> Chromosome:
-    """Replace one uniformly chosen part with a uniform value in range."""
-    idx = rng.randrange(len(ch.parts))
-    value = rng.randrange(1 << ch.part_bits)
-    parts = ch.parts[:idx] + (value,) + ch.parts[idx + 1:]
-    return Chromosome(parts, ch.part_bits)
+def mutate(ch: tuple[int, ...], bits: int,
+           rng: random.Random) -> tuple[int, ...]:
+    """Replace one uniformly chosen part with a uniform value in
+    [0, 2^bits - 1]."""
+    idx = rng.randrange(len(ch))
+    return ch[:idx] + (rng.randrange(1 << bits),) + ch[idx + 1:]
 
 
 class Encoding:
@@ -280,8 +269,7 @@ class Encoding:
     random individual), ``crossover`` (a pair into two children),
     ``mutate`` (one individual) and ``evaluate`` (a population into an
     EvalBatch). ``canonicalise`` returns the population unchanged unless an
-    encoding has a canonical form, and ``report`` returns the best
-    individual as is unless an encoding reports it in another form.
+    encoding has a canonical form.
     """
 
     def __init__(self, inst: Instance, params: GAParams):
@@ -295,39 +283,39 @@ class Encoding:
     def canonicalise(self, population: list) -> list:
         return population
 
-    def report(self, individual):
-        return individual
-
 
 class _CutEncoding(Encoding):
-    """CGA: K cut-index parts per chromosome, kept as raw chains."""
+    """CGA: K cut-index parts of m - 1 bits per chromosome, kept as raw
+    chains."""
 
     def __init__(self, inst: Instance, params: GAParams):
         super().__init__(inst, params)
         self.k = compute_k(inst.machine_count, inst.max_cell_size)
+        self.bits = inst.machine_count - 1
 
-    def initial(self, rng: random.Random) -> list[Chromosome]:
+    def initial(self, rng: random.Random) -> list[tuple]:
         return init_population(self.params, self.inst.machine_count, self.k,
                                rng)
 
-    def draw(self, rng: random.Random) -> Chromosome:
-        return _random_chromosome(rng, self.k, self.inst.machine_count - 1)
+    def draw(self, rng: random.Random) -> tuple[int, ...]:
+        return _random_chromosome(rng, self.k, self.bits)
 
-    def crossover(self, a: Chromosome, b: Chromosome, rng: random.Random):
-        op = crossover_any if rng.random() < 0.5 else crossover_boundary
-        return op(a, b, rng)
+    def crossover(self, a: tuple, b: tuple, rng: random.Random):
+        if rng.random() < 0.5:
+            return crossover_any(a, b, self.bits, rng)
+        return crossover_boundary(a, b, rng)
 
-    def mutate(self, ch: Chromosome, rng: random.Random) -> Chromosome:
-        return mutate(ch, rng)
+    def mutate(self, ch: tuple, rng: random.Random) -> tuple[int, ...]:
+        return mutate(ch, self.bits, rng)
 
-    def evaluate(self, population: list[Chromosome]):
-        return self.evaluator.evaluate_parts([c.parts for c in population])
+    def evaluate(self, population: list[tuple]):
+        return self.evaluator.evaluate_parts(population)
 
 
 class _SortedCutEncoding(_CutEncoding):
     """SCGA: the cut encoding with every chromosome in sorted form."""
 
-    def canonicalise(self, population: list[Chromosome]) -> list[Chromosome]:
+    def canonicalise(self, population: list[tuple]) -> list[tuple]:
         return [sort_chromosome(c) for c in population]
 
 
@@ -390,7 +378,7 @@ def evolve(encoding: type[Encoding], inst: Instance,
         history.append(evaluator.to_fraction(best_units))
 
     best_eval = evaluator.result(enc.evaluate([best]), 0)
-    return GAResult(enc.report(best), best_eval, history,
+    return GAResult(best, best_eval, history,
                     time.perf_counter() - t0, best_eval.feasible)
 
 

@@ -6,8 +6,7 @@ import warnings
 
 import pytest
 
-from cellform import (Chromosome, InstanceWarning, generate_instance,
-                      serialize_instance)
+from cellform import InstanceWarning, generate_instance, serialize_instance
 from cellform import ga
 from cellform.cli import main
 from cellform.instance import MAX_MACHINES
@@ -113,7 +112,7 @@ class TestInputErrors:
     def test_draws_exhausted(self, five_machine_file, capsys, monkeypatch):
         # every draw is the same chromosome, so no distinct population exists
         monkeypatch.setattr(ga, "_random_chromosome",
-                            lambda rng, k, bits: Chromosome((0,) * k, bits))
+                            lambda rng, k, bits: (0,) * k)
         assert run_cli(["solve", five_machine_file, "--pop", "2",
                         "--gens", "1"]) == 2
         assert "could not draw 2 distinct" in capsys.readouterr().err

@@ -197,10 +197,6 @@ class TestPartition:
     def test_accessors(self):
         p = Partition(((0, 2), (1,), (3, 4)))
         assert p.cell_count == 3
-        assert p.cell_of(2) == 0
-        assert p.cell_of(4) == 2
-        with pytest.raises(KeyError):
-            p.cell_of(9)
         assert p.labels(5) == [0, 1, 0, 2, 2]
 
     def test_from_labels_canonicalizes(self):

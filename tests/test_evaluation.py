@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 from cellform import (FitnessConfig, InstanceWarning, Partition,
                       PopulationEvaluator, build_basis, build_graph,
                       cut_from_index, decode_chromosome, decode_partition,
-                      fitness, make_fitness_config, partition_from_labels,
-                      union_cuts, violation_breakdown)
-from cellform import Chromosome, Instance, Part, mask_from_bits
+                      fitness, generate_instance, make_fitness_config,
+                      partition_from_labels, union_cuts, violation_breakdown)
+from cellform import Instance, Part, mask_from_bits
 from helpers import make_instance, random_instance, reference_evaluation
 
 F = Fraction
@@ -253,8 +253,8 @@ def check_parts_against_scalar(inst, population):
     ev = PopulationEvaluator(g, inst, cfg)
     batch = ev.evaluate_parts(population)
     for i, parts in enumerate(population):
-        scalar = reference_evaluation(inst, decode_chromosome(
-            Chromosome(parts, basis.dimension), basis, g), cfg)
+        scalar = reference_evaluation(
+            inst, decode_chromosome(parts, basis, g), cfg)
         assert ev.to_fraction(batch.traffic_units[i]) == scalar.traffic
         assert batch.violations[i] == scalar.violations
         assert ev.to_fraction(batch.fitness_units[i]) == scalar.fitness
@@ -423,3 +423,42 @@ class TestPopulationEvaluator:
         assert w[1] == 1.0 and 0 < w[0] < w[1] and w[2] == 0
         zeros = np.zeros(3, dtype=np.int64)
         assert (ev.selection_weights(zeros) == 0).all()
+
+
+class TestEvaluatePartsRejectsMalformed:
+    """evaluate_parts takes parts from outside the GA: anything but rows of
+    one common length holding Python ints in [0, 2^(m-1) - 1] raises
+    ValueError instead of being evaluated as some other chromosome."""
+
+    @pytest.fixture
+    def ev(self, five_machine_instance):
+        g = build_graph(five_machine_instance)
+        return PopulationEvaluator(
+            g, five_machine_instance,
+            make_fitness_config(g, five_machine_instance))
+
+    # m = 5: valid parts are 0..15
+    @pytest.mark.parametrize(
+        "part", [16, 31, 1 << 40, -1, np.int64(3), 3.0],
+        ids=["2^4", "2^5-1", "2^40", "negative", "numpy-int64", "float"])
+    def test_bad_part(self, ev, part):
+        with pytest.raises(ValueError, match=r"Python ints in 0\.\.2\^4 - 1"):
+            ev.evaluate_parts([(15, 0), (3, part)])
+
+    @pytest.mark.parametrize("population", [[(1, 2, 3), (4,)], [()]],
+                             ids=["unequal-rows", "empty-row"])
+    def test_bad_row_lengths(self, ev, population):
+        with pytest.raises(ValueError, match="one common, nonzero part"):
+            ev.evaluate_parts(population)
+
+    @pytest.mark.parametrize("m", [64, 65, 66, 129])
+    def test_range_edges_on_wide_shops(self, m):
+        # the top valid part passes on either side of a word boundary of
+        # the packed parts; one more fails
+        inst = generate_instance(m, 2 * m, 8, seed=m)
+        g = build_graph(inst)
+        ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+        top = (1 << (m - 1)) - 1
+        assert ev.evaluate_parts([(top, 0)]).violations.shape == (1,)
+        with pytest.raises(ValueError, match="Python ints"):
+            ev.evaluate_parts([(top + 1, 0)])

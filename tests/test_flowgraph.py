@@ -105,15 +105,6 @@ class TestBuildGraph:
         assert all(e.fictive for e in g.edges)
         assert g.total_weight() == 0
 
-    def test_adjacency_lists(self, five_machine_graph):
-        adj = five_machine_graph.adjacency()
-        assert sorted(other for _, other in adj[0]) == [2, 3, 4]
-        assert sorted(other for _, other in adj[4]) == [0, 1, 2, 3]
-        for v, entries in enumerate(adj):
-            for idx, other in entries:
-                e = five_machine_graph.edges[idx]
-                assert {e.u, e.v} == {v, other}
-
     def test_precomputed_traffic_reused(self, five_machine_instance):
         traffic = compute_traffic(five_machine_instance)
         assert build_graph(five_machine_instance, traffic) == \

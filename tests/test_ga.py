@@ -1,12 +1,13 @@
 """Chromosome encoding, genetic operators, and the generational loop."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cellform import (Chromosome, GAParams, InstanceWarning,
+from cellform import (GAParams, InstanceWarning,
                       PopulationEvaluator, build_graph, chromosome_mask,
                       compute_k, crossover_any, crossover_boundary,
                       decode_chromosome, generate_instance, init_population,
@@ -50,19 +51,9 @@ class TestComputeK:
 
 
 class TestChromosome:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one part"):
-            Chromosome((), 4)
-        with pytest.raises(ValueError, match="part_bits"):
-            Chromosome((0,), 0)
-        with pytest.raises(ValueError, match="out of range 0..15"):
-            Chromosome((16,), 4)
-        with pytest.raises(ValueError, match="out of range"):
-            Chromosome((-1,), 4)
-
     def test_mask_and_decode_golden(self, five_machine_graph,
                                     five_machine_basis):
-        ch = Chromosome((5, 7, 0), 4)
+        ch = (5, 7, 0)
         mask = chromosome_mask(ch, five_machine_basis)
         assert mask == mask_from_bits((0, 1, 1, 1, 1, 1, 1, 0))
         p = decode_chromosome(ch, five_machine_basis, five_machine_graph)
@@ -72,28 +63,29 @@ class TestChromosome:
                                          five_machine_basis):
         # cuts 10 and 14 OR to (1,1,0,1,0,1,1,1): only the machine-1/5 and
         # machine-2/4 edges survive
-        p = decode_chromosome(Chromosome((10, 14, 0), 4),
+        p = decode_chromosome((10, 14, 0),
                               five_machine_basis, five_machine_graph)
         assert p.cells == ((0, 4), (1, 3), (2,))
 
     def test_all_zero_decodes_to_one_cell(self, five_machine_graph,
                                           five_machine_basis):
-        p = decode_chromosome(Chromosome((0, 0, 0), 4),
+        p = decode_chromosome((0, 0, 0),
                               five_machine_basis, five_machine_graph)
         assert p.cell_count == 1
 
     def test_duplicate_parts_idempotent(self, five_machine_graph,
                                         five_machine_basis):
-        a = decode_chromosome(Chromosome((9, 9, 0), 4),
+        a = decode_chromosome((9, 9, 0),
                               five_machine_basis, five_machine_graph)
-        b = decode_chromosome(Chromosome((9, 0, 0), 4),
+        b = decode_chromosome((9, 0, 0),
                               five_machine_basis, five_machine_graph)
         assert a == b
 
-    def test_decode_shape_mismatch(self, five_machine_graph,
-                                   five_machine_basis):
-        with pytest.raises(ValueError, match="basis"):
-            decode_chromosome(Chromosome((1,), 3), five_machine_basis,
+    def test_decode_out_of_range(self, five_machine_graph,
+                                 five_machine_basis):
+        # m = 5: parts name cuts 0..15
+        with pytest.raises(ValueError, match="out of range 0..15"):
+            decode_chromosome((3, 16), five_machine_basis,
                               five_machine_graph)
 
 
@@ -113,26 +105,25 @@ class TestGAParams:
 
 class TestSortChromosome:
     def test_golden(self):
-        assert sort_chromosome(Chromosome((10, 14, 0), 4)).parts == \
-            (14, 10, 0)
+        assert sort_chromosome((10, 14, 0)) == (14, 10, 0)
 
     def test_duplicates_zeroed(self):
-        assert sort_chromosome(Chromosome((7, 7, 3), 4)).parts == (7, 3, 0)
+        assert sort_chromosome((7, 7, 3)) == (7, 3, 0)
 
     def test_all_zero_fixed_point(self):
-        assert sort_chromosome(Chromosome((0, 0, 0), 4)).parts == (0, 0, 0)
+        assert sort_chromosome((0, 0, 0)) == (0, 0, 0)
 
     def test_idempotent_and_decode_invariant_fuzz(self, five_machine_graph,
                                                   five_machine_basis):
         rng = random.Random(17)
         for _ in range(300):
             k = rng.randint(1, 5)
-            ch = Chromosome(tuple(rng.randint(0, 15) for _ in range(k)), 4)
+            ch = tuple(rng.randint(0, 15) for _ in range(k))
             s = sort_chromosome(ch)
             # descending distinct prefix, zeros tail
-            nonzero = [p for p in s.parts if p]
+            nonzero = [p for p in s if p]
             assert nonzero == sorted(set(nonzero), reverse=True)
-            assert s.parts[len(nonzero):] == (0,) * (k - len(nonzero))
+            assert s[len(nonzero):] == (0,) * (k - len(nonzero))
             assert sort_chromosome(s) == s
             assert decode_chromosome(s, five_machine_basis,
                                      five_machine_graph) == \
@@ -144,8 +135,8 @@ class TestSortChromosome:
             parts = [rng.randint(0, 15) for _ in range(4)]
             shuffled = parts[:]
             rng.shuffle(shuffled)
-            assert sort_chromosome(Chromosome(tuple(parts), 4)) == \
-                sort_chromosome(Chromosome(tuple(shuffled), 4))
+            assert sort_chromosome(tuple(parts)) == \
+                sort_chromosome(tuple(shuffled))
 
 
 @given(instances(), st.data())
@@ -155,13 +146,13 @@ def test_sort_chromosome_idempotent_and_evaluation_invariant(inst, data):
     pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
     parts = data.draw(st.lists(st.sampled_from(pool + [0]), min_size=1,
                                max_size=6))
-    ch = Chromosome(tuple(parts), inst.machine_count - 1)
+    ch = tuple(parts)
     s = sort_chromosome(ch)
     assert sort_chromosome(s) == s
     g = build_graph(inst)
     ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
-    raw = ev.evaluate_parts([ch.parts])
-    canonical = ev.evaluate_parts([s.parts])
+    raw = ev.evaluate_parts([ch])
+    canonical = ev.evaluate_parts([s])
     assert (raw.labels == canonical.labels).all()
     assert raw.traffic_units[0] == canonical.traffic_units[0]
     assert raw.violations[0] == canonical.violations[0]
@@ -172,14 +163,15 @@ class TestInitPopulation:
         params = GAParams(100, 1, variant="cga", seed=9)
         pop = init_population(params, 8, 2)
         assert len(pop) == 100
-        assert len({c.parts for c in pop}) == 100
-        assert all(len(c.parts) == 2 and c.part_bits == 7 for c in pop)
+        assert len(set(pop)) == 100
+        assert all(len(c) == 2 and all(0 <= p < 1 << 7 for p in c)
+                   for c in pop)
         assert pop == init_population(params, 8, 2)
 
     def test_scga_population_canonical(self):
         params = GAParams(60, 1, variant="scga", seed=10)
         pop = init_population(params, 8, 2)
-        assert len({c.parts for c in pop}) == 60
+        assert len(set(pop)) == 60
         assert all(sort_chromosome(c) == c for c in pop)
 
     def test_cga_pigeonhole(self):
@@ -199,11 +191,27 @@ class TestInitPopulation:
         with pytest.raises(ValueError, match="exceeds the 7 distinct"):
             init_population(GAParams(8, 1, variant="scga"), 3, 2)
 
+    def test_scga_capacity_sum_stops_at_population(self, monkeypatch):
+        # m = 1024, K = 1024: summing C(2^1023 - 1, j) over all j <= 1024
+        # takes tens of seconds, yet the terms j = 0, 1 already admit 4
+        terms = []
+        comb = math.comb
+
+        def counting_comb(n, j):
+            terms.append(j)
+            return comb(n, j)
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        pop = init_population(GAParams(4, 0, variant="scga"), 1024, 1024)
+        assert terms == [0, 1]
+        assert len(set(pop)) == 4
+        assert all(len(c) == 1024 and sort_chromosome(c) == c for c in pop)
+
     def test_scga_rejects_duplicate_canonical_forms(self):
         # raw chains (5,7) and (7,5) sort identically; only one admitted
         rng = ScriptedRng(randrange_values=[5, 7, 7, 5, 3, 1])
         pop = init_population(GAParams(2, 1, variant="scga"), 5, 2, rng)
-        assert [c.parts for c in pop] == [(7, 5), (3, 1)]
+        assert pop == [(7, 5), (3, 1)]
 
     def test_draw_exhaustion(self):
         class StuckRng:
@@ -249,17 +257,9 @@ class TestRouletteSelect:
         assert set(out) <= {"a", "b"}
 
 
-def chain_bits(ch: Chromosome) -> list:
+def chain_bits(ch: tuple, bits: int) -> list:
     """Flatten a chromosome to its bit chain, part 0 first, LSB first."""
-    return [(p >> i) & 1 for p in ch.parts for i in range(ch.part_bits)]
-
-
-def chromosome_from_chain(bits, k, part_bits) -> Chromosome:
-    parts = []
-    for p in range(k):
-        chunk = bits[p * part_bits:(p + 1) * part_bits]
-        parts.append(sum(b << i for i, b in enumerate(chunk)))
-    return Chromosome(tuple(parts), part_bits)
+    return [(p >> i) & 1 for p in ch for i in range(bits)]
 
 
 class TestCrossoverAny:
@@ -267,90 +267,89 @@ class TestCrossoverAny:
         rng = random.Random(15)
         k, bits = 3, 4
         for _ in range(40):
-            a = Chromosome(tuple(rng.randint(0, 15) for _ in range(k)), bits)
-            b = Chromosome(tuple(rng.randint(0, 15) for _ in range(k)), bits)
+            a = tuple(rng.randint(0, 15) for _ in range(k))
+            b = tuple(rng.randint(0, 15) for _ in range(k))
             for cut in range(1, k * bits):
-                c1, c2 = crossover_any(a, b,
+                c1, c2 = crossover_any(a, b, bits,
                                        ScriptedRng(randrange_values=[cut]))
-                ca, cb = chain_bits(a), chain_bits(b)
-                assert chain_bits(c1) == ca[:cut] + cb[cut:]
-                assert chain_bits(c2) == cb[:cut] + ca[cut:]
+                ca, cb = chain_bits(a, bits), chain_bits(b, bits)
+                assert chain_bits(c1, bits) == ca[:cut] + cb[cut:]
+                assert chain_bits(c2, bits) == cb[:cut] + ca[cut:]
 
     def test_identical_parents_fixed_point(self):
-        a = Chromosome((9, 2, 14), 4)
-        c1, c2 = crossover_any(a, a, random.Random(16))
+        a = (9, 2, 14)
+        c1, c2 = crossover_any(a, a, 4, random.Random(16))
         assert c1 == a and c2 == a
 
     def test_locus_multiset_preserved(self):
         rng = random.Random(17)
         for _ in range(100):
-            a = Chromosome(tuple(rng.randint(0, 127) for _ in range(2)), 7)
-            b = Chromosome(tuple(rng.randint(0, 127) for _ in range(2)), 7)
-            c1, c2 = crossover_any(a, b, rng)
-            for x, y, p, q in zip(chain_bits(a), chain_bits(b),
-                                  chain_bits(c1), chain_bits(c2)):
+            a = tuple(rng.randint(0, 127) for _ in range(2))
+            b = tuple(rng.randint(0, 127) for _ in range(2))
+            c1, c2 = crossover_any(a, b, 7, rng)
+            for x, y, p, q in zip(chain_bits(a, 7), chain_bits(b, 7),
+                                  chain_bits(c1, 7), chain_bits(c2, 7)):
                 assert sorted((x, y)) == sorted((p, q))
 
     def test_degenerate_single_bit_chain(self):
-        a, b = Chromosome((1,), 1), Chromosome((0,), 1)
-        assert crossover_any(a, b, random.Random(0)) == (a, b)
+        a, b = (1,), (0,)
+        assert crossover_any(a, b, 1, random.Random(0)) == (a, b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="share shape"):
-            crossover_any(Chromosome((1,), 2), Chromosome((1, 2), 2),
-                          random.Random(0))
+            crossover_any((1,), (1, 2), 2, random.Random(0))
 
 
 class TestCrossoverBoundary:
     def test_single_boundary(self):
-        a = Chromosome((3, 9), 4)
-        b = Chromosome((12, 6), 4)
+        a = (3, 9)
+        b = (12, 6)
         c1, c2 = crossover_boundary(a, b, ScriptedRng(randrange_values=[1]))
-        assert c1.parts == (3, 6) and c2.parts == (12, 9)
+        assert c1 == (3, 6) and c2 == (12, 9)
 
     def test_parts_never_split(self):
         rng = random.Random(19)
         for _ in range(200):
             k = rng.randint(2, 5)
-            a = Chromosome(tuple(rng.randint(0, 63) for _ in range(k)), 6)
-            b = Chromosome(tuple(rng.randint(0, 63) for _ in range(k)), 6)
+            a = tuple(rng.randint(0, 63) for _ in range(k))
+            b = tuple(rng.randint(0, 63) for _ in range(k))
             c1, c2 = crossover_boundary(a, b, rng)
             for i in range(k):
-                assert {c1.parts[i], c2.parts[i]} == {a.parts[i], b.parts[i]}
+                assert {c1[i], c2[i]} == {a[i], b[i]}
             # some interior boundary j splits both children prefix/suffix
-            assert any(c1.parts == a.parts[:j] + b.parts[j:] and
-                       c2.parts == b.parts[:j] + a.parts[j:]
+            assert any(c1 == a[:j] + b[j:] and
+                       c2 == b[:j] + a[j:]
                        for j in range(1, k))
 
     def test_k1_degenerate(self):
-        a, b = Chromosome((5,), 4), Chromosome((9,), 4)
+        a, b = (5,), (9,)
         assert crossover_boundary(a, b, random.Random(0)) == (a, b)
 
 
 class TestMutate:
     def test_scripted(self):
-        ch = Chromosome((3, 9, 12), 4)
-        out = mutate(ch, ScriptedRng(randrange_values=[1, 6]))
-        assert out.parts == (3, 6, 12)
+        ch = (3, 9, 12)
+        out = mutate(ch, 4, ScriptedRng(randrange_values=[1, 6]))
+        assert out == (3, 6, 12)
 
     def test_changes_at_most_one_part(self):
         rng = random.Random(20)
         for _ in range(300):
-            ch = Chromosome(tuple(rng.randint(0, 15) for _ in range(4)), 4)
-            out = mutate(ch, rng)
-            diffs = [i for i in range(4) if out.parts[i] != ch.parts[i]]
+            ch = tuple(rng.randint(0, 15) for _ in range(4))
+            out = mutate(ch, 4, rng)
+            diffs = [i for i in range(4) if out[i] != ch[i]]
             assert len(diffs) <= 1
 
     def test_replacement_value_uniform_chi_square(self):
         # mutating the all-zero chromosome exposes the drawn value as the
         # single nonzero part (a draw of 0 leaves the chromosome unchanged)
         rng = random.Random(21)
-        ch = Chromosome((0, 0, 0), 4)
+        ch = (0, 0, 0)
         trials = 96_000
         value_counts = [0] * 16
         for _ in range(trials):
-            out = mutate(ch, rng)
-            nonzero = [p for p in out.parts if p]
+            out = mutate(ch, 4, rng)
+            nonzero = [p for p in out if p]
             value_counts[nonzero[0] if nonzero else 0] += 1
         expected = trials / 16
         chi2 = sum((c - expected) ** 2 / expected for c in value_counts)

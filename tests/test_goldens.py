@@ -1,0 +1,75 @@
+"""Solver goldens: exact results per seed on one m = 12 shop.
+
+Every solver is deterministic per seed, so these values pin the RNG streams
+and the evaluator end to end. A refactor that claims unchanged results must
+leave them as they are.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from cellform import (Evaluation, GAParams, Partition, exhaustive_oracle,
+                      generate_instance, run_ega, run_ga, run_multikmeans)
+
+
+@pytest.fixture(scope="module")
+def shop():
+    return generate_instance(12, 30, 4, 8, seed=11)
+
+
+# (method, seed): (best_history, best cells, traffic, violations)
+GA_GOLDENS = {
+    ("cga", 0): (
+        [6874] * 1 + [6884] * 1 + [6893] * 1 + [6916] * 5 + [6918] * 4
+        + [6935] * 1 + [6942] * 2 + [6971] * 15,
+        ((0, 3, 4, 9), (1, 5, 7, 10), (2,), (6, 8, 11)),
+        348, 0),
+    ("cga", 1): (
+        [6948] * 30,
+        ((0,), (1, 5, 6, 8), (2, 4, 7, 10), (3,), (9, 11)),
+        371, 0),
+    ("scga", 0): (
+        [6918] * 3 + [6919] * 5 + [6973] * 22,
+        ((0, 2, 7, 10), (1, 3, 4, 5), (6, 8, 11), (9,)),
+        346, 0),
+    ("scga", 1): (
+        [6914] * 1 + [6938] * 22 + [6951] * 7,
+        ((0, 3), (1, 5), (2, 8, 9, 11), (4, 6, 7, 10)),
+        368, 0),
+    ("ega", 0): (
+        [6756] * 30,
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),),
+        0, 1),
+    ("ega", 1): (
+        [6756] * 30,
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),),
+        0, 1),
+}
+
+
+@pytest.mark.parametrize("method,seed", sorted(GA_GOLDENS))
+def test_ga_golden(shop, method, seed):
+    history, cells, traffic, violations = GA_GOLDENS[method, seed]
+    if method == "ega":
+        res = run_ega(shop, GAParams(40, 30, seed=seed))
+    else:
+        res = run_ga(shop, GAParams(40, 30, seed=seed, variant=method))
+    assert res.best_history == [Fraction(y) for y in history]
+    ev = res.best_evaluation
+    assert ev.partition.cells == cells
+    assert (ev.traffic, ev.violations) == (traffic, violations)
+    assert ev.fitness == history[-1]
+
+
+def test_multikmeans_golden(shop):
+    assert run_multikmeans(shop, seed=0) == Evaluation(
+        Partition(((0, 5), (1, 4, 6), (2,), (3,), (7,), (8, 9), (10,),
+                   (11,))),
+        Fraction(538), 0, True, Fraction(6781))
+
+
+def test_oracle_golden(shop):
+    assert exhaustive_oracle(shop) == Evaluation(
+        Partition(((0, 1, 3, 4), (2, 5, 7, 10), (6, 8, 9, 11))),
+        Fraction(287), 0, True, Fraction(7032))
