@@ -6,8 +6,7 @@ OR-union of basis cuts, so every chromosome decodes to a valid partition.
 """
 
 from cellform import (Instance, Part, PopulationEvaluator, build_basis,
-                      build_graph, bits_from_mask, decode_partition,
-                      make_fitness_config, xor_cuts)
+                      bits_from_mask, decode_partition, xor_cuts)
 
 ROUTED_PAIRS = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4),
                 (3, 4)]
@@ -16,14 +15,16 @@ inst = Instance(
     machine_count=5, max_cell_size=2,
     parts=tuple(Part(volume=1, routing=pair) for pair in ROUTED_PAIRS))
 
-g = build_graph(inst)
+# the evaluator builds the flow graph and fitness config from the instance
+evaluator = PopulationEvaluator(inst)
+g = evaluator.graph
 print("flow graph edges (machine pairs are 1-based):")
 for e in g.edges:
     print(f"  {e.u + 1}-{e.v + 1}  weight {e.weight}")
 
 basis = build_basis(g)
 print(f"\ncut basis: {basis.dimension} single-machine cuts "
-      f"(machine {basis.excluded + 1} excluded; its cut is the XOR of the "
+      f"(machine {basis.vertex_count} excluded; its cut is the XOR of the "
       f"others)")
 for i, cut in enumerate(basis.cuts):
     print(f"  w(machine {i + 1}) = {bits_from_mask(cut.edge_mask, 8)}"
@@ -45,11 +46,10 @@ print("decoded cells (1-based):",
 
 # the solvers score whole populations; here a population of one
 # chromosome whose parts name the two cuts
-cfg = make_fitness_config(g, inst)
-evaluator = PopulationEvaluator(g, inst, cfg)
 batch = evaluator.evaluate_parts([(w1.basis_index, w2.basis_index)])
 ev = evaluator.result(batch, 0)
 assert ev.partition == partition
-print(f"\nintercellular traffic: {ev.traffic}  (total flow {cfg.bound})")
+print(f"\nintercellular traffic: {ev.traffic}  "
+      f"(total flow {evaluator.cfg.bound})")
 print(f"violations: {ev.violations}  feasible: {ev.feasible}")
 print(f"penalized fitness: {ev.fitness}")

@@ -12,7 +12,7 @@ from .cuts import Cut, CutBasis, Partition, bits_from_mask, boundary_mask, \
     build_basis, cut_from_index, decode_partition, enumerate_all_cuts, \
     mask_from_bits, partition_from_labels, union_cuts, xor_cuts
 from .evaluation import EvalBatch, Evaluation, FitnessConfig, \
-    PopulationEvaluator, fitness, make_fitness_config, violation_breakdown
+    PopulationEvaluator, fitness, violation_breakdown
 from .flowgraph import Edge, FlowGraph, TrafficMatrix, build_graph, \
     compute_traffic
 from .ga import GAParams, GAResult, chromosome_mask, compute_k, \
@@ -33,7 +33,7 @@ __all__ = [
     "crossover_any", "crossover_boundary", "cut_from_index",
     "decode_chromosome", "decode_partition", "enumerate_all_cuts",
     "exhaustive_oracle", "fitness", "generate_instance", "init_population",
-    "make_fitness_config", "mask_from_bits", "mutate", "parse_instance",
+    "mask_from_bits", "mutate", "parse_instance",
     "partition_from_labels", "render_csv", "render_table", "roulette_select",
     "run_benchmark", "run_ega", "run_ga", "run_multikmeans",
     "serialize_instance", "solve", "sort_chromosome", "union_cuts",

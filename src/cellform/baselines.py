@@ -15,12 +15,10 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 
-from .evaluation import Evaluation, PopulationEvaluator, make_fitness_config
-from .flowgraph import build_graph, compute_traffic
+from .evaluation import Evaluation, PopulationEvaluator
 from .ga import Encoding, GAParams, GAResult, compute_k, draw_distinct, \
     evolve
 from .instance import Instance
@@ -33,12 +31,12 @@ class _EdgeEncoding(Encoding):
 
     def initial(self, rng: random.Random) -> list[np.ndarray]:
         return draw_distinct(self.params.population_size,
-                             2 ** self.graph.edge_count,
+                             2 ** self.evaluator.graph.edge_count,
                              lambda: self.draw(rng), np.ndarray.tobytes)
 
     def draw(self, rng: random.Random) -> np.ndarray:
         """Uniform 0/1 row from one getrandbits draw."""
-        ecount = self.graph.edge_count
+        ecount = self.evaluator.graph.edge_count
         raw = rng.getrandbits(ecount).to_bytes((ecount + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              bitorder="little")
@@ -150,16 +148,18 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    traffic = compute_traffic(inst)
-    g = build_graph(inst, traffic)
     m = inst.machine_count
-    points = np.array([[float(x) for x in row] for row in traffic.as_dense()])
+    ks = range(compute_k(m, inst.max_cell_size), m)
+    if not ks:
+        return None
+    evaluator = PopulationEvaluator(inst)
+    # traffic-matrix rows, read off the graph (its other edges weigh 0)
+    points = np.zeros((m, m))
+    for e in evaluator.graph.edges:
+        points[e.u, e.v] = points[e.v, e.u] = float(e.weight)
     rng = random.Random(seed)
     labels = np.array([_lloyd(points, k, rng)
-                       for _ in range(restarts)
-                       for k in range(compute_k(m, inst.max_cell_size), m)],
-                      dtype=np.int64).reshape(-1, m)
-    evaluator = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+                       for _ in range(restarts) for k in ks], dtype=np.int64)
     batch = evaluator.evaluate_labels(labels)
     feasible = np.flatnonzero(batch.violations == 0)
     if not len(feasible):
@@ -181,13 +181,14 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
         raise ValueError(
             f"machine count {m} exceeds the exhaustive-search guard "
             f"({_ORACLE_GUARD})")
-    g = build_graph(inst)
+    evaluator = PopulationEvaluator(inst)
     max_size = inst.max_cell_size
 
-    prior_weighted: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    for e in g.edges:
-        if e.weight:
-            prior_weighted[e.v].append((e.u, e.weight))
+    # branch sums run on the evaluator's exact integer weight units
+    prior_weighted: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for e, w in zip(evaluator.graph.edges, evaluator.weight_units.tolist()):
+        if w:
+            prior_weighted[e.v].append((e.u, w))
     sc_before: list[list[int]] = [[] for _ in range(m)]
     sn_before: list[list[int]] = [[] for _ in range(m)]
     for a, b in inst.cohabit:
@@ -197,10 +198,10 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
 
     labels = [0] * m
     counts = [0] * m
-    best_traffic: Fraction | None = None
+    best_traffic: int | None = None
     best_labels: list[int] | None = None
 
-    def assign(v: int, used: int, partial: Fraction):
+    def assign(v: int, used: int, partial: int):
         nonlocal best_traffic, best_labels
         if best_traffic is not None and partial > best_traffic:
             return
@@ -220,16 +221,14 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
             new = lab == used
             if not new and counts[lab] >= max_size:
                 continue
-            delta = sum((w for a, w in prior_weighted[v]
-                         if labels[a] != lab), Fraction(0))
+            delta = sum(w for a, w in prior_weighted[v] if labels[a] != lab)
             labels[v] = lab
             counts[lab] += 1
             assign(v + 1, used + 1 if new else used, partial + delta)
             counts[lab] -= 1
 
-    assign(0, 0, Fraction(0))
+    assign(0, 0, 0)
     if best_labels is None:
         return None
-    evaluator = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
     batch = evaluator.evaluate_labels(np.array([best_labels]))
     return evaluator.result(batch, 0)

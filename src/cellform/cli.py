@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "algorithms on the machine flow graph.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bench=False):
+    def add_common(p):
         p.add_argument("--pc", type=float, default=0.7,
                        help="crossover share of the population (default 0.7)")
         p.add_argument("--pm", type=float, default=0.03,

@@ -3,11 +3,11 @@
 A cut is the set of edges with exactly one endpoint in some vertex subset.
 Cuts, viewed as edge-incidence bit vectors, are closed under XOR and form a
 vector space of dimension m-1 for a connected graph on m vertices. The basis
-used here is made of the single-vertex cuts of every vertex except one
-excluded vertex (the highest-indexed one by default). Each nonzero integer
-n in [1, 2^(m-1)-1] then names a distinct nonempty cut: bit i-1 of n selects
-the i-th basis cut into the XOR. This gives a bijection between integers and
-cuts that the genetic encodings rely on.
+used here is made of the single-vertex cuts of every vertex except the
+highest-indexed one. Each nonzero integer n in [1, 2^(m-1)-1] then names a
+distinct nonempty cut: bit i-1 of n selects the i-th basis cut into the
+XOR. This gives a bijection between integers and cuts that the genetic
+encodings rely on.
 
 Edge masks are plain ints: bit i corresponds to edge i of the graph's
 canonical edge order. Removing the edges of an OR-union of cuts splits the
@@ -46,12 +46,12 @@ class Cut:
 
 @dataclass(frozen=True)
 class CutBasis:
-    """Basis of single-vertex cuts, one per vertex except ``excluded``."""
+    """Basis of single-vertex cuts, one per vertex except the highest
+    (vertex_count - 1)."""
 
     cuts: tuple[Cut, ...]
     vertex_count: int
     edge_count: int
-    excluded: int
 
     @property
     def dimension(self) -> int:
@@ -63,30 +63,21 @@ class CutBasis:
         return (1 << self.dimension) - 1
 
 
-def build_basis(g: FlowGraph, excluded: int | None = None) -> CutBasis:
+def build_basis(g: FlowGraph) -> CutBasis:
     """Build the single-vertex cut basis of a connected flow graph.
 
-    The i-th basis cut (i starting at 1, vertices in ascending order,
-    skipping ``excluded``) isolates one vertex and carries basis_index
-    2^(i-1). ``excluded`` defaults to the highest-indexed vertex.
+    The i-th basis cut (i starting at 1) isolates vertex i - 1 and carries
+    basis_index 2^(i-1); the highest vertex m - 1 has no basis cut (its cut
+    is the XOR of all the others). ``PopulationEvaluator.evaluate_parts``
+    reads parts against this same basis.
     """
     m = g.machine_count
-    if excluded is None:
-        excluded = m - 1
-    if not 0 <= excluded < m:
-        raise ValueError(f"excluded vertex {excluded} out of range 0..{m - 1}")
     incidence = [0] * m
     for i, e in enumerate(g.edges):
         incidence[e.u] |= 1 << i
         incidence[e.v] |= 1 << i
-    cuts = []
-    index = 1
-    for v in range(m):
-        if v == excluded:
-            continue
-        cuts.append(Cut(incidence[v], index))
-        index <<= 1
-    return CutBasis(tuple(cuts), m, g.edge_count, excluded)
+    cuts = tuple(Cut(incidence[v], 1 << v) for v in range(m - 1))
+    return CutBasis(cuts, m, g.edge_count)
 
 
 def xor_cuts(a: Cut, b: Cut) -> Cut:

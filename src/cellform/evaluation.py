@@ -13,12 +13,15 @@ more, and among equal violation counts lower traffic wins. Y itself is
 always kept exact; an optional power tuning only sharpens the roulette
 weights, as (Y / Y_max)^gamma, which preserves order and cannot overflow.
 
-``PopulationEvaluator`` is the one evaluator every solver runs on: one
-scipy connected-components call per population, over a block-diagonal graph
-holding every individual, for any machine count and any number of
-chromosome parts. Weights are scaled to integers by their common
-denominator, so no rounding is involved, and ``result`` turns any row of a
-batch into the exact ``Evaluation`` a solver reports.
+``PopulationEvaluator(inst)`` is the one evaluator every solver runs on. It
+builds the instance's flow graph and fitness config itself, so no solver
+can pair it with another instance's. It scores a population with one scipy
+connected-components call, over a block-diagonal graph holding every
+individual, for any machine count and any number of chromosome parts.
+Weights are scaled to integers by their common denominator, so no rounding
+is involved, and ``result`` turns any row of a batch into the exact
+``Evaluation`` a solver reports. The exhaustive oracle sums the same
+integer weight units.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .cuts import Partition, partition_from_labels
-from .flowgraph import FlowGraph
+from .flowgraph import build_graph
 from .instance import Instance
 
 
@@ -54,17 +57,6 @@ class FitnessConfig:
             raise ValueError(f"unknown tuning {self.tuning!r}")
         if self.tuning == "power" and not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
-def make_fitness_config(g: FlowGraph, inst: Instance,
-                        tuning: str = "identity",
-                        gamma: float = 2.0) -> FitnessConfig:
-    """Config for an instance: B = total flow (1 if zero), u = m+|SC|+|SN|."""
-    bound = g.total_weight()
-    if bound == 0:
-        bound = Fraction(1)
-    u = inst.machine_count + len(inst.cohabit) + len(inst.separate)
-    return FitnessConfig(bound, u, tuning, gamma)
 
 
 def violation_breakdown(partition: Partition,
@@ -128,6 +120,10 @@ _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 class PopulationEvaluator:
     """Evaluates whole populations at once, for any m and any part count.
 
+    Built from the instance alone: ``graph`` is its flow graph and ``cfg``
+    its fitness config, with bound B = total flow (1 if that is zero),
+    u = m + |SC| + |SN| and the given tuning and gamma.
+
     Edge weights are scaled by the least common multiple of their
     denominators to exact integer units; ``to_fraction`` converts traffic
     and fitness units back. The unit arrays are int64 when the largest
@@ -139,15 +135,21 @@ class PopulationEvaluator:
     this equals the marked-edge sum; for arbitrary masks it is the honest
     cost of the decoded solution.
 
-    Chromosome parts are interpreted against the default cut basis (excluded
-    vertex = highest index, bit v of a part selects the cut isolating vertex
-    v). The signature of vertex v is the K-bit string whose bit j is bit v of
-    part j, held in ceil(K / 64) uint64 words; an edge survives the union of
-    cuts exactly when its endpoints have equal signatures.
+    Chromosome parts are interpreted against the cut basis of
+    ``build_basis`` (the highest vertex excluded, bit v of a part selects
+    the cut isolating vertex v). The signature of vertex v is the K-bit
+    string whose bit j is bit v of part j, held in ceil(K / 64) uint64
+    words; an edge survives the union of cuts exactly when its endpoints
+    have equal signatures.
     """
 
-    def __init__(self, g: FlowGraph, inst: Instance, cfg: FitnessConfig):
-        self.cfg = cfg
+    def __init__(self, inst: Instance, tuning: str = "identity",
+                 gamma: float = 2.0):
+        self.graph = g = build_graph(inst)
+        self.cfg = cfg = FitnessConfig(
+            g.total_weight() or Fraction(1),
+            inst.machine_count + len(inst.cohabit) + len(inst.separate),
+            tuning, gamma)
         self.m = g.machine_count
         self.edge_u = np.array([e.u for e in g.edges], dtype=np.int64)
         self.edge_v = np.array([e.v for e in g.edges], dtype=np.int64)
@@ -237,16 +239,29 @@ class PopulationEvaluator:
         return self._eval_keep(keep, crossing=~keep)
 
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
-        """Evaluate masks given as a (pop, E) boolean keep matrix."""
-        return self._eval_keep(np.asarray(keep, dtype=bool))
+        """Evaluate masks given as a (pop, E) boolean keep matrix.
+
+        Raises ValueError unless the matrix is (pop >= 1, E).
+        """
+        keep = np.asarray(keep, dtype=bool)
+        if keep.ndim != 2 or not len(keep) \
+                or keep.shape[1] != len(self.edge_u):
+            raise ValueError(f"keep matrix must be (pop >= 1, "
+                             f"{len(self.edge_u)}), got {keep.shape}")
+        return self._eval_keep(keep)
 
     def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
         """Evaluate a (pop, m) matrix of per-machine cell labels.
 
         The cells' boundary edges are removed and the cells read off the
         remaining graph, so a labelled cell that is disconnected in the
-        flow graph counts as its connected pieces.
+        flow graph counts as its connected pieces. Raises ValueError unless
+        the matrix is (pop >= 1, m).
         """
+        labels = np.asarray(labels)
+        if labels.ndim != 2 or not len(labels) or labels.shape[1] != self.m:
+            raise ValueError(f"label matrix must be (pop >= 1, {self.m}), "
+                             f"got {labels.shape}")
         return self.evaluate_keeps(
             labels[:, self.edge_u] == labels[:, self.edge_v])
 

@@ -35,18 +35,6 @@ class TrafficMatrix:
         """Pairs with positive traffic, sorted by (low, high) endpoint."""
         return sorted(self._entries.items())
 
-    def total(self) -> Fraction:
-        """Sum of traffic over unordered pairs (the flow bound B)."""
-        return sum(self._entries.values(), Fraction(0))
-
-    def as_dense(self) -> list[list[Fraction]]:
-        m = self.machine_count
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for (a, b), t in self._entries.items():
-            rows[a][b] = t
-            rows[b][a] = t
-        return rows
-
 
 def compute_traffic(inst: Instance) -> TrafficMatrix:
     """Accumulate volume-weighted adjacent-machine counts over all routings.
@@ -89,8 +77,7 @@ class FlowGraph:
         return sum((e.weight for e in self.edges), Fraction(0))
 
 
-def build_graph(inst: Instance,
-                traffic: TrafficMatrix | None = None) -> FlowGraph:
+def build_graph(inst: Instance) -> FlowGraph:
     """Build the flow graph for an instance.
 
     Edge set: pairs with positive traffic, plus cohabitation and separation
@@ -100,8 +87,7 @@ def build_graph(inst: Instance,
     every other component with zero-weight fictive edges. Edges are sorted
     ascending by (u, v).
     """
-    if traffic is None:
-        traffic = compute_traffic(inst)
+    traffic = compute_traffic(inst)
     m = inst.machine_count
     keys = {pair for pair, _ in traffic.nonzero()}
     keys |= inst.cohabit | inst.separate

@@ -41,8 +41,8 @@ from typing import Sequence
 
 from .cuts import CutBasis, Partition, cut_from_index, decode_partition, \
     union_cuts
-from .evaluation import Evaluation, PopulationEvaluator, make_fitness_config
-from .flowgraph import FlowGraph, build_graph
+from .evaluation import Evaluation, PopulationEvaluator
+from .flowgraph import FlowGraph
 from .instance import Instance
 
 
@@ -263,22 +263,20 @@ def mutate(ch: tuple[int, ...], bits: int,
 class Encoding:
     """One way of writing individuals, as the generational engine uses it.
 
-    Built from (instance, params), it holds the flow graph, the fitness
-    config and the ``evaluator``. Subclasses supply ``initial`` (the first,
-    pairwise distinct population, from ``draw_distinct``), ``draw`` (one
-    random individual), ``crossover`` (a pair into two children),
-    ``mutate`` (one individual) and ``evaluate`` (a population into an
-    EvalBatch). ``canonicalise`` returns the population unchanged unless an
-    encoding has a canonical form.
+    Built from (instance, params), it holds the ``evaluator``, which owns
+    the flow graph and the fitness config. Subclasses supply ``initial``
+    (the first, pairwise distinct population, from ``draw_distinct``),
+    ``draw`` (one random individual), ``crossover`` (a pair into two
+    children), ``mutate`` (one individual) and ``evaluate`` (a population
+    into an EvalBatch). ``canonicalise`` returns the population unchanged
+    unless an encoding has a canonical form.
     """
 
     def __init__(self, inst: Instance, params: GAParams):
         self.inst = inst
         self.params = params
-        self.graph = build_graph(inst)
-        self.cfg = make_fitness_config(self.graph, inst, params.tuning,
-                                       params.gamma)
-        self.evaluator = PopulationEvaluator(self.graph, inst, self.cfg)
+        self.evaluator = PopulationEvaluator(inst, params.tuning,
+                                             params.gamma)
 
     def canonicalise(self, population: list) -> list:
         return population

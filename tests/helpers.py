@@ -15,9 +15,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cellform import Evaluation, Instance, InstanceWarning, Part, \
-    boundary_mask, build_graph, compute_k, compute_traffic, \
-    decode_partition, fitness, make_fitness_config, partition_from_labels, \
-    violation_breakdown
+    PopulationEvaluator, boundary_mask, compute_k, compute_traffic, \
+    decode_partition, fitness, partition_from_labels, violation_breakdown
 
 
 def make_instance(machine_count, max_cell_size, routings,
@@ -171,6 +170,15 @@ def brute_force_optimum(inst: Instance):
     return best, best_cells
 
 
+def dense_traffic(inst: Instance) -> np.ndarray:
+    """The (m, m) float traffic matrix, from ``compute_traffic``."""
+    m = inst.machine_count
+    points = np.zeros((m, m))
+    for (a, b), t in compute_traffic(inst).nonzero():
+        points[a, b] = points[b, a] = float(t)
+    return points
+
+
 def reference_lloyd(points: np.ndarray, k: int,
                     rng: random.Random) -> np.ndarray:
     """Reference for ``_lloyd``: exact differences in an (m, k, m) tensor
@@ -208,11 +216,10 @@ def reference_multikmeans(inst: Instance, restarts: int = 1, seed: int = 0):
     """Reference for ``run_multikmeans``: one ``reference_evaluation`` per
     clustering, on the connected pieces its boundary leaves, the best kept
     as the clusterings arrive."""
-    g = build_graph(inst)
-    cfg = make_fitness_config(g, inst)
+    evaluator = PopulationEvaluator(inst)
+    g, cfg = evaluator.graph, evaluator.cfg
     m = inst.machine_count
-    points = np.array([[float(x) for x in row]
-                       for row in compute_traffic(inst).as_dense()])
+    points = dense_traffic(inst)
     rng = random.Random(seed)
     best = None
     for _ in range(restarts):

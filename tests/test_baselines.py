@@ -6,21 +6,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from cellform import (GAParams, InstanceWarning,
-                      boundary_mask, build_graph, compute_k, compute_traffic,
-                      decode_partition, generate_instance,
-                      partition_from_labels, run_ega, run_ga,
-                      run_multikmeans, solve)
+from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
+                      boundary_mask, build_graph, compute_k, decode_partition,
+                      generate_instance, partition_from_labels, run_ega,
+                      run_ga, run_multikmeans, solve)
 from cellform.baselines import _lloyd, exhaustive_oracle
 from cellform.bench import BENCH_METHODS
-from helpers import (brute_force_optimum, instances, make_instance,
-                     partition_traffic, random_instance, reference_lloyd,
-                     reference_multikmeans)
+from helpers import (brute_force_optimum, dense_traffic, instances,
+                     make_instance, partition_traffic, random_instance,
+                     reference_lloyd, reference_multikmeans)
 
 
 CHAIN_ROUTINGS = [(4, (1, 2)), (1, (2, 3)), (3, (3, 4))]
+
+# volumes over four primes near 10^6: the fitness range in weight units
+# exceeds int64, so the evaluator's unit arrays hold Python ints
+PRIME_SHOP = make_instance(
+    5, 2, [(Fraction(1, 999983), (1, 2, 3)), (Fraction(1, 999979), (3, 4, 5)),
+           (Fraction(1, 999961), (5, 1, 4)), (Fraction(1, 999959), (2, 4))],
+    separate=[(1, 5)])
 
 
 class TestRunEGA:
@@ -146,8 +152,7 @@ class TestKmeansMatchesReference:
         for seed, inst in enumerate(_kmeans_shops()):
             m = inst.machine_count
             g = build_graph(inst)
-            points = np.array([[float(x) for x in row]
-                               for row in compute_traffic(inst).as_dense()])
+            points = dense_traffic(inst)
             ours, ref = random.Random(seed), random.Random(seed)
             for k in range(compute_k(m, inst.max_cell_size), m):
                 assign = _lloyd(points, k, ours)
@@ -243,6 +248,23 @@ class TestExhaustiveOracle:
     def test_traffic_is_fraction(self, five_machine_instance):
         res = exhaustive_oracle(five_machine_instance)
         assert isinstance(res.traffic, Fraction)
+
+    def test_prime_shop_units_exceed_int64(self):
+        assert PopulationEvaluator(PRIME_SHOP).units_dtype is object
+
+
+@given(instances(2, 7))
+@example(PRIME_SHOP)
+def test_oracle_matches_brute_force_property(inst):
+    # the oracle's pruned search on integer weight units finds the traffic
+    # of a full, unpruned enumeration in Fractions
+    res = exhaustive_oracle(inst)
+    best_traffic, _ = brute_force_optimum(inst)
+    if best_traffic is None:
+        assert res is None
+    else:
+        assert res.feasible and res.traffic == best_traffic
+        assert partition_traffic(inst, res.partition.cells) == best_traffic
 
 
 class TestHeuristicsAgainstOracle:

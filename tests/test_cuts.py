@@ -49,7 +49,6 @@ class TestBasis:
         assert basis.dimension == 4
         assert basis.vertex_count == 5
         assert basis.edge_count == 8
-        assert basis.excluded == 4
         assert basis.max_index == 15
         masks = [bits_from_mask(c.edge_mask, 8) for c in basis.cuts]
         assert masks == [CUT_M1, CUT_M2, CUT_M3, CUT_M4]
@@ -67,18 +66,6 @@ class TestBasis:
         basis = build_basis(g)
         assert [bits_from_mask(c.edge_mask, 2) for c in basis.cuts] == \
             [(1, 0), (1, 1)]
-
-    def test_excluded_override(self, five_machine_graph):
-        basis = build_basis(five_machine_graph, excluded=0)
-        assert basis.excluded == 0
-        masks = [bits_from_mask(c.edge_mask, 8) for c in basis.cuts]
-        assert masks[0] == CUT_M2 and masks[1] == CUT_M3 and \
-            masks[2] == CUT_M4
-        assert [c.basis_index for c in basis.cuts] == [1, 2, 4, 8]
-
-    def test_excluded_out_of_range(self, five_machine_graph):
-        with pytest.raises(ValueError, match="out of range"):
-            build_basis(five_machine_graph, excluded=5)
 
     def test_linear_independence(self, five_machine_basis):
         cuts = five_machine_basis.cuts
@@ -145,7 +132,7 @@ class TestCutFromIndex:
                                       five_machine_basis):
         # the cut named n is the cut of the vertex subset named by n's bits
         basis = five_machine_basis
-        vertices = [v for v in range(5) if v != basis.excluded]
+        vertices = list(range(basis.vertex_count - 1))
         for n in range(1, 16):
             subset = {vertices[i] for i in range(4) if (n >> i) & 1}
             expected = vertex_cut_mask(five_machine_graph, subset)
@@ -177,8 +164,7 @@ class TestEnumerate:
                 assert len(cuts) == 2 ** (inst.machine_count - 1) - 1
                 masks = {c.edge_mask for c in cuts}
                 assert len(masks) == len(cuts)
-                vertices = [v for v in range(inst.machine_count)
-                            if v != basis.excluded]
+                vertices = list(range(basis.vertex_count - 1))
                 oracle = set()
                 for bits in range(1, 2 ** len(vertices)):
                     subset = {vertices[i] for i in range(len(vertices))

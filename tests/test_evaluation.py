@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cellform import (FitnessConfig, InstanceWarning, Partition,
-                      PopulationEvaluator, build_basis, build_graph,
-                      cut_from_index, decode_chromosome, decode_partition,
-                      fitness, generate_instance, make_fitness_config,
-                      partition_from_labels, union_cuts, violation_breakdown)
+                      PopulationEvaluator, build_basis, cut_from_index,
+                      decode_chromosome, decode_partition, fitness,
+                      generate_instance, partition_from_labels, union_cuts,
+                      violation_breakdown)
 from cellform import Instance, Part, mask_from_bits
 from helpers import make_instance, random_instance, reference_evaluation
 
@@ -21,16 +21,15 @@ F = Fraction
 
 def evaluate_mask(inst, mask):
     """The evaluator's exact Evaluation of one edge mask (1 = removed)."""
-    g = build_graph(inst)
-    ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
-    keep = np.array([[not (mask >> i) & 1 for i in range(g.edge_count)]])
+    ev = PopulationEvaluator(inst)
+    keep = np.array([[not (mask >> i) & 1
+                      for i in range(ev.graph.edge_count)]])
     return ev.result(ev.evaluate_keeps(keep), 0)
 
 
 def evaluate_cells(inst, partition):
     """The evaluator's exact Evaluation of one partition's cell labels."""
-    g = build_graph(inst)
-    ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+    ev = PopulationEvaluator(inst)
     labels = np.array([partition.labels(inst.machine_count)])
     return ev.result(ev.evaluate_labels(labels), 0)
 
@@ -48,21 +47,26 @@ class TestFitnessConfig:
 
     def test_make_from_instance(self, five_machine_instance,
                                 five_machine_graph):
-        cfg = make_fitness_config(five_machine_graph, five_machine_instance)
+        ev = PopulationEvaluator(five_machine_instance)
+        assert ev.graph == five_machine_graph
+        cfg = ev.cfg
         assert cfg.bound == 8
         assert cfg.constraint_count == 5
         assert cfg.tuning == "identity"
+        power = PopulationEvaluator(five_machine_instance, "power", 2.5).cfg
+        assert (power.tuning, power.gamma) == ("power", 2.5)
+        with pytest.raises(ValueError, match="unknown tuning"):
+            PopulationEvaluator(five_machine_instance, tuning="exp")
 
     def test_constraint_count_includes_pairs(self):
         inst = make_instance(4, 2, [(1, (1, 2))], cohabit=[(1, 2)],
                              separate=[(3, 4), (1, 4)])
-        g = build_graph(inst)
-        cfg = make_fitness_config(g, inst)
+        cfg = PopulationEvaluator(inst).cfg
         assert cfg.constraint_count == 4 + 1 + 2
 
     def test_zero_flow_bound_falls_back_to_one(self):
         inst = make_instance(3, 3, [(0, (1, 2))])
-        cfg = make_fitness_config(build_graph(inst), inst)
+        cfg = PopulationEvaluator(inst).cfg
         assert cfg.bound == 1
 
 
@@ -135,14 +139,11 @@ class TestFitnessFormula:
             v = rng.randint(0, u - 1)
             assert fitness(z_low, v, cfg) > fitness(z_high, v + 1, cfg)
 
-    def test_power_tuning_order_preserving(self, five_machine_instance,
-                                           five_machine_graph):
+    def test_power_tuning_order_preserving(self, five_machine_instance):
         # Y stays exact under power tuning; only the roulette weights are
         # reshaped, and they must keep the order of Y (B = 8, u = 5 here)
-        g, inst = five_machine_graph, five_machine_instance
-        ident = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
-        power = PopulationEvaluator(
-            g, inst, make_fitness_config(g, inst, "power", 2.5))
+        ident = PopulationEvaluator(five_machine_instance)
+        power = PopulationEvaluator(five_machine_instance, "power", 2.5)
         rng = random.Random(9)
         samples = [(F(rng.randint(0, 8)), rng.randint(0, 5))
                    for _ in range(60)]
@@ -177,8 +178,7 @@ class TestEvaluate:
 
     def test_single_cell_optimum_when_unconstrained(self):
         inst = make_instance(4, 4, [(2, (1, 2, 3, 4))])
-        g = build_graph(inst)
-        cfg = make_fitness_config(g, inst)
+        cfg = PopulationEvaluator(inst).cfg
         ev = evaluate_mask(inst, 0)
         assert ev.traffic == 0 and ev.feasible
         assert ev.fitness == (cfg.constraint_count + 1) * cfg.bound
@@ -189,10 +189,9 @@ class TestEvaluate:
             warnings.simplefilter("ignore", InstanceWarning)
             for _ in range(50):
                 inst = random_instance(rng, 6, max_parts=8)
-                g = build_graph(inst)
+                evaluator = PopulationEvaluator(inst)
+                g = evaluator.graph
                 basis = build_basis(g)
-                evaluator = PopulationEvaluator(g, inst,
-                                                make_fitness_config(g, inst))
                 parts = [rng.randint(1, basis.max_index)
                          for _ in range(rng.randint(1, 3))]
                 union = union_cuts([cut_from_index(basis, n) for n in parts])
@@ -247,10 +246,9 @@ def fractional_shops(draw):
 
 def check_parts_against_scalar(inst, population):
     """evaluate_parts agrees exactly with the scalar reference per row."""
-    g = build_graph(inst)
+    ev = PopulationEvaluator(inst)
+    g, cfg = ev.graph, ev.cfg
     basis = build_basis(g)
-    cfg = make_fitness_config(g, inst)
-    ev = PopulationEvaluator(g, inst, cfg)
     batch = ev.evaluate_parts(population)
     for i, parts in enumerate(population):
         scalar = reference_evaluation(
@@ -341,9 +339,8 @@ class TestPopulationEvaluator:
     def test_keeps_match_decoded_partition(self, five_machine_instance):
         # arbitrary masks: batch measures the decoded partition's cost
         inst = five_machine_instance
-        g = build_graph(inst)
-        cfg = make_fitness_config(g, inst)
-        ev = PopulationEvaluator(g, inst, cfg)
+        ev = PopulationEvaluator(inst)
+        g, cfg = ev.graph, ev.cfg
         rng = random.Random(44)
         masks = [rng.getrandbits(8) for _ in range(64)]
         keep = np.array([[not ((m >> i) & 1) for i in range(8)]
@@ -365,9 +362,8 @@ class TestPopulationEvaluator:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InstanceWarning)
             inst = random_instance(rng, 80, max_parts=200, max_cell_size=6)
-        g = build_graph(inst)
-        cfg = make_fitness_config(g, inst)
-        ev = PopulationEvaluator(g, inst, cfg)
+        ev = PopulationEvaluator(inst)
+        g, cfg = ev.graph, ev.cfg
         ecount = g.edge_count
         masks = [rng.getrandbits(ecount) | rng.getrandbits(ecount)
                  for _ in range(20)]
@@ -384,28 +380,22 @@ class TestPopulationEvaluator:
 
     def test_exact_scaling_with_fraction_weights(self):
         inst = make_instance(3, 1, [(F(1, 2), (1, 2)), (F(1, 3), (2, 3))])
-        g = build_graph(inst)
-        cfg = make_fitness_config(g, inst)
-        ev = PopulationEvaluator(g, inst, cfg)
+        ev = PopulationEvaluator(inst)
         assert ev.scale == 6
         assert ev.to_fraction(3) == F(1, 2)
         assert isinstance(ev.to_fraction(3), Fraction)
         assert ev.bound_units == 5
 
     def test_selection_weights_proportional(self, five_machine_instance):
-        g = build_graph(five_machine_instance)
-        cfg = make_fitness_config(g, five_machine_instance)
-        ev = PopulationEvaluator(g, inst=five_machine_instance, cfg=cfg)
+        ev = PopulationEvaluator(five_machine_instance)
         units = np.array([8, 16, 24], dtype=np.int64)
         w = ev.selection_weights(units)
         assert w[1] / w[0] == pytest.approx(2.0)
         assert w[2] / w[0] == pytest.approx(3.0)
 
     def test_selection_weights_power(self, five_machine_instance):
-        g = build_graph(five_machine_instance)
-        cfg = make_fitness_config(g, five_machine_instance, tuning="power",
-                                  gamma=2.0)
-        ev = PopulationEvaluator(g, five_machine_instance, cfg)
+        ev = PopulationEvaluator(five_machine_instance, tuning="power",
+                                 gamma=2.0)
         units = np.array([8, 16], dtype=np.int64)
         w = ev.selection_weights(units)
         assert w[1] / w[0] == pytest.approx(4.0)
@@ -413,10 +403,8 @@ class TestPopulationEvaluator:
 
     def test_selection_weights_power_never_overflows(self,
                                                      five_machine_instance):
-        g = build_graph(five_machine_instance)
-        cfg = make_fitness_config(g, five_machine_instance, tuning="power",
-                                  gamma=200.0)
-        ev = PopulationEvaluator(g, five_machine_instance, cfg)
+        ev = PopulationEvaluator(five_machine_instance, tuning="power",
+                                 gamma=200.0)
         units = np.array([10 ** 6, 2 * 10 ** 6, 0], dtype=np.int64)
         w = ev.selection_weights(units)
         assert np.isfinite(w).all()
@@ -432,10 +420,7 @@ class TestEvaluatePartsRejectsMalformed:
 
     @pytest.fixture
     def ev(self, five_machine_instance):
-        g = build_graph(five_machine_instance)
-        return PopulationEvaluator(
-            g, five_machine_instance,
-            make_fitness_config(g, five_machine_instance))
+        return PopulationEvaluator(five_machine_instance)
 
     # m = 5: valid parts are 0..15
     @pytest.mark.parametrize(
@@ -455,10 +440,33 @@ class TestEvaluatePartsRejectsMalformed:
     def test_range_edges_on_wide_shops(self, m):
         # the top valid part passes on either side of a word boundary of
         # the packed parts; one more fails
-        inst = generate_instance(m, 2 * m, 8, seed=m)
-        g = build_graph(inst)
-        ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+        ev = PopulationEvaluator(generate_instance(m, 2 * m, 8, seed=m))
         top = (1 << (m - 1)) - 1
         assert ev.evaluate_parts([(top, 0)]).violations.shape == (1,)
         with pytest.raises(ValueError, match="Python ints"):
             ev.evaluate_parts([(top + 1, 0)])
+
+
+class TestKeepsAndLabelsRejectMalformed:
+    """evaluate_keeps takes only (pop >= 1, E) keep matrices and
+    evaluate_labels only (pop >= 1, m) label matrices: any other shape
+    raises ValueError instead of being evaluated as some other solution or
+    failing on an index."""
+
+    @pytest.fixture
+    def ev(self):
+        ev = PopulationEvaluator(generate_instance(5, 10, 2, seed=1))
+        assert (ev.m, ev.graph.edge_count) == (5, 10)
+        return ev
+
+    @pytest.mark.parametrize("shape", [(1, 9), (1, 11), (0, 10)],
+                             ids=["E-1", "E+1", "no-rows"])
+    def test_bad_keep_shape(self, ev, shape):
+        with pytest.raises(ValueError, match="keep matrix must be"):
+            ev.evaluate_keeps(np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(1, 7), (1, 3), (0, 5)],
+                             ids=["m+2", "m-2", "no-rows"])
+    def test_bad_label_shape(self, ev, shape):
+        with pytest.raises(ValueError, match="label matrix must be"):
+            ev.evaluate_labels(np.zeros(shape, dtype=np.int64))

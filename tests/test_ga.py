@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cellform import (GAParams, InstanceWarning,
-                      PopulationEvaluator, build_graph, chromosome_mask,
-                      compute_k, crossover_any, crossover_boundary,
-                      decode_chromosome, generate_instance, init_population,
-                      make_fitness_config, mask_from_bits, mutate,
-                      roulette_select, run_ga, sort_chromosome)
+from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
+                      chromosome_mask, compute_k, crossover_any,
+                      crossover_boundary, decode_chromosome,
+                      generate_instance, init_population, mask_from_bits,
+                      mutate, roulette_select, run_ga, sort_chromosome)
 from cellform.baselines import exhaustive_oracle
 from helpers import instances, make_instance
 
@@ -149,8 +148,7 @@ def test_sort_chromosome_idempotent_and_evaluation_invariant(inst, data):
     ch = tuple(parts)
     s = sort_chromosome(ch)
     assert sort_chromosome(s) == s
-    g = build_graph(inst)
-    ev = PopulationEvaluator(g, inst, make_fitness_config(g, inst))
+    ev = PopulationEvaluator(inst)
     raw = ev.evaluate_parts([ch])
     canonical = ev.evaluate_parts([s])
     assert (raw.labels == canonical.labels).all()
