@@ -48,18 +48,46 @@ GA_GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("method,seed", sorted(GA_GOLDENS))
-def test_ga_golden(shop, method, seed):
-    history, cells, traffic, violations = GA_GOLDENS[method, seed]
+# method: seed 0 under power tuning with gamma = 2.5, same layout
+POWER_GOLDENS = {
+    "cga": (
+        [6874] * 1 + [6884] * 1 + [6893] * 1 + [6916] * 5 + [6918] * 5
+        + [6942] * 2 + [6971] * 15,
+        ((0, 3, 4, 9), (1, 5, 7, 10), (2,), (6, 8, 11)),
+        348, 0),
+    "scga": (
+        [6918] * 3 + [6919] * 4 + [6941] * 23,
+        ((0, 5, 7, 10), (1, 2, 4, 6), (3, 8, 11), (9,)),
+        378, 0),
+    "ega": (
+        [6756] * 30,
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),),
+        0, 1),
+}
+
+
+def check_golden(shop, method, golden, **params):
+    history, cells, traffic, violations = golden
     if method == "ega":
-        res = run_ega(shop, GAParams(40, 30, seed=seed))
+        res = run_ega(shop, GAParams(40, 30, **params))
     else:
-        res = run_ga(shop, GAParams(40, 30, seed=seed, variant=method))
+        res = run_ga(shop, GAParams(40, 30, variant=method, **params))
     assert res.best_history == [Fraction(y) for y in history]
     ev = res.best_evaluation
     assert ev.partition.cells == cells
     assert (ev.traffic, ev.violations) == (traffic, violations)
     assert ev.fitness == history[-1]
+
+
+@pytest.mark.parametrize("method,seed", sorted(GA_GOLDENS))
+def test_ga_golden(shop, method, seed):
+    check_golden(shop, method, GA_GOLDENS[method, seed], seed=seed)
+
+
+@pytest.mark.parametrize("method", sorted(POWER_GOLDENS))
+def test_ga_power_golden(shop, method):
+    check_golden(shop, method, POWER_GOLDENS[method], tuning="power",
+                 gamma=2.5)
 
 
 def test_multikmeans_golden(shop):
