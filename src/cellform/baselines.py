@@ -1,11 +1,11 @@
 """Reference methods the cut-based GA is compared against.
 
-* run_ega: a GA over raw edge bit strings (1 = intercellular), run by the
-  same generational engine as the cut GA (``ga.evolve``); only the encoding
-  differs. Each individual, the reported best included, is a uint8 row
-  with one gene per graph edge. Fitness is measured on the decoded
-  partition, so values are comparable across methods even when a mask
-  marks edges that do not actually separate anything.
+* run_ega: a GA over int edge masks (bit i set = edge i intercellular, as
+  ``cuts.decode_partition`` reads them), run by the same generational
+  engine as the cut GA (``ga.evolve``); only the encoding differs. Fitness
+  is measured on the decoded partition, so values are comparable across
+  methods even when a mask marks edges that do not actually separate
+  anything.
 * run_multikmeans: Lloyd's k-means on the traffic-matrix rows for every
   k in [ceil(m/N), m-1], keeping the best feasible clustering.
 * exhaustive_oracle: exact minimum-traffic feasible partition by
@@ -19,45 +19,42 @@ import random
 import numpy as np
 
 from .evaluation import Evaluation, PopulationEvaluator
-from .ga import Encoding, GAParams, GAResult, compute_k, draw_distinct, \
-    evolve
+from .ga import Encoding, GAParams, GAResult, compute_k, crossover_any, \
+    draw_distinct, evolve
 from .instance import Instance
 
 _ORACLE_GUARD = 12
 
 
 class _EdgeEncoding(Encoding):
-    """EGA: one uint8 gene per graph edge, 1 = intercellular."""
+    """EGA: an int mask with bit i set when edge i is intercellular."""
 
-    def initial(self, rng: random.Random) -> list[np.ndarray]:
-        return draw_distinct(self.params.population_size,
-                             2 ** self.evaluator.graph.edge_count,
-                             lambda: self.draw(rng), np.ndarray.tobytes)
+    def __init__(self, inst: Instance, params: GAParams):
+        super().__init__(inst, params)
+        self.edges = self.evaluator.graph.edge_count
 
-    def draw(self, rng: random.Random) -> np.ndarray:
-        """Uniform 0/1 row from one getrandbits draw."""
-        ecount = self.evaluator.graph.edge_count
-        raw = rng.getrandbits(ecount).to_bytes((ecount + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                             bitorder="little")
-        return bits[:ecount]
+    def initial(self, rng: random.Random) -> list[int]:
+        return draw_distinct(self.params.population_size, 2 ** self.edges,
+                             lambda: self.draw(rng))
 
-    def crossover(self, a: np.ndarray, b: np.ndarray, rng: random.Random):
-        """One-point crossover at any of the E - 1 interior gaps."""
-        if len(a) < 2:
-            return a.copy(), b.copy()
-        cut = rng.randrange(1, len(a))
-        return (np.concatenate((a[:cut], b[cut:])),
-                np.concatenate((b[:cut], a[cut:])))
+    def draw(self, rng: random.Random) -> int:
+        return rng.getrandbits(self.edges)
 
-    def mutate(self, row: np.ndarray, rng: random.Random) -> np.ndarray:
+    def crossover(self, a: int, b: int, rng: random.Random):
+        """One-point crossover at any of the E - 1 gaps (a one-part chain)."""
+        (c1,), (c2,) = crossover_any((a,), (b,), self.edges, rng)
+        return c1, c2
+
+    def mutate(self, mask: int, rng: random.Random) -> int:
         """Flip one uniformly chosen bit."""
-        row = row.copy()
-        row[rng.randrange(len(row))] ^= 1
-        return row
+        return mask ^ (1 << rng.randrange(self.edges))
 
-    def evaluate(self, population: list[np.ndarray]):
-        return self.evaluator.evaluate_keeps(np.stack(population) == 0)
+    def evaluate(self, population: list[int]):
+        width = (self.edges + 7) // 8
+        raw = b"".join([mask.to_bytes(width, "little") for mask in population])
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                             bitorder="little").reshape(len(population), -1)
+        return self.evaluator.evaluate_keeps(bits[:, :self.edges] == 0)
 
 
 def run_ega(inst: Instance, params: GAParams) -> GAResult:

@@ -90,11 +90,11 @@ def _summarize(method: str, pop: int | None, gens: int | None,
 
 def run_benchmark(inst: Instance, methods, pop_sizes, generation_counts,
                   replications: int, base_seed: int,
-                  crossover_rate: float = 0.7, mutation_rate: float = 0.03,
-                  tuning: str = "identity", gamma: float = 2.0,
-                  measure_time: bool = True) -> list[BenchmarkRow]:
+                  measure_time: bool = True,
+                  **ga_params) -> list[BenchmarkRow]:
     """Run the full sweep; row order is methods x pop (asc) x gens (asc).
 
+    ``ga_params`` (crossover_rate, mutation_rate, gamma) go to ``solve``.
     multikmeans ignores the pop/gens grid and contributes a single row whose
     replications each run one restart with seed base_seed + r.
     """
@@ -114,10 +114,9 @@ def run_benchmark(inst: Instance, methods, pop_sizes, generation_counts,
             outcomes = []
             elapsed = 0.0
             for r in range(replications):
-                ev, wall = solve(
-                    inst, method, base_seed + r, population_size=pop,
-                    generations=gens, crossover_rate=crossover_rate,
-                    mutation_rate=mutation_rate, tuning=tuning, gamma=gamma)
+                ev, wall = solve(inst, method, base_seed + r,
+                                 population_size=pop, generations=gens,
+                                 **ga_params)
                 elapsed += wall
                 feasible = ev is not None and ev.feasible
                 outcomes.append((feasible, ev.traffic if feasible else None))

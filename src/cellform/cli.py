@@ -17,6 +17,7 @@ from .bench import BENCH_METHODS, METHODS, render_csv, render_table, \
     run_benchmark, solve
 from .evaluation import Evaluation, violation_breakdown
 from .flowgraph import build_graph
+from .ga import GAParams
 from .instance import Instance, generate_instance, parse_instance, \
     serialize_instance
 
@@ -30,18 +31,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_tuning(text: str) -> tuple[str, float]:
+def _parse_tuning(text: str) -> float | None:
     if text == "identity":
-        return "identity", 2.0
+        return None
     if text.startswith("power:"):
         try:
             gamma = float(text.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad power tuning {text!r}") from None
-        if gamma <= 0:
+        if not gamma > 0:
             raise argparse.ArgumentTypeError("gamma must be positive")
-        return "power", gamma
+        return gamma
     raise argparse.ArgumentTypeError(
         f"tuning must be 'identity' or 'power:<gamma>', got {text!r}")
 
@@ -88,11 +89,10 @@ def _print_solution(ev: Evaluation, inst: Instance, wall: float):
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    tuning, gamma = args.tuning
     ev, wall = solve(inst, args.method, args.seed, restarts=args.reps,
                      population_size=args.pop, generations=args.gens,
                      crossover_rate=args.pc, mutation_rate=args.pm,
-                     tuning=tuning, gamma=gamma)
+                     gamma=args.gamma)
     print(f"method: {args.method}")
     if ev is None:
         print(f"wall_time_s: {wall:.3f}")
@@ -108,13 +108,11 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     inst = _load_instance(args.instance)
-    tuning, gamma = args.tuning
     rows = run_benchmark(
         inst, args.method, args.pop, args.gens,
         replications=args.reps, base_seed=args.seed,
-        crossover_rate=args.pc, mutation_rate=args.pm,
-        tuning=tuning, gamma=gamma,
-        measure_time=args.timing == "wall")
+        measure_time=args.timing == "wall",
+        crossover_rate=args.pc, mutation_rate=args.pm, gamma=args.gamma)
     text = render_csv(rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -153,47 +151,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--pc", type=float, default=0.7,
-                       help="crossover share of the population (default 0.7)")
-        p.add_argument("--pm", type=float, default=0.03,
-                       help="mutated share of the population (default 0.03)")
+        p.add_argument("--pc", type=float, default=GAParams.crossover_rate,
+                       help="crossover share of the population "
+                            "(default %(default)s)")
+        p.add_argument("--pm", type=float, default=GAParams.mutation_rate,
+                       help="mutated share of the population "
+                            "(default %(default)s)")
         p.add_argument("--seed", type=int, default=0,
-                       help="base random seed (default 0)")
+                       help="base random seed (default %(default)s)")
         p.add_argument("--reps", type=int, default=20,
                        help="replications (bench) or k-means restarts "
-                            "(solve --method multikmeans); default 20")
-        p.add_argument("--tuning", type=_parse_tuning,
-                       default=("identity", 2.0), metavar="TUNING",
-                       help="fitness tuning: identity or power:<gamma>")
+                            "(solve; default %(default)s)")
+        p.add_argument("--tuning", dest="gamma", type=_parse_tuning,
+                       default="identity", metavar="TUNING",
+                       help="roulette weights: identity or "
+                            "power:<gamma> (default %(default)s)")
 
     ps = sub.add_parser("solve", help="solve one instance with one method")
     ps.add_argument("instance", help="instance file path")
-    ps.add_argument("--method", default="scga",
-                    choices=METHODS)
+    ps.add_argument("--method", default="scga", choices=METHODS,
+                    help="solver (default %(default)s)")
     ps.add_argument("--pop", type=int, default=300,
-                    help="population size (default 300)")
+                    help="population size (default %(default)s)")
     ps.add_argument("--gens", type=int, default=300,
-                    help="generations (default 300)")
+                    help="generations (default %(default)s)")
     add_common(ps)
     ps.set_defaults(func=cmd_solve)
 
     pb = sub.add_parser("bench", help="replicated parameter sweep to CSV")
     pb.add_argument("instance", help="instance file path")
-    pb.add_argument("--method", type=_method_list,
-                    default=["cga", "scga", "ega"], metavar="M1,M2,...",
+    pb.add_argument("--method", type=_method_list, default="cga,scga,ega",
+                    metavar="M1,M2,...",
                     help="comma-separated methods "
-                         "(cga,scga,ega,multikmeans); default cga,scga,ega")
-    pb.add_argument("--pop", type=_int_list, default=[100, 200, 300, 400,
-                                                      500],
+                         "(cga,scga,ega,multikmeans); default %(default)s")
+    pb.add_argument("--pop", type=_int_list, default="100,200,300,400,500",
                     metavar="P1,P2,...",
-                    help="population sizes (default 100,200,300,400,500)")
-    pb.add_argument("--gens", type=_int_list, default=[100, 200, 300],
+                    help="population sizes (default %(default)s)")
+    pb.add_argument("--gens", type=_int_list, default="100,200,300",
                     metavar="G1,G2,...",
-                    help="generation counts (default 100,200,300)")
+                    help="generation counts (default %(default)s)")
     pb.add_argument("--out", help="CSV output path (default: CSV to stdout)")
     pb.add_argument("--timing", choices=("wall", "none"), default="wall",
                     help="'none' leaves avg_cpu_s empty so the CSV is "
-                         "byte-identical across runs")
+                         "byte-identical across runs (default %(default)s)")
     add_common(pb)
     pb.set_defaults(func=cmd_bench)
 
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--max-cell-size", "-N", type=int, required=True)
     pg.add_argument("--max-routing-len", type=int, default=10,
                     help="routing lengths are uniform in [2, this] "
-                         "(default 10)")
+                         "(default %(default)s)")
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", help="output path (default: stdout)")
     pg.set_defaults(func=cmd_generate)

@@ -10,7 +10,7 @@ constraint count m + |SC| + |SN| and v the number of violated constraints
 (oversize cells, split cohabitation pairs, united separation pairs). Any
 solution violating fewer constraints then outranks every solution violating
 more, and among equal violation counts lower traffic wins. Y itself is
-always kept exact; an optional power tuning only sharpens the roulette
+always kept exact; a GA's optional gamma only sharpens its roulette
 weights, as (Y / Y_max)^gamma, which preserves order and cannot overflow.
 
 ``PopulationEvaluator(inst)`` is the one evaluator every solver runs on. It
@@ -41,22 +41,16 @@ from .instance import Instance
 
 @dataclass(frozen=True)
 class FitnessConfig:
-    """Fitness parameters: bound B, constraint count u, tuning selector."""
+    """Fitness parameters: traffic bound B and constraint count u."""
 
     bound: Fraction
     constraint_count: int
-    tuning: str = "identity"
-    gamma: float = 2.0
 
     def __post_init__(self):
         if self.bound <= 0:
             raise ValueError(f"bound must be positive, got {self.bound}")
         if self.constraint_count < 0:
             raise ValueError("constraint count must be non-negative")
-        if self.tuning not in ("identity", "power"):
-            raise ValueError(f"unknown tuning {self.tuning!r}")
-        if self.tuning == "power" and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 def violation_breakdown(partition: Partition,
@@ -72,9 +66,8 @@ def violation_breakdown(partition: Partition,
 
 def fitness(traffic: Fraction, violations: int,
             cfg: FitnessConfig) -> Fraction:
-    """Penalized fitness Y, exact whatever the tuning (the tuning shapes
-    only the roulette weights, see ``PopulationEvaluator.selection_weights``).
-    """
+    """Penalized fitness Y, exact whatever the gamma (gamma shapes only the
+    roulette weights, see ``PopulationEvaluator.selection_weights``)."""
     if violations > cfg.constraint_count:
         raise ValueError(
             f"internal inconsistency: {violations} violations exceed the "
@@ -90,7 +83,7 @@ def fitness(traffic: Fraction, violations: int,
 @dataclass(frozen=True)
 class Evaluation:
     """Everything known about one solution; ``fitness`` is the exact Y,
-    whatever the tuning."""
+    whatever the gamma."""
 
     partition: Partition
     traffic: Fraction
@@ -122,7 +115,7 @@ class PopulationEvaluator:
 
     Built from the instance alone: ``graph`` is its flow graph and ``cfg``
     its fitness config, with bound B = total flow (1 if that is zero),
-    u = m + |SC| + |SN| and the given tuning and gamma.
+    u = m + |SC| + |SN|.
 
     Edge weights are scaled by the least common multiple of their
     denominators to exact integer units; ``to_fraction`` converts traffic
@@ -143,13 +136,11 @@ class PopulationEvaluator:
     have equal signatures.
     """
 
-    def __init__(self, inst: Instance, tuning: str = "identity",
-                 gamma: float = 2.0):
+    def __init__(self, inst: Instance):
         self.graph = g = build_graph(inst)
         self.cfg = cfg = FitnessConfig(
             g.total_weight() or Fraction(1),
-            inst.machine_count + len(inst.cohabit) + len(inst.separate),
-            tuning, gamma)
+            inst.machine_count + len(inst.cohabit) + len(inst.separate))
         self.m = g.machine_count
         self.edge_u = np.array([e.u for e in g.edges], dtype=np.int64)
         self.edge_v = np.array([e.v for e in g.edges], dtype=np.int64)
@@ -183,13 +174,14 @@ class PopulationEvaluator:
                           violations, violations == 0,
                           fitness(traffic, violations, self.cfg))
 
-    def selection_weights(self, fitness_units: np.ndarray) -> np.ndarray:
-        """Float roulette weights: Y, or (Y / Y_max)^gamma under power
-        tuning. Both preserve order; the power form stays in [0, 1]."""
+    def selection_weights(self, fitness_units: np.ndarray,
+                          gamma: float | None) -> np.ndarray:
+        """Float roulette weights: Y if ``GAParams.gamma`` is None, else
+        (Y / Y_max)^gamma; both keep Y's order, the latter within [0, 1]."""
         base = fitness_units.astype(np.float64) / self.scale
-        if self.cfg.tuning == "power":
+        if gamma is not None:
             top = base.max()
-            return (base / top) ** self.cfg.gamma if top > 0 else base
+            return (base / top) ** gamma if top > 0 else base
         return base
 
     # ----- population paths --------------------------------------------

@@ -17,7 +17,8 @@ mutation, elitism and the best-so-far history:
 * SCGA canonicalizes every chromosome with a sorting procedure (parts in
   descending order, duplicates zeroed, zeros last), which collapses the many
   chains that decode to the same cut set and so removes phantom diversity.
-* EGA (``baselines.run_ega``) writes one bit per graph edge instead.
+* EGA (``baselines.run_ega``) writes one int edge mask instead, bit i set
+  = edge i intercellular.
 
 Each encoding supplies its draw, crossover, mutation, canonical form and
 population evaluation; the engine reports the best individual as it was
@@ -53,22 +54,30 @@ def compute_k(machine_count: int, max_cell_size: int) -> int:
     return (machine_count + max_cell_size - 1) // max_cell_size
 
 
+# 20x the largest population (500) any test, demo, CLI default or workload
+# uses: the first population is drawn as distinct Python values, so an
+# unbounded size would build them until memory runs out
+MAX_POPULATION = 10_000
+
+
 @dataclass(frozen=True)
 class GAParams:
-    """Knobs for one GA run."""
+    """Settings of one GA run; no other module declares them."""
 
-    population_size: int
+    population_size: int  # 2 .. MAX_POPULATION
     generations: int
-    crossover_rate: float = 0.7
-    mutation_rate: float = 0.03
-    variant: str = "scga"
+    crossover_rate: float = 0.7  # share of the population crossed
+    mutation_rate: float = 0.03  # share of the population mutated
+    variant: str = "scga"  # or "cga"; run_ega ignores it
     seed: int = 0
-    tuning: str = "identity"
-    gamma: float = 2.0
+    gamma: float | None = None  # roulette on Y if None, else (Y/Y_max)^gamma
 
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError("population size must be at least 2")
+        if self.population_size > MAX_POPULATION:
+            raise ValueError(f"population size {self.population_size} "
+                             f"exceeds the limit {MAX_POPULATION}")
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
         if not 0 <= self.crossover_rate <= 1:
@@ -77,14 +86,16 @@ class GAParams:
             raise ValueError("mutation rate must be in [0, 1]")
         if self.variant not in ("cga", "scga"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass
 class GAResult:
     """Outcome of a run: best individual, its evaluation, and the trace.
 
-    The best individual is a tuple of parts (CGA, SCGA) or a uint8 edge
-    row, 1 = intercellular (EGA).
+    The best individual is a tuple of parts (CGA, SCGA) or an int edge
+    mask, bit i set = edge i intercellular (EGA).
     """
 
     best_chromosome: object
@@ -119,8 +130,8 @@ def _random_chromosome(rng: random.Random, k: int,
     return tuple(rng.randrange(1 << bits) for _ in range(k))
 
 
-def draw_distinct(size: int, capacity: int, draw, key=lambda x: x) -> list:
-    """``size`` individuals from ``draw()`` with pairwise distinct ``key``.
+def draw_distinct(size: int, capacity: int, draw) -> list:
+    """``size`` pairwise distinct (hashable) individuals from ``draw()``.
 
     Raises ValueError when ``size`` exceeds the ``capacity`` of distinct
     individuals (pigeonhole) and RuntimeError when 1000 * size draws fail to
@@ -135,9 +146,8 @@ def draw_distinct(size: int, capacity: int, draw, key=lambda x: x) -> list:
     max_attempts = 1000 * size
     for _ in range(max_attempts):
         individual = draw()
-        tag = key(individual)
-        if tag not in seen:
-            seen.add(tag)
+        if individual not in seen:
+            seen.add(individual)
             population.append(individual)
             if len(population) == size:
                 return population
@@ -264,7 +274,7 @@ class Encoding:
     """One way of writing individuals, as the generational engine uses it.
 
     Built from (instance, params), it holds the ``evaluator``, which owns
-    the flow graph and the fitness config. Subclasses supply ``initial``
+    the flow graph and the fitness arithmetic. Subclasses supply ``initial``
     (the first, pairwise distinct population, from ``draw_distinct``),
     ``draw`` (one random individual), ``crossover`` (a pair into two
     children), ``mutate`` (one individual) and ``evaluate`` (a population
@@ -275,8 +285,7 @@ class Encoding:
     def __init__(self, inst: Instance, params: GAParams):
         self.inst = inst
         self.params = params
-        self.evaluator = PopulationEvaluator(inst, params.tuning,
-                                             params.gamma)
+        self.evaluator = PopulationEvaluator(inst)
 
     def canonicalise(self, population: list) -> list:
         return population
@@ -326,7 +335,7 @@ def evolve(encoding: type[Encoding], inst: Instance,
     individuals, mutate a mutation_rate share (one gene each),
     canonicalise everyone, evaluate, and reinsert the elite over the worst
     individual. best_history holds the exact Y of the best individual so
-    far after each generation, whatever the tuning. Same seed, same
+    far after each generation, whatever the gamma. Same seed, same
     best_history. The best individual is evaluated once more on its own
     for its exact Evaluation.
     """
@@ -353,7 +362,8 @@ def evolve(encoding: type[Encoding], inst: Instance,
         elite = population[elite_idx]
         elite_units = batch.fitness_units[elite_idx]
 
-        weights = evaluator.selection_weights(batch.fitness_units)
+        weights = evaluator.selection_weights(batch.fitness_units,
+                                              params.gamma)
         parents = roulette_select(population, weights.tolist(), n_mate, rng)
         nxt = []
         for i in range(0, n_mate, 2):

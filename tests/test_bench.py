@@ -122,8 +122,7 @@ class TestRunBenchmark:
 class TestSolve:
     def test_each_method_runs_its_solver(self, five_machine_instance):
         inst = five_machine_instance
-        ga = dict(population_size=12, generations=6, tuning="power",
-                  gamma=3.0)
+        ga = dict(population_size=12, generations=6, gamma=3.0)
         expected = {
             "cga": run_ga(inst, GAParams(variant="cga", seed=4, **ga)),
             "scga": run_ga(inst, GAParams(variant="scga", seed=4, **ga)),

@@ -69,6 +69,8 @@ class TestUsageErrors:
         assert run_cli(["solve", five_machine_file,
                         "--tuning", "power:-1"]) == 1
         assert run_cli(["solve", five_machine_file,
+                        "--tuning", "power:nan"]) == 1
+        assert run_cli(["solve", five_machine_file,
                         "--tuning", "linear"]) == 1
 
     def test_bad_int_list(self, five_machine_file, capsys):
@@ -108,6 +110,12 @@ class TestInputErrors:
         assert run_cli(["generate", "-m", str(MAX_MACHINES + 1), "-p", "5",
                         "-N", "3"]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_population_limit(self, five_machine_file, capsys):
+        for verb in ("solve", "bench"):
+            assert run_cli([verb, five_machine_file, "--pop", "100000000",
+                            "--gens", "1"]) == 2
+            assert "exceeds the limit" in capsys.readouterr().err
 
     def test_draws_exhausted(self, five_machine_file, capsys, monkeypatch):
         # every draw is the same chromosome, so no distinct population exists

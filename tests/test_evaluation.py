@@ -40,10 +40,6 @@ class TestFitnessConfig:
             FitnessConfig(F(0), 3)
         with pytest.raises(ValueError, match="constraint count"):
             FitnessConfig(F(1), -1)
-        with pytest.raises(ValueError, match="unknown tuning"):
-            FitnessConfig(F(1), 3, tuning="exp")
-        with pytest.raises(ValueError, match="gamma must be positive"):
-            FitnessConfig(F(1), 3, tuning="power", gamma=0.0)
 
     def test_make_from_instance(self, five_machine_instance,
                                 five_machine_graph):
@@ -52,11 +48,6 @@ class TestFitnessConfig:
         cfg = ev.cfg
         assert cfg.bound == 8
         assert cfg.constraint_count == 5
-        assert cfg.tuning == "identity"
-        power = PopulationEvaluator(five_machine_instance, "power", 2.5).cfg
-        assert (power.tuning, power.gamma) == ("power", 2.5)
-        with pytest.raises(ValueError, match="unknown tuning"):
-            PopulationEvaluator(five_machine_instance, tuning="exp")
 
     def test_constraint_count_includes_pairs(self):
         inst = make_instance(4, 2, [(1, (1, 2))], cohabit=[(1, 2)],
@@ -140,18 +131,16 @@ class TestFitnessFormula:
             assert fitness(z_low, v, cfg) > fitness(z_high, v + 1, cfg)
 
     def test_power_tuning_order_preserving(self, five_machine_instance):
-        # Y stays exact under power tuning; only the roulette weights are
-        # reshaped, and they must keep the order of Y (B = 8, u = 5 here)
-        ident = PopulationEvaluator(five_machine_instance)
-        power = PopulationEvaluator(five_machine_instance, "power", 2.5)
+        # gamma reshapes only the roulette weights, and they must keep the
+        # order of Y (B = 8, u = 5 here)
+        ev = PopulationEvaluator(five_machine_instance)
         rng = random.Random(9)
         samples = [(F(rng.randint(0, 8)), rng.randint(0, 5))
                    for _ in range(60)]
-        ys = [fitness(z, v, power.cfg) for z, v in samples]
-        assert ys == [fitness(z, v, ident.cfg) for z, v in samples]
-        units = np.array([int(y * power.scale) for y in ys], dtype=np.int64)
-        w_ident = ident.selection_weights(units)
-        w_power = power.selection_weights(units)
+        ys = [fitness(z, v, ev.cfg) for z, v in samples]
+        units = np.array([int(y * ev.scale) for y in ys], dtype=np.int64)
+        w_ident = ev.selection_weights(units, None)
+        w_power = ev.selection_weights(units, 2.5)
         assert w_power.dtype == np.float64
         for i, a in enumerate(ys):
             for j, b in enumerate(ys):
@@ -160,8 +149,9 @@ class TestFitnessFormula:
                     assert w_power[i] > w_power[j]
 
     def test_power_tuning_fitness_is_exact_y(self):
-        # float(Y) ** gamma overflowed here: 59 ** 200 is beyond float range
-        y = fitness(F(1), 0, FitnessConfig(F(10), 5, "power", 200.0))
+        # Y never sees gamma: float(Y) ** 200 once overflowed here, as
+        # 59 ** 200 is beyond float range
+        y = fitness(F(1), 0, FitnessConfig(F(10), 5))
         assert y == 59
         assert isinstance(y, Fraction)
 
@@ -389,28 +379,26 @@ class TestPopulationEvaluator:
     def test_selection_weights_proportional(self, five_machine_instance):
         ev = PopulationEvaluator(five_machine_instance)
         units = np.array([8, 16, 24], dtype=np.int64)
-        w = ev.selection_weights(units)
+        w = ev.selection_weights(units, None)
         assert w[1] / w[0] == pytest.approx(2.0)
         assert w[2] / w[0] == pytest.approx(3.0)
 
     def test_selection_weights_power(self, five_machine_instance):
-        ev = PopulationEvaluator(five_machine_instance, tuning="power",
-                                 gamma=2.0)
+        ev = PopulationEvaluator(five_machine_instance)
         units = np.array([8, 16], dtype=np.int64)
-        w = ev.selection_weights(units)
+        w = ev.selection_weights(units, 2.0)
         assert w[1] / w[0] == pytest.approx(4.0)
         assert w[1] == 1.0
 
     def test_selection_weights_power_never_overflows(self,
                                                      five_machine_instance):
-        ev = PopulationEvaluator(five_machine_instance, tuning="power",
-                                 gamma=200.0)
+        ev = PopulationEvaluator(five_machine_instance)
         units = np.array([10 ** 6, 2 * 10 ** 6, 0], dtype=np.int64)
-        w = ev.selection_weights(units)
+        w = ev.selection_weights(units, 200.0)
         assert np.isfinite(w).all()
         assert w[1] == 1.0 and 0 < w[0] < w[1] and w[2] == 0
         zeros = np.zeros(3, dtype=np.int64)
-        assert (ev.selection_weights(zeros) == 0).all()
+        assert (ev.selection_weights(zeros, 200.0) == 0).all()
 
 
 class TestEvaluatePartsRejectsMalformed:

@@ -13,6 +13,7 @@ from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
                       generate_instance, init_population, mask_from_bits,
                       mutate, roulette_select, run_ga, sort_chromosome)
 from cellform.baselines import exhaustive_oracle
+from cellform.ga import MAX_POPULATION
 from helpers import instances, make_instance
 
 
@@ -100,6 +101,14 @@ class TestGAParams:
             GAParams(10, 10, mutation_rate=-0.1)
         with pytest.raises(ValueError, match="variant"):
             GAParams(10, 10, variant="ega")
+        for gamma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                GAParams(10, 10, gamma=gamma)
+
+    def test_population_cap(self):
+        assert GAParams(MAX_POPULATION, 1).population_size == MAX_POPULATION
+        with pytest.raises(ValueError, match="exceeds the limit 10000"):
+            GAParams(MAX_POPULATION + 1, 1)
 
 
 class TestSortChromosome:
@@ -420,7 +429,7 @@ class TestRunGA:
 
     def test_power_tuning_run(self, five_machine_instance):
         res = run_ga(five_machine_instance,
-                     self._params(tuning="power", gamma=2.0))
+                     self._params(gamma=2.0))
         # the history is the exact Y of the best so far, as with identity
         assert all(isinstance(h, Fraction) for h in res.best_history)
         assert res.best_history[-1] == res.best_evaluation.fitness

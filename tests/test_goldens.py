@@ -86,8 +86,7 @@ def test_ga_golden(shop, method, seed):
 
 @pytest.mark.parametrize("method", sorted(POWER_GOLDENS))
 def test_ga_power_golden(shop, method):
-    check_golden(shop, method, POWER_GOLDENS[method], tuning="power",
-                 gamma=2.5)
+    check_golden(shop, method, POWER_GOLDENS[method], gamma=2.5)
 
 
 def test_multikmeans_golden(shop):
