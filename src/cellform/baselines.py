@@ -2,7 +2,9 @@
 
 * run_ega: a GA over int edge masks (bit i set = edge i intercellular, as
   ``cuts.decode_partition`` reads them), run by the same generational
-  engine as the cut GA (``ga.evolve``); only the encoding differs. Fitness
+  engine as the cut GA (``ga.evolve``), first population included; only
+  the encoding (``_EdgeEncoding``: 2^E distinct masks, uniform draw,
+  one-point crossover, one bit flip, no canonical form) differs. Fitness
   is measured on the decoded partition, so values are comparable across
   methods even when a mask marks edges that do not actually separate
   anything.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .evaluation import Evaluation, PopulationEvaluator
 from .ga import Encoding, GAParams, GAResult, compute_k, crossover_any, \
-    draw_distinct, evolve
+    evolve
 from .instance import Instance
 
 _ORACLE_GUARD = 12
@@ -29,13 +31,12 @@ _ORACLE_GUARD = 12
 class _EdgeEncoding(Encoding):
     """EGA: an int mask with bit i set when edge i is intercellular."""
 
-    def __init__(self, inst: Instance, params: GAParams):
-        super().__init__(inst, params)
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
         self.edges = self.evaluator.graph.edge_count
 
-    def initial(self, rng: random.Random) -> list[int]:
-        return draw_distinct(self.params.population_size, 2 ** self.edges,
-                             lambda: self.draw(rng))
+    def capacity(self, size: int) -> int:
+        return 1 << self.edges
 
     def draw(self, rng: random.Random) -> int:
         return rng.getrandbits(self.edges)

@@ -30,6 +30,7 @@ from .instance import Instance
 # solve takes every method; bench sweeps all but the (m <= 12) oracle
 METHODS = ("cga", "scga", "ega", "multikmeans", "oracle")
 BENCH_METHODS = METHODS[:-1]
+GA_METHODS = METHODS[:3]
 
 
 def solve(inst: Instance, method: str, seed: int = 0, restarts: int = 1,
@@ -37,22 +38,26 @@ def solve(inst: Instance, method: str, seed: int = 0, restarts: int = 1,
     """Run one method once: (best evaluation, wall seconds).
 
     ``ga_params`` are the GAParams fields other than variant and seed; only
-    the GA methods read them, and only multikmeans reads ``restarts``. The
-    evaluation is None when multikmeans finds no feasible clustering or the
-    oracle proves that no feasible partition exists.
+    the GA methods need and read them, but they are checked for every
+    method, so a bad setting is never silently ignored. Only multikmeans
+    reads ``restarts``. The evaluation is None when multikmeans finds no
+    feasible clustering or the oracle proves that no feasible partition
+    exists.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
+    if ga_params or method in GA_METHODS:
+        params = GAParams(variant="cga" if method == "cga" else "scga",
+                          seed=seed, **ga_params)
     if method in ("cga", "scga"):
-        ev = run_ga(inst, GAParams(variant=method, seed=seed,
-                                   **ga_params)).best_evaluation
+        ev = run_ga(inst, params).best_evaluation
     elif method == "ega":
-        ev = run_ega(inst, GAParams(seed=seed, **ga_params)).best_evaluation
+        ev = run_ega(inst, params).best_evaluation
     elif method == "multikmeans":
         ev = run_multikmeans(inst, restarts=restarts, seed=seed)
-    elif method == "oracle":
-        ev = exhaustive_oracle(inst)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        ev = exhaustive_oracle(inst)
     return ev, time.perf_counter() - t0
 
 
@@ -94,29 +99,31 @@ def run_benchmark(inst: Instance, methods, pop_sizes, generation_counts,
                   **ga_params) -> list[BenchmarkRow]:
     """Run the full sweep; row order is methods x pop (asc) x gens (asc).
 
-    ``ga_params`` (crossover_rate, mutation_rate, gamma) go to ``solve``.
-    multikmeans ignores the pop/gens grid and contributes a single row whose
-    replications each run one restart with seed base_seed + r.
+    ``ga_params`` (crossover_rate, mutation_rate, gamma) go to ``solve``
+    for the GA methods. Every (pop, gens) of the grid is checked with them
+    before anything runs, whatever the methods. multikmeans ignores the
+    grid and contributes a single row whose replications each run one
+    restart with seed base_seed + r.
     """
     for method in methods:
         if method not in BENCH_METHODS:
             raise ValueError(f"unknown benchmark method {method!r}")
     if replications < 1:
         raise ValueError("replications must be at least 1")
+    grid = [(pop, gens) for pop in sorted(pop_sizes)
+            for gens in sorted(generation_counts)]
+    for pop, gens in grid:
+        GAParams(pop, gens, **ga_params)
     rows = []
     for method in methods:
-        if method == "multikmeans":
-            grid = [(None, None)]
-        else:
-            grid = [(pop, gens) for pop in sorted(pop_sizes)
-                    for gens in sorted(generation_counts)]
-        for pop, gens in grid:
+        ga = method in GA_METHODS
+        for pop, gens in grid if ga else [(None, None)]:
+            settings = dict(population_size=pop, generations=gens,
+                            **ga_params) if ga else {}
             outcomes = []
             elapsed = 0.0
             for r in range(replications):
-                ev, wall = solve(inst, method, base_seed + r,
-                                 population_size=pop, generations=gens,
-                                 **ga_params)
+                ev, wall = solve(inst, method, base_seed + r, **settings)
                 elapsed += wall
                 feasible = ev is not None and ev.feasible
                 outcomes.append((feasible, ev.traffic if feasible else None))

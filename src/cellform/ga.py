@@ -10,8 +10,8 @@ range by construction; parts from outside are checked where they are
 evaluated (``PopulationEvaluator.evaluate_parts``).
 
 Three encodings run on one generational engine, ``evolve``, which owns the
-distinct-draw initial population, roulette selection, random top-up,
-mutation, elitism and the best-so-far history:
+distinct-draw initial population (``init_population``), roulette selection,
+random top-up, mutation, elitism and the best-so-far history:
 
 * CGA keeps chromosomes as raw part chains.
 * SCGA canonicalizes every chromosome with a sorting procedure (parts in
@@ -20,10 +20,12 @@ mutation, elitism and the best-so-far history:
 * EGA (``baselines.run_ega``) writes one int edge mask instead, bit i set
   = edge i intercellular.
 
-Each encoding supplies its draw, crossover, mutation, canonical form and
-population evaluation; the engine reports the best individual as it was
-evolved, with its exact evaluation from the same population evaluator that
-ranked it.
+Each encoding (``Encoding``) is the only place that tells CGA, SCGA and EGA
+apart. It supplies the hooks ``capacity`` (how many distinct individuals
+exist), ``draw``, ``crossover``, ``mutate``, ``canonical`` and ``evaluate``
+(a whole population at once); the engine reports the best individual as it
+was evolved, with its exact evaluation from the same population evaluator
+that ranked it.
 
 The bit chain seen by the any-position crossover lays parts end to end,
 alleles within a part ordered by basis vertex (vertex 0 first = bit 0 of the
@@ -124,13 +126,7 @@ def sort_chromosome(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(distinct) + (0,) * (len(parts) - len(distinct))
 
 
-def _random_chromosome(rng: random.Random, k: int,
-                       bits: int) -> tuple[int, ...]:
-    """K uniform parts in [0, 2^bits - 1]."""
-    return tuple(rng.randrange(1 << bits) for _ in range(k))
-
-
-def draw_distinct(size: int, capacity: int, draw) -> list:
+def init_population(size: int, capacity: int, draw) -> list:
     """``size`` pairwise distinct (hashable) individuals from ``draw()``.
 
     Raises ValueError when ``size`` exceeds the ``capacity`` of distinct
@@ -156,36 +152,6 @@ def draw_distinct(size: int, capacity: int, draw) -> list:
         f"attempts; the instance is too small for this population size")
 
 
-def init_population(params: GAParams, machine_count: int, k: int,
-                    rng: random.Random | None = None) -> list[tuple]:
-    """Distinct random chromosomes; SCGA checks distinctness on canonical
-    forms, CGA on raw chains.
-
-    Raises ValueError when the population cannot even exist (pigeonhole) and
-    RuntimeError when 1000 * size draws fail to fill it.
-    """
-    if rng is None:
-        rng = random.Random(params.seed)
-    bits = machine_count - 1
-    part_count = 1 << bits
-    if params.variant == "cga":
-        capacity = part_count ** k
-    else:
-        # canonical forms: sets of at most k nonzero parts; the sum stops
-        # once it admits the population, so it is exact whenever too small
-        capacity = 0
-        for j in range(k + 1):
-            capacity += math.comb(part_count - 1, j)
-            if capacity >= params.population_size:
-                break
-
-    def draw() -> tuple[int, ...]:
-        ch = _random_chromosome(rng, k, bits)
-        return sort_chromosome(ch) if params.variant == "scga" else ch
-
-    return draw_distinct(params.population_size, capacity, draw)
-
-
 def roulette_select(population: Sequence, fitnesses: Sequence, count: int,
                     rng: random.Random) -> list:
     """Fitness-proportional sampling with replacement.
@@ -198,15 +164,12 @@ def roulette_select(population: Sequence, fitnesses: Sequence, count: int,
         raise ValueError("one fitness per individual required")
     if any(w < 0 for w in weights):
         raise ValueError("fitnesses must be non-negative")
-    total = sum(weights)
     n = len(population)
-    chosen = []
-    if total == 0:
-        for _ in range(count):
-            idx = min(int(rng.random() * n), n - 1)
-            chosen.append(population[idx])
-        return chosen
+    if not any(weights):
+        weights = [1.0] * n
+    total = sum(weights)
     cumulative = list(accumulate(weights))
+    chosen = []
     for _ in range(count):
         r = rng.random() * total
         idx = min(bisect_right(cumulative, r), n - 1)
@@ -229,22 +192,12 @@ def crossover_any(a: tuple[int, ...], b: tuple[int, ...], bits: int,
     if length < 2:
         return a, b
     cut = rng.randrange(1, length)
+    # parts before j come whole from one parent, part j is split at bit r
+    j, r = divmod(cut, bits)
+    low = (1 << r) - 1
     part_mask = (1 << bits) - 1
-    child1 = []
-    child2 = []
-    for p, (pa, pb) in enumerate(zip(a, b)):
-        start = p * bits
-        if start + bits <= cut:
-            child1.append(pa)
-            child2.append(pb)
-        elif start >= cut:
-            child1.append(pb)
-            child2.append(pa)
-        else:
-            low = (1 << (cut - start)) - 1
-            child1.append((pa & low) | (pb & part_mask & ~low))
-            child2.append((pb & low) | (pa & part_mask & ~low))
-    return tuple(child1), tuple(child2)
+    return (a[:j] + ((a[j] & low) | (b[j] & part_mask & ~low),) + b[j + 1:],
+            b[:j] + ((b[j] & low) | (a[j] & part_mask & ~low),) + a[j + 1:])
 
 
 def crossover_boundary(a: tuple[int, ...], b: tuple[int, ...],
@@ -273,39 +226,37 @@ def mutate(ch: tuple[int, ...], bits: int,
 class Encoding:
     """One way of writing individuals, as the generational engine uses it.
 
-    Built from (instance, params), it holds the ``evaluator``, which owns
-    the flow graph and the fitness arithmetic. Subclasses supply ``initial``
-    (the first, pairwise distinct population, from ``draw_distinct``),
-    ``draw`` (one random individual), ``crossover`` (a pair into two
-    children), ``mutate`` (one individual) and ``evaluate`` (a population
-    into an EvalBatch). ``canonicalise`` returns the population unchanged
-    unless an encoding has a canonical form.
+    Built from the instance, it holds the ``evaluator``, which owns the flow
+    graph and the fitness arithmetic. Subclasses supply ``capacity(size)``
+    (the number of distinct canonical individuals, or any count of them that
+    reaches ``size``), ``draw`` (one random individual), ``crossover`` (a
+    pair into two children), ``mutate`` (one individual) and ``evaluate`` (a
+    population into an EvalBatch). ``canonical`` returns an individual
+    unchanged unless the encoding has a canonical form.
     """
 
-    def __init__(self, inst: Instance, params: GAParams):
-        self.inst = inst
-        self.params = params
+    def __init__(self, inst: Instance):
         self.evaluator = PopulationEvaluator(inst)
 
-    def canonicalise(self, population: list) -> list:
-        return population
+    def canonical(self, individual):
+        return individual
 
 
 class _CutEncoding(Encoding):
     """CGA: K cut-index parts of m - 1 bits per chromosome, kept as raw
     chains."""
 
-    def __init__(self, inst: Instance, params: GAParams):
-        super().__init__(inst, params)
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
         self.k = compute_k(inst.machine_count, inst.max_cell_size)
         self.bits = inst.machine_count - 1
 
-    def initial(self, rng: random.Random) -> list[tuple]:
-        return init_population(self.params, self.inst.machine_count, self.k,
-                               rng)
+    def capacity(self, size: int) -> int:
+        return (1 << self.bits) ** self.k
 
     def draw(self, rng: random.Random) -> tuple[int, ...]:
-        return _random_chromosome(rng, self.k, self.bits)
+        """K uniform parts in [0, 2^bits - 1]."""
+        return tuple(rng.randrange(1 << self.bits) for _ in range(self.k))
 
     def crossover(self, a: tuple, b: tuple, rng: random.Random):
         if rng.random() < 0.5:
@@ -322,8 +273,19 @@ class _CutEncoding(Encoding):
 class _SortedCutEncoding(_CutEncoding):
     """SCGA: the cut encoding with every chromosome in sorted form."""
 
-    def canonicalise(self, population: list[tuple]) -> list[tuple]:
-        return [sort_chromosome(c) for c in population]
+    def capacity(self, size: int) -> int:
+        # canonical forms: sets of at most k nonzero parts; the sum stops
+        # once it admits the population, so it is exact whenever too small
+        nonzero = (1 << self.bits) - 1
+        capacity = 0
+        for j in range(self.k + 1):
+            capacity += math.comb(nonzero, j)
+            if capacity >= size:
+                break
+        return capacity
+
+    def canonical(self, ch: tuple[int, ...]) -> tuple[int, ...]:
+        return sort_chromosome(ch)
 
 
 def evolve(encoding: type[Encoding], inst: Instance,
@@ -332,25 +294,26 @@ def evolve(encoding: type[Encoding], inst: Instance,
 
     Per generation: save the elite, roulette-select a crossover_rate share
     of parents, cross each pair, top the population up with fresh random
-    individuals, mutate a mutation_rate share (one gene each),
-    canonicalise everyone, evaluate, and reinsert the elite over the worst
+    individuals, mutate a mutation_rate share (one gene each), put everyone
+    in canonical form, evaluate, and reinsert the elite over the worst
     individual. best_history holds the exact Y of the best individual so
     far after each generation, whatever the gamma. Same seed, same
     best_history. The best individual is evaluated once more on its own
     for its exact Evaluation.
     """
     t0 = time.perf_counter()
-    enc = encoding(inst, params)
+    enc = encoding(inst)
     evaluator = enc.evaluator
     rng = random.Random(params.seed)
+    size = params.population_size
 
-    population = enc.initial(rng)
+    population = init_population(size, enc.capacity(size),
+                                 lambda: enc.canonical(enc.draw(rng)))
     batch = enc.evaluate(population)
     best_idx = int(batch.fitness_units.argmax())
     best_units = batch.fitness_units[best_idx]
     best = population[best_idx]
 
-    size = params.population_size
     n_mate = round(params.crossover_rate * size)
     if n_mate % 2:
         n_mate -= 1
@@ -373,7 +336,7 @@ def evolve(encoding: type[Encoding], inst: Instance,
         for idx in rng.sample(range(size), n_mutate):
             nxt[idx] = enc.mutate(nxt[idx], rng)
 
-        population = enc.canonicalise(nxt)
+        population = [enc.canonical(ch) for ch in nxt]
         batch = enc.evaluate(population)
         worst = int(batch.fitness_units.argmin())
         population[worst] = elite

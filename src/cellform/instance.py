@@ -54,6 +54,16 @@ class InstanceWarning(UserWarning):
 MAX_MACHINES = 1024
 
 
+# Limits of generate_instance, 10x the largest value any test, demo or README
+# asks it for (10 000 parts; routing lengths up to 10). Its cost grows with
+# parts x routing length and neither is otherwise bounded. At both limits and
+# m = MAX_MACHINES it draws about 5 M routing steps, about 17 s and 0.25 GB
+# (extrapolated from 1 M steps measured at 3.4 s and 49 MB peak on one
+# x86-64 core); --max-routing-len 1000000000 alone would ask for about 12 GB.
+MAX_PARTS = 100_000
+MAX_ROUTING_LEN = 100
+
+
 def _check_machine_count(m: int, line: int | None = None):
     if m < 2:
         raise InstanceError(f"machine count must be at least 2, got {m}",
@@ -305,13 +315,22 @@ def generate_instance(machine_count: int, part_count: int,
     step (first machine uniform, every later one uniform over the other m-1
     machines so no machine repeats consecutively), then an integer volume
     uniform in [1, 10]. No cohabitation or separation pairs are generated.
+    Part counts above MAX_PARTS and routing lengths above MAX_ROUTING_LEN
+    raise InstanceError.
     """
     _check_machine_count(machine_count)
     if part_count < 1:
         raise InstanceError(f"part count must be at least 1, got {part_count}")
+    if part_count > MAX_PARTS:
+        raise InstanceError(
+            f"part count {part_count} exceeds the limit of {MAX_PARTS}")
     if max_routing_len < 2:
         raise InstanceError(
             f"max routing length must be at least 2, got {max_routing_len}")
+    if max_routing_len > MAX_ROUTING_LEN:
+        raise InstanceError(
+            f"max routing length {max_routing_len} exceeds the limit of "
+            f"{MAX_ROUTING_LEN}")
     rng = random.Random(seed)
     parts = []
     for _ in range(part_count):

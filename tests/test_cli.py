@@ -9,7 +9,7 @@ import pytest
 from cellform import InstanceWarning, generate_instance, serialize_instance
 from cellform import ga
 from cellform.cli import main
-from cellform.instance import MAX_MACHINES
+from cellform.instance import MAX_MACHINES, MAX_PARTS, MAX_ROUTING_LEN
 from helpers import make_instance
 
 FIVE_MACHINE_ROUTINGS = [(1, p) for p in
@@ -117,10 +117,36 @@ class TestInputErrors:
                             "--gens", "1"]) == 2
             assert "exceeds the limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["multikmeans", "oracle"])
+    def test_ga_flags_checked_for_every_method(self, five_machine_file,
+                                               method, capsys):
+        for flags, message in ((["--pop", "1"], "at least 2"),
+                               (["--pc", "7"], "crossover rate")):
+            assert run_cli(["solve", five_machine_file, "--method", method,
+                            "--tuning", "power:2", *flags]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_bench_ga_flags_checked_for_multikmeans(self, five_machine_file,
+                                                    capsys):
+        for flags, message in ((["--pop", "1"], "at least 2"),
+                               (["--pc", "7"], "crossover rate")):
+            assert run_cli(["bench", five_machine_file, "--method",
+                            "multikmeans", "--reps", "1", *flags]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_generate_limits(self, capsys):
+        # rejected before any part is drawn
+        for flags in (["-p", str(MAX_PARTS + 1)],
+                      ["-p", "1", "--max-routing-len", "1000000000"],
+                      ["-p", "1", "--max-routing-len",
+                       str(MAX_ROUTING_LEN + 1)]):
+            assert run_cli(["generate", "-m", "5", "-N", "2", *flags]) == 2
+            assert "exceeds the limit" in capsys.readouterr().err
+
     def test_draws_exhausted(self, five_machine_file, capsys, monkeypatch):
         # every draw is the same chromosome, so no distinct population exists
-        monkeypatch.setattr(ga, "_random_chromosome",
-                            lambda rng, k, bits: (0,) * k)
+        monkeypatch.setattr(ga._CutEncoding, "draw",
+                            lambda self, rng: (0,) * self.k)
         assert run_cli(["solve", five_machine_file, "--pop", "2",
                         "--gens", "1"]) == 2
         assert "could not draw 2 distinct" in capsys.readouterr().err

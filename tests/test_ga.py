@@ -1,5 +1,6 @@
 """Chromosome encoding, genetic operators, and the generational loop."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
                       crossover_boundary, decode_chromosome,
                       generate_instance, init_population, mask_from_bits,
                       mutate, roulette_select, run_ga, sort_chromosome)
-from cellform.baselines import exhaustive_oracle
+from cellform import ga
+from cellform.baselines import exhaustive_oracle, run_ega
 from cellform.ga import MAX_POPULATION
 from helpers import instances, make_instance
 
@@ -165,38 +167,70 @@ def test_sort_chromosome_idempotent_and_evaluation_invariant(inst, data):
     assert raw.violations[0] == canonical.violations[0]
 
 
+def first_population(inst, params, monkeypatch, method=run_ga):
+    """The first population evolve draws for a run (generations unused)."""
+    drawn = []
+
+    def spy(*args):
+        drawn.append(init_population(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(ga, "init_population", spy)
+    method(inst, dataclasses.replace(params, generations=0))
+    assert len(drawn) == 1
+    return drawn[0]
+
+
 class TestInitPopulation:
-    def test_distinct_and_reproducible(self):
+    def test_distinct_and_reproducible(self, monkeypatch):
+        # m = 8, N = 4: K = 2 parts of 7 bits
+        inst = make_instance(8, 4, [(1, (1, 2, 3, 4, 5, 6, 7, 8))])
         params = GAParams(100, 1, variant="cga", seed=9)
-        pop = init_population(params, 8, 2)
+        pop = first_population(inst, params, monkeypatch)
         assert len(pop) == 100
         assert len(set(pop)) == 100
         assert all(len(c) == 2 and all(0 <= p < 1 << 7 for p in c)
                    for c in pop)
-        assert pop == init_population(params, 8, 2)
+        assert pop == first_population(inst, params, monkeypatch)
 
-    def test_scga_population_canonical(self):
-        params = GAParams(60, 1, variant="scga", seed=10)
-        pop = init_population(params, 8, 2)
+    def test_scga_population_canonical(self, monkeypatch):
+        inst = make_instance(8, 4, [(1, (1, 2, 3, 4, 5, 6, 7, 8))])
+        pop = first_population(inst, GAParams(60, 1, variant="scga",
+                                              seed=10), monkeypatch)
         assert len(set(pop)) == 60
         assert all(sort_chromosome(c) == c for c in pop)
 
     def test_cga_pigeonhole(self):
+        # m = 2, K = 1: the raw chains are the 2 values 0..1
+        inst = make_instance(2, 2, [(1, (1, 2))])
         with pytest.raises(ValueError, match="exceeds the 2 distinct"):
-            init_population(GAParams(3, 1, variant="cga"), 2, 1)
+            run_ga(inst, GAParams(3, 1, variant="cga"))
 
     def test_scga_pigeonhole(self):
         # m=3, k=1: canonical forms are the 4 values 0..3
+        inst = make_instance(3, 3, [(1, (1, 2, 3))])
         with pytest.raises(ValueError, match="exceeds the 4 distinct"):
-            init_population(GAParams(5, 1, variant="scga"), 3, 1)
+            run_ga(inst, GAParams(5, 1, variant="scga"))
 
-    def test_scga_capacity_counts_canonical_forms(self):
+    def test_scga_capacity_counts_canonical_forms(self, monkeypatch):
         # m=3, k=2: {nonzero subsets of size <= 2 of 3 values} + zero chain
-        params = GAParams(7, 1, variant="scga", seed=11)
-        pop = init_population(params, 3, 2)
+        inst = make_instance(3, 2, [(1, (1, 2, 3))])
+        pop = first_population(inst, GAParams(7, 1, variant="scga", seed=11),
+                               monkeypatch)
         assert len(pop) == 7  # C(3,0)+C(3,1)+C(3,2) = 1+3+3 = 7
         with pytest.raises(ValueError, match="exceeds the 7 distinct"):
-            init_population(GAParams(8, 1, variant="scga"), 3, 2)
+            run_ga(inst, GAParams(8, 1, variant="scga"))
+
+    def test_ega_pigeonhole(self, monkeypatch):
+        # every one of the 2^E edge masks is admitted, and no more
+        inst = make_instance(3, 2, [(1, (1, 2, 3))])
+        edges = PopulationEvaluator(inst).graph.edge_count
+        pop = first_population(inst, GAParams(1 << edges, 1, seed=12),
+                               monkeypatch, method=run_ega)
+        assert sorted(pop) == list(range(1 << edges))
+        with pytest.raises(ValueError,
+                           match=f"exceeds the {1 << edges} distinct"):
+            run_ega(inst, GAParams((1 << edges) + 1, 1))
 
     def test_scga_capacity_sum_stops_at_population(self, monkeypatch):
         # m = 1024, K = 1024: summing C(2^1023 - 1, j) over all j <= 1024
@@ -209,24 +243,28 @@ class TestInitPopulation:
             return comb(n, j)
 
         monkeypatch.setattr(math, "comb", counting_comb)
-        pop = init_population(GAParams(4, 0, variant="scga"), 1024, 1024)
+        enc = ga._SortedCutEncoding(make_instance(1024, 1, [(1, (1, 2))]))
+        assert enc.k == 1024
+        assert enc.capacity(4) == 1 + ((1 << 1023) - 1)
         assert terms == [0, 1]
+        rng = random.Random(0)
+        pop = init_population(4, enc.capacity(4),
+                              lambda: enc.canonical(enc.draw(rng)))
         assert len(set(pop)) == 4
         assert all(len(c) == 1024 and sort_chromosome(c) == c for c in pop)
 
     def test_scga_rejects_duplicate_canonical_forms(self):
         # raw chains (5,7) and (7,5) sort identically; only one admitted
+        enc = ga._SortedCutEncoding(make_instance(5, 3, [(1, (1, 2))]))
         rng = ScriptedRng(randrange_values=[5, 7, 7, 5, 3, 1])
-        pop = init_population(GAParams(2, 1, variant="scga"), 5, 2, rng)
+        pop = init_population(2, enc.capacity(2),
+                              lambda: enc.canonical(enc.draw(rng)))
         assert pop == [(7, 5), (3, 1)]
 
     def test_draw_exhaustion(self):
-        class StuckRng:
-            def randrange(self, *args):
-                return 0
-
-        with pytest.raises(RuntimeError, match="distinct individuals"):
-            init_population(GAParams(2, 1, variant="cga"), 4, 2, StuckRng())
+        with pytest.raises(RuntimeError, match="could not draw 2 distinct "
+                                               "individuals in 2000"):
+            init_population(2, 16, lambda: (0, 0))
 
 
 class TestRouletteSelect:
@@ -252,6 +290,14 @@ class TestRouletteSelect:
         share = draws.count("a") / len(draws)
         assert abs(share - 0.5) < 0.02
 
+    def test_all_zero_scripted_draws(self):
+        # all-zero weights count as equal ones: draw r picks int(r * n)
+        pop = ["a", "b", "c", "d"]
+        draws = [0.0, 0.2499, 0.25, 0.5, 0.74, 0.75, 0.9999]
+        assert roulette_select(pop, (0, 0, 0, 0), len(draws),
+                               ScriptedRng(random_values=draws)) == \
+            [pop[int(r * 4)] for r in draws]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
             roulette_select(["a"], (-1,), 1, random.Random(0))
@@ -272,16 +318,17 @@ def chain_bits(ch: tuple, bits: int) -> list:
 class TestCrossoverAny:
     def test_every_cut_position_matches_chain_oracle(self):
         rng = random.Random(15)
-        k, bits = 3, 4
-        for _ in range(40):
-            a = tuple(rng.randint(0, 15) for _ in range(k))
-            b = tuple(rng.randint(0, 15) for _ in range(k))
-            for cut in range(1, k * bits):
-                c1, c2 = crossover_any(a, b, bits,
-                                       ScriptedRng(randrange_values=[cut]))
+        # bits = 70: parts wider than one machine word
+        for k, bits in ((3, 4), (2, 70)):
+            for _ in range(40):
+                a = tuple(rng.getrandbits(bits) for _ in range(k))
+                b = tuple(rng.getrandbits(bits) for _ in range(k))
                 ca, cb = chain_bits(a, bits), chain_bits(b, bits)
-                assert chain_bits(c1, bits) == ca[:cut] + cb[cut:]
-                assert chain_bits(c2, bits) == cb[:cut] + ca[cut:]
+                for cut in range(1, k * bits):
+                    c1, c2 = crossover_any(
+                        a, b, bits, ScriptedRng(randrange_values=[cut]))
+                    assert chain_bits(c1, bits) == ca[:cut] + cb[cut:]
+                    assert chain_bits(c2, bits) == cb[:cut] + ca[cut:]
 
     def test_identical_parents_fixed_point(self):
         a = (9, 2, 14)

@@ -9,7 +9,8 @@ from hypothesis import given
 
 from cellform import (Instance, InstanceError, InstanceWarning, Part,
                       generate_instance, parse_instance, serialize_instance)
-from cellform.instance import MAX_MACHINES, vertex_groups
+from cellform.instance import MAX_MACHINES, MAX_PARTS, MAX_ROUTING_LEN, \
+    vertex_groups
 from helpers import instances, random_instance
 
 
@@ -266,6 +267,19 @@ class TestGenerate:
             generate_instance(4, 0, 2)
         with pytest.raises(InstanceError, match="routing length"):
             generate_instance(4, 5, 2, max_routing_len=1)
+
+    def test_part_and_routing_limits(self):
+        # the limits themselves are accepted on a small shop
+        inst = generate_instance(5, 2, 2, MAX_ROUTING_LEN, seed=1)
+        assert all(len(p.routing) <= MAX_ROUTING_LEN for p in inst.parts)
+        with pytest.raises(InstanceError, match="part count .* exceeds "
+                                                "the limit"):
+            generate_instance(5, MAX_PARTS + 1, 2)
+        with pytest.raises(InstanceError, match="routing length .* exceeds "
+                                                "the limit"):
+            generate_instance(5, 1, 2, MAX_ROUTING_LEN + 1)
+        with pytest.raises(InstanceError, match="exceeds the limit"):
+            generate_instance(5, 1, 2, 10 ** 9)
 
     def test_machine_count_limit(self):
         inst = generate_instance(MAX_MACHINES, 5, 3)
