@@ -40,12 +40,14 @@ def solve(inst: Instance, method: str, seed: int = 0, restarts: int = 1,
     ``ga_params`` are the GAParams fields other than variant and seed; only
     the GA methods need and read them, but they are checked for every
     method, so a bad setting is never silently ignored. Only multikmeans
-    reads ``restarts``. The evaluation is None when multikmeans finds no
-    feasible clustering or the oracle proves that no feasible partition
-    exists.
+    reads ``restarts``, but every method rejects ``restarts < 1``. The
+    evaluation is None when multikmeans finds no feasible clustering or the
+    oracle proves that no feasible partition exists.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     t0 = time.perf_counter()
     if ga_params or method in GA_METHODS:
         params = GAParams(variant="cga" if method == "cga" else "scga",

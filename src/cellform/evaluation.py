@@ -15,13 +15,16 @@ weights, as (Y / Y_max)^gamma, which preserves order and cannot overflow.
 
 ``PopulationEvaluator(inst)`` is the one evaluator every solver runs on. It
 builds the instance's flow graph and fitness config itself, so no solver
-can pair it with another instance's. It scores a population with one scipy
-connected-components call, over a block-diagonal graph holding every
-individual, for any machine count and any number of chromosome parts.
-Weights are scaled to integers by their common denominator, so no rounding
-is involved, and ``result`` turns any row of a batch into the exact
-``Evaluation`` a solver reports. The exhaustive oracle sums the same
-integer weight units.
+can pair it with another instance's. It scores a whole population at once,
+for any machine count and any number of chromosome parts. Cut chromosomes
+are scored from their vertex cut signatures; scipy's connected components
+run only on the rows that may hold an oversize cell. Arbitrary edge masks
+and label matrices go through one connected-components call over a
+block-diagonal graph holding every individual. Weights are scaled to
+integers by their common denominator, so no rounding is involved, and
+``result`` turns any row of a batch into the exact ``Evaluation`` a solver
+reports, reading that row's cells off its kept edges. The exhaustive oracle
+sums the same integer weight units.
 """
 
 from __future__ import annotations
@@ -98,13 +101,15 @@ class EvalBatch:
 
     ``traffic_units`` and ``fitness_units`` have the evaluator's unit dtype
     (int64, or object when the fitness range exceeds int64); violations are
-    int64 and labels are the component ids of the decoded cells.
+    int64 and ``keep`` is the (pop, E) boolean matrix of the edges left
+    inside cells. The cells themselves are decoded only on request, one row
+    at a time, by ``PopulationEvaluator.result``.
     """
 
     traffic_units: np.ndarray
     violations: np.ndarray
     fitness_units: np.ndarray
-    labels: np.ndarray
+    keep: np.ndarray
 
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -133,7 +138,13 @@ class PopulationEvaluator:
     the cut isolating vertex v). The signature of vertex v is the K-bit
     string whose bit j is bit v of part j, held in ceil(K / 64) uint64
     words; an edge survives the union of cuts exactly when its endpoints
-    have equal signatures.
+    have equal signatures. So every cell lies inside one signature class,
+    and an SC or SN pair (always a flow-graph edge) shares a cell exactly
+    when its edge is kept: ``evaluate_parts`` needs connected components
+    only for the rows where more than N vertices share the first signature
+    word, to count their oversize cells. ``evaluate_keeps`` and
+    ``evaluate_labels`` take arbitrary masks and run components on every
+    row, and ``result`` runs them on the one row it reports.
     """
 
     def __init__(self, inst: Instance):
@@ -154,9 +165,9 @@ class PopulationEvaluator:
             [int(e.weight * self.scale) for e in g.edges],
             dtype=self.units_dtype)
         self.max_size = inst.max_cell_size
-        self.sc = np.array(sorted(inst.cohabit), dtype=np.int64).reshape(-1, 2)
-        self.sn = np.array(sorted(inst.separate),
-                           dtype=np.int64).reshape(-1, 2)
+        # each SC or SN pair is one flow-graph edge
+        self.sc_edges = np.flatnonzero([e.in_sc for e in g.edges])
+        self.sn_edges = np.flatnonzero([e.in_sn for e in g.edges])
         # uint64 words per part: parts are below 2^(m-1)
         self.part_words = (self.m - 2) // 64 + 1
 
@@ -170,7 +181,8 @@ class PopulationEvaluator:
         """Exact Evaluation of row ``i`` of a batch."""
         traffic = self.to_fraction(batch.traffic_units[i])
         violations = int(batch.violations[i])
-        return Evaluation(partition_from_labels(batch.labels[i]), traffic,
+        labels, _ = self._cells(batch.keep[i:i + 1])
+        return Evaluation(partition_from_labels(labels[0]), traffic,
                           violations, violations == 0,
                           fitness(traffic, violations, self.cfg))
 
@@ -226,21 +238,34 @@ class PopulationEvaluator:
         keep = sig[0][:, self.edge_u] == sig[0][:, self.edge_v]
         for word in sig[1:]:
             keep &= word[:, self.edge_u] == word[:, self.edge_v]
+        # a cell lies inside one signature class, and equal signatures have
+        # equal first words: only a row with more than N equal first words
+        # (a run of N + 1 once sorted) can hold an oversize cell
+        first = np.sort(sig[0][:, :self.m], axis=1)
+        cap = self.max_size
+        flagged = np.flatnonzero(
+            (first[:, cap:] == first[:, :-cap]).any(axis=1))
+        oversize = np.zeros(pop, dtype=np.int64)
+        if len(flagged):
+            oversize[flagged] = self._cells(keep[flagged])[1]
         # an edge left out of a union of cuts joins two different
         # signatures, hence two cells: the removed edges are the crossing ones
-        return self._eval_keep(keep, crossing=~keep)
+        return self._score(keep, ~keep, oversize)
 
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
         """Evaluate masks given as a (pop, E) boolean keep matrix.
 
-        Raises ValueError unless the matrix is (pop >= 1, E).
+        Raises ValueError unless the matrix is (pop >= 1, E). The batch
+        holds its own copy, so ``result`` reads the masks as they were.
         """
-        keep = np.asarray(keep, dtype=bool)
+        keep = np.array(keep, dtype=bool)
         if keep.ndim != 2 or not len(keep) \
                 or keep.shape[1] != len(self.edge_u):
             raise ValueError(f"keep matrix must be (pop >= 1, "
                              f"{len(self.edge_u)}), got {keep.shape}")
-        return self._eval_keep(keep)
+        labels, oversize = self._cells(keep)
+        return self._score(
+            keep, labels[:, self.edge_u] != labels[:, self.edge_v], oversize)
 
     def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
         """Evaluate a (pop, m) matrix of per-machine cell labels.
@@ -257,13 +282,9 @@ class PopulationEvaluator:
         return self.evaluate_keeps(
             labels[:, self.edge_u] == labels[:, self.edge_v])
 
-    def _eval_keep(self, keep: np.ndarray,
-                   crossing: np.ndarray | None = None) -> EvalBatch:
-        """Cells, violations and traffic for a (pop, E) keep matrix.
-
-        ``crossing`` (edges between different cells) is read off the
-        decoded cells unless the caller already knows it.
-        """
+    def _cells(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cells of the graphs a (pop, E) keep matrix leaves: (pop, m)
+        labels, distinct across rows, and each row's oversize cell count."""
         pop, ecount = keep.shape
         n = pop * self.m
         # 1-D nonzero and a division: cheaper than 2-D nonzero
@@ -276,26 +297,23 @@ class PopulationEvaluator:
         graph = sparse.coo_matrix((np.ones(len(src)), (src, dst)),
                                   shape=(n, n))
         ncomp, flat = csgraph.connected_components(graph, directed=False)
-        labels = flat.reshape(pop, self.m)
-
         comp_sizes = np.bincount(flat, minlength=ncomp)
         owner = np.empty(ncomp, dtype=np.int64)
         owner[flat] = np.repeat(np.arange(pop, dtype=np.int64), self.m)
-        violations = np.bincount(owner[comp_sizes > self.max_size],
-                                 minlength=pop)
-        if len(self.sc):
-            violations = violations + (
-                labels[:, self.sc[:, 0]] != labels[:, self.sc[:, 1]]
-            ).sum(axis=1)
-        if len(self.sn):
-            violations = violations + (
-                labels[:, self.sn[:, 0]] == labels[:, self.sn[:, 1]]
-            ).sum(axis=1)
-        violations = violations.astype(np.int64)
-        if crossing is None:
-            crossing = labels[:, self.edge_u] != labels[:, self.edge_v]
+        oversize = np.bincount(owner[comp_sizes > self.max_size],
+                               minlength=pop)
+        return flat.reshape(pop, self.m), oversize
+
+    def _score(self, keep: np.ndarray, crossing: np.ndarray,
+               oversize: np.ndarray) -> EvalBatch:
+        """Batch from the edges crossing cells and the oversize cell count
+        per row: a split SC pair is a crossing SC edge, a united SN pair a
+        non-crossing SN edge."""
+        violations = (oversize + crossing[:, self.sc_edges].sum(axis=1)
+                      + (~crossing[:, self.sn_edges]).sum(axis=1)
+                      ).astype(np.int64)
         traffic = crossing.astype(self.units_dtype) @ self.weight_units
         fitness_units = (self.bound_units - traffic) \
             + (self.u - violations).astype(self.units_dtype) \
             * self.bound_units
-        return EvalBatch(traffic, violations, fitness_units, labels)
+        return EvalBatch(traffic, violations, fitness_units, keep)

@@ -126,6 +126,15 @@ class TestInputErrors:
                             "--tuning", "power:2", *flags]) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["scga", "oracle"])
+    def test_reps_checked_for_every_method(self, five_machine_file, method,
+                                           capsys):
+        for reps in ("0", "-3"):
+            assert run_cli(["solve", five_machine_file, "--method", method,
+                            "--pop", "10", "--gens", "2", "--reps",
+                            reps]) == 2
+            assert "restarts must be at least 1" in capsys.readouterr().err
+
     def test_bench_ga_flags_checked_for_multikmeans(self, five_machine_file,
                                                     capsys):
         for flags, message in ((["--pop", "1"], "at least 2"),

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import given, strategies as st
 from cellform import (FitnessConfig, InstanceWarning, Partition,
                       PopulationEvaluator, build_basis, cut_from_index,
                       decode_chromosome, decode_partition, fitness,
-                      generate_instance, partition_from_labels, union_cuts,
-                      violation_breakdown)
+                      generate_instance, union_cuts, violation_breakdown)
 from cellform import Instance, Part, mask_from_bits
+from cellform import evaluation
 from helpers import make_instance, random_instance, reference_evaluation
 
 F = Fraction
@@ -246,7 +247,6 @@ def check_parts_against_scalar(inst, population):
         assert ev.to_fraction(batch.traffic_units[i]) == scalar.traffic
         assert batch.violations[i] == scalar.violations
         assert ev.to_fraction(batch.fitness_units[i]) == scalar.fitness
-        assert partition_from_labels(batch.labels[i]) == scalar.partition
         assert ev.result(batch, i) == scalar
     return ev
 
@@ -344,7 +344,7 @@ class TestPopulationEvaluator:
             assert batch.violations[i] == scalar.violations
             assert ev.to_fraction(batch.fitness_units[i]) == \
                 scalar.fitness
-            assert partition_from_labels(batch.labels[i]) == p
+            assert ev.result(batch, i).partition == p
 
     def test_keeps_match_decoded_partition_wide(self):
         # past 63 machines, arbitrary keep masks decode like the scalar path
@@ -366,7 +366,17 @@ class TestPopulationEvaluator:
             assert ev.to_fraction(batch.traffic_units[i]) == scalar.traffic
             assert batch.violations[i] == scalar.violations
             assert ev.to_fraction(batch.fitness_units[i]) == scalar.fitness
-            assert partition_from_labels(batch.labels[i]) == p
+            assert ev.result(batch, i).partition == p
+
+    def test_batch_keeps_its_own_masks(self, five_machine_instance):
+        # result decodes cells after the call: reusing the caller's keep
+        # buffer must not change them
+        ev = PopulationEvaluator(five_machine_instance)
+        keep = np.ones((1, ev.graph.edge_count), dtype=bool)
+        batch = ev.evaluate_keeps(keep)
+        before = ev.result(batch, 0)
+        keep[:] = False
+        assert ev.result(batch, 0) == before
 
     def test_exact_scaling_with_fraction_weights(self):
         inst = make_instance(3, 1, [(F(1, 2), (1, 2)), (F(1, 3), (2, 3))])
@@ -399,6 +409,78 @@ class TestPopulationEvaluator:
         assert w[1] == 1.0 and 0 < w[0] < w[1] and w[2] == 0
         zeros = np.zeros(3, dtype=np.int64)
         assert (ev.selection_weights(zeros, 200.0) == 0).all()
+
+
+def largest_class(parts, m, words=None):
+    """Most vertices sharing one signature, or its first ``words`` words."""
+    sigs = [sum(((p >> v) & 1) << j for j, p in enumerate(parts))
+            for v in range(m)]
+    if words is not None:
+        sigs = [sig % (1 << 64 * words) for sig in sigs]
+    return max(Counter(sigs).values())
+
+
+class TestComponentsOnlyForFlaggedRows:
+    """evaluate_parts runs connected components only on the rows where more
+    than N vertices share the first signature word; every row's result
+    still equals the scalar reference."""
+
+    @staticmethod
+    def component_rows(monkeypatch, inst, population):
+        """Rows each connected-components call of evaluate_parts got."""
+        ev = PopulationEvaluator(inst)
+        rows = []
+        original = evaluation.csgraph.connected_components
+
+        def spy(graph, **kwargs):
+            rows.append(graph.shape[0] // ev.m)
+            return original(graph, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation.csgraph, "connected_components", spy)
+            ev.evaluate_parts(population)
+        return rows
+
+    def test_no_rows_when_classes_fit(self, monkeypatch):
+        rng = random.Random(47)
+        inst = random_instance(rng, 8, max_cell_size=2)
+        population = [ch for ch in random_parts_population(rng, 6, 1 << 7, 60)
+                      if largest_class(ch, 8) <= 2]
+        assert len(population) >= 10
+        assert self.component_rows(monkeypatch, inst, population) == []
+        check_parts_against_scalar(inst, population)
+
+    @pytest.mark.parametrize("n, k", [(1, 8), (2, 5)])
+    def test_only_flagged_rows(self, monkeypatch, n, k):
+        # sparse parts: some rows have a class larger than N, some do not
+        rng = random.Random(48 + n)
+        inst = random_instance(rng, 10, max_parts=20, max_cell_size=n)
+        population = random_parts_population(rng, k, 1 << 9, 40, 0.8)
+        flagged = sum(largest_class(ch, 10) > n for ch in population)
+        assert 0 < flagged < len(population)
+        assert self.component_rows(monkeypatch, inst, population) == \
+            [flagged]
+        check_parts_against_scalar(inst, population)
+
+    def test_first_word_collision_is_flagged_and_exact(self, monkeypatch):
+        # K = 70 at m = 70, N = 1. Row 0: parts 0..62 isolate vertices
+        # 0..62 and parts 64..69 vertices 63..68, so every signature is
+        # distinct but vertices 63..69 share the first word 0. Row 1 gives
+        # vertex v the first word v + 1 (vertex 69 keeps 0).
+        rng = random.Random(71)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstanceWarning)
+            inst = random_instance(rng, 70, max_parts=150, max_cell_size=1)
+        collide = tuple([1 << j for j in range(63)] + [0]
+                        + [1 << (63 + i) for i in range(6)])
+        distinct = tuple(sum(((v + 1) >> j & 1) << v for v in range(69))
+                         for j in range(64)) + (0,) * 6
+        population = [collide, distinct]
+        assert largest_class(collide, 70) == 1
+        assert largest_class(collide, 70, words=1) == 7
+        assert largest_class(distinct, 70, words=1) == 1
+        assert self.component_rows(monkeypatch, inst, population) == [1]
+        check_parts_against_scalar(inst, population)
 
 
 class TestEvaluatePartsRejectsMalformed:
