@@ -16,8 +16,7 @@ from .evaluation import EvalBatch, Evaluation, FitnessConfig, \
 from .flowgraph import Edge, FlowGraph, TrafficMatrix, build_graph, \
     compute_traffic
 from .ga import GAParams, GAResult, chromosome_mask, compute_k, \
-    crossover_any, crossover_boundary, decode_chromosome, init_population, \
-    mutate, roulette_select, run_ga, sort_chromosome
+    decode_chromosome, run_ga, sort_chromosome
 from .instance import Instance, InstanceError, InstanceWarning, Part, \
     generate_instance, parse_instance, serialize_instance
 
@@ -30,12 +29,11 @@ __all__ = [
     "PopulationEvaluator", "TrafficMatrix",
     "BenchmarkRow", "bits_from_mask", "boundary_mask", "build_basis",
     "build_graph", "chromosome_mask", "compute_k", "compute_traffic",
-    "crossover_any", "crossover_boundary", "cut_from_index",
-    "decode_chromosome", "decode_partition", "enumerate_all_cuts",
-    "exhaustive_oracle", "fitness", "generate_instance", "init_population",
-    "mask_from_bits", "mutate", "parse_instance",
-    "partition_from_labels", "render_csv", "render_table", "roulette_select",
-    "run_benchmark", "run_ega", "run_ga", "run_multikmeans",
+    "cut_from_index", "decode_chromosome", "decode_partition",
+    "enumerate_all_cuts", "exhaustive_oracle", "fitness",
+    "generate_instance", "mask_from_bits", "parse_instance",
+    "partition_from_labels", "render_csv", "render_table", "run_benchmark",
+    "run_ega", "run_ga", "run_multikmeans",
     "serialize_instance", "solve", "sort_chromosome", "union_cuts",
     "violation_breakdown", "xor_cuts",
 ]

@@ -1,13 +1,11 @@
 """Reference methods the cut-based GA is compared against.
 
-* run_ega: a GA over int edge masks (bit i set = edge i intercellular, as
-  ``cuts.decode_partition`` reads them), run by the same generational
-  engine as the cut GA (``ga.evolve``), first population included; only
-  the encoding (``_EdgeEncoding``: 2^E distinct masks, uniform draw,
-  one-point crossover, one bit flip, no canonical form) differs. Fitness
-  is measured on the decoded partition, so values are comparable across
-  methods even when a mask marks edges that do not actually separate
-  anything.
+* run_ega: a GA over edge masks (gene i set = edge i intercellular), run by
+  the cut GA's engine (``ga.evolve``); only the encoding (``_EdgeEncoding``:
+  a (pop, E) bool array, the splice crossover of a one-part chain, one bit
+  flip, no canonical form) differs. Fitness is measured on the decoded
+  partition, so values are comparable across methods even when a mask
+  marks edges that do not actually separate anything.
 * run_multikmeans: Lloyd's k-means on the traffic-matrix rows for every
   k in [ceil(m/N), m-1], keeping the best feasible clustering.
 * exhaustive_oracle: exact minimum-traffic feasible partition by
@@ -21,15 +19,15 @@ import random
 import numpy as np
 
 from .evaluation import Evaluation, PopulationEvaluator
-from .ga import Encoding, GAParams, GAResult, compute_k, crossover_any, \
-    evolve
+from .ga import Encoding, GAParams, GAResult, compute_k, cut_points, \
+    evolve, splice
 from .instance import Instance
 
 _ORACLE_GUARD = 12
 
 
 class _EdgeEncoding(Encoding):
-    """EGA: an int mask with bit i set when edge i is intercellular."""
+    """EGA: a bool row with column i set when edge i is intercellular."""
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
@@ -38,24 +36,26 @@ class _EdgeEncoding(Encoding):
     def capacity(self, size: int) -> int:
         return 1 << self.edges
 
-    def draw(self, rng: random.Random) -> int:
-        return rng.getrandbits(self.edges)
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(0, 2, (n, self.edges), dtype=bool)
 
-    def crossover(self, a: int, b: int, rng: random.Random):
+    def crossover(self, a: np.ndarray, b: np.ndarray,
+                  rng: np.random.Generator):
         """One-point crossover at any of the E - 1 gaps (a one-part chain)."""
-        (c1,), (c2,) = crossover_any((a,), (b,), self.edges, rng)
-        return c1, c2
+        return splice(a, b, cut_points(rng, self.edges, len(a)))
 
-    def mutate(self, mask: int, rng: random.Random) -> int:
-        """Flip one uniformly chosen bit."""
-        return mask ^ (1 << rng.randrange(self.edges))
+    def mutate(self, rows: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+        """Flip one uniformly chosen bit of each row."""
+        n = len(rows)
+        rows[np.arange(n), rng.integers(0, self.edges, n)] ^= True
+        return rows
 
-    def evaluate(self, population: list[int]):
-        width = (self.edges + 7) // 8
-        raw = b"".join([mask.to_bytes(width, "little") for mask in population])
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                             bitorder="little").reshape(len(population), -1)
-        return self.evaluator.evaluate_keeps(bits[:, :self.edges] == 0)
+    def evaluate(self, population: np.ndarray):
+        return self.evaluator.evaluate_keeps(~population)
+
+    def public(self, row: np.ndarray) -> int:
+        return int.from_bytes(np.packbits(row, bitorder="little"), "little")
 
 
 def run_ega(inst: Instance, params: GAParams) -> GAResult:
@@ -155,6 +155,9 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     points = np.zeros((m, m))
     for e in evaluator.graph.edges:
         points[e.u, e.v] = points[e.v, e.u] = float(e.weight)
+    # scaled by a power of two, exactly, so no clustering changes and no
+    # squared flow overflows
+    points = np.ldexp(points, -np.frexp(points.max())[1])
     rng = random.Random(seed)
     labels = np.array([_lloyd(points, k, rng)
                        for _ in range(restarts) for k in ks], dtype=np.int64)

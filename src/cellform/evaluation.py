@@ -10,21 +10,14 @@ constraint count m + |SC| + |SN| and v the number of violated constraints
 (oversize cells, split cohabitation pairs, united separation pairs). Any
 solution violating fewer constraints then outranks every solution violating
 more, and among equal violation counts lower traffic wins. Y itself is
-always kept exact; a GA's optional gamma only sharpens its roulette
-weights, as (Y / Y_max)^gamma, which preserves order and cannot overflow.
+always kept exact; a GA's roulette weights are (Y / Y_max)^gamma (gamma = 1
+unless set), which preserves order and cannot overflow.
 
 ``PopulationEvaluator(inst)`` is the one evaluator every solver runs on. It
-builds the instance's flow graph and fitness config itself, so no solver
-can pair it with another instance's. It scores a whole population at once,
-for any machine count and any number of chromosome parts. Cut chromosomes
-are scored from their vertex cut signatures; scipy's connected components
-run only on the rows that may hold an oversize cell. Arbitrary edge masks
-and label matrices go through one connected-components call over a
-block-diagonal graph holding every individual. Weights are scaled to
-integers by their common denominator, so no rounding is involved, and
-``result`` turns any row of a batch into the exact ``Evaluation`` a solver
-reports, reading that row's cells off its kept edges. The exhaustive oracle
-sums the same integer weight units.
+builds the instance's flow graph and fitness config itself, scores whole
+populations in exact integer weight units, and turns any row of a batch
+into the exact ``Evaluation`` a solver reports. The exhaustive oracle sums
+the same units.
 """
 
 from __future__ import annotations
@@ -136,11 +129,12 @@ class PopulationEvaluator:
     Chromosome parts are interpreted against the cut basis of
     ``build_basis`` (the highest vertex excluded, bit v of a part selects
     the cut isolating vertex v). The signature of vertex v is the K-bit
-    string whose bit j is bit v of part j, held in ceil(K / 64) uint64
-    words; an edge survives the union of cuts exactly when its endpoints
-    have equal signatures. So every cell lies inside one signature class,
-    and an SC or SN pair (always a flow-graph edge) shares a cell exactly
-    when its edge is kept: ``evaluate_parts`` needs connected components
+    string whose bit j is bit v of part j, held in ceil(K / 64) words (of
+    the narrowest unsigned type that fits K bits when K <= 64); an edge
+    survives the union of cuts exactly when its endpoints have equal
+    signatures. So every cell lies inside one signature class, and an SC
+    or SN pair (always a flow-graph edge) shares a cell exactly when its
+    edge is kept: ``evaluate_parts`` needs connected components
     only for the rows where more than N vertices share the first signature
     word, to count their oversize cells. ``evaluate_keeps`` and
     ``evaluate_labels`` take arbitrary masks and run components on every
@@ -168,8 +162,11 @@ class PopulationEvaluator:
         # each SC or SN pair is one flow-graph edge
         self.sc_edges = np.flatnonzero([e.in_sc for e in g.edges])
         self.sn_edges = np.flatnonzero([e.in_sn for e in g.edges])
-        # uint64 words per part: parts are below 2^(m-1)
+        # uint64 words per part (parts are below 2^(m-1)), and the bits of
+        # a part's top word at or above m - 1
         self.part_words = (self.m - 2) // 64 + 1
+        self._above_part = ~np.uint64(
+            (1 << (self.m - 1 - 64 * (self.part_words - 1))) - 1)
 
     # ----- exact conversions and selection ------------------------------
 
@@ -188,60 +185,79 @@ class PopulationEvaluator:
 
     def selection_weights(self, fitness_units: np.ndarray,
                           gamma: float | None) -> np.ndarray:
-        """Float roulette weights: Y if ``GAParams.gamma`` is None, else
-        (Y / Y_max)^gamma; both keep Y's order, the latter within [0, 1]."""
-        base = fitness_units.astype(np.float64) / self.scale
-        if gamma is not None:
-            top = base.max()
-            return (base / top) ** gamma if top > 0 else base
-        return base
+        """Float roulette weights (Y / Y_max)^gamma, with gamma = 1 when
+        ``GAParams.gamma`` is None: within [0, 1], in Y's order, and finite
+        whatever the size of Y, since each ratio is taken from the exact
+        units (roulette is blind to the common scale)."""
+        top = fitness_units.max()
+        if not top:
+            return np.zeros(len(fitness_units))
+        ratio = np.asarray(fitness_units / top, dtype=np.float64)
+        return ratio if gamma is None else ratio ** gamma
 
     # ----- population paths --------------------------------------------
 
     def evaluate_parts(self, population) -> EvalBatch:
-        """Evaluate chromosomes given as sequences of K Python int parts.
+        """Evaluate cut chromosomes: the GA's (pop >= 1, K * W) uint64 word
+        array (W = ``part_words``, part j in words j*W .. j*W+W-1, least
+        significant first), or rows of K Python int parts, packed into it.
 
-        Raises ValueError unless every row has the same nonzero number of
-        parts and every part is a Python int in [0, 2^(m-1) - 1]. numpy
-        integers are not accepted: for m > 64 a part no longer fits in
-        int64, so the population stays in Python ints.
+        Raises ValueError for an array of any other dtype or shape, for rows
+        of unequal or zero length, and for a part outside [0, 2^(m-1) - 1]
+        or, in rows, not a Python int (for m > 64 a part does not fit a
+        numpy integer).
         """
-        counts = {len(parts) for parts in population}
-        if len(counts) != 1 or 0 in counts:
-            raise ValueError(f"chromosomes need one common, nonzero part "
-                             f"count, got {sorted(counts)}")
-        bad_part = f"chromosome parts must be Python ints in " \
-                   f"0..2^{self.m - 1} - 1"
-        pop = len(population)
-        width = 8 * self.part_words
-        try:
-            raw = b"".join([p.to_bytes(width, "little")
-                            for parts in population for p in parts])
-        except (AttributeError, OverflowError):
-            raise ValueError(bad_part) from None
-        # bits[i, j, v]: bit v of part j of individual i
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(pop, -1, width),
-            axis=2, bitorder="little")
-        if bits[:, :, self.m - 1:].any():
+        w = self.part_words
+        if isinstance(population, np.ndarray):
+            if population.dtype != np.uint64 or population.ndim != 2 \
+                    or 0 in population.shape or population.shape[1] % w:
+                raise ValueError(
+                    f"part words must be a uint64 (pop >= 1, K * {w}) "
+                    f"array, got {population.dtype} {population.shape}")
+            words = np.ascontiguousarray(population, dtype="<u8")
+            bad_part = f"chromosome parts must be in 0..2^{self.m - 1} - 1"
+        else:
+            counts = {len(parts) for parts in population}
+            if len(counts) != 1 or 0 in counts:
+                raise ValueError(f"chromosomes need one common, nonzero part "
+                                 f"count, got {sorted(counts)}")
+            bad_part = f"chromosome parts must be Python ints in " \
+                       f"0..2^{self.m - 1} - 1"
+            try:
+                raw = b"".join([p.to_bytes(8 * w, "little")
+                                for parts in population for p in parts])
+            except (AttributeError, OverflowError):
+                raise ValueError(bad_part) from None
+            words = np.frombuffer(raw, "<u8").reshape(len(population), -1)
+        if (words[:, w - 1::w] & self._above_part).any():
             raise ValueError(bad_part)
-        # sig[w, i, v]: bits 64w.. of vertex v's signature in individual i,
-        # a sum of distinct powers of two (einsum casts the uint8 bits in
-        # small buffers; a full uint64 copy of them was slower); the spare
-        # last column holds vertex m - 1 when m - 1 = 64 * part_words
-        sig = np.zeros(((bits.shape[1] + 63) // 64, pop, 8 * width + 1),
-                       dtype=np.uint64)
-        for w in range(len(sig)):
-            block = bits[:, 64 * w:64 * w + 64]
-            np.einsum("ijv,j->iv", block, _POW2[:block.shape[1]],
-                      out=sig[w, :, :-1])
-        keep = sig[0][:, self.edge_u] == sig[0][:, self.edge_v]
-        for word in sig[1:]:
-            keep &= word[:, self.edge_u] == word[:, self.edge_v]
+        pop, k = len(words), words.shape[1] // w
+        # bits[i, j, v]: bit v of part j of individual i
+        bits = np.unpackbits(words.view(np.uint8).reshape(pop, k, 8 * w),
+                             axis=2, bitorder="little")
+        # sig[s, i, v]: bits 64s.. of vertex v's signature in individual i,
+        # a sum of distinct powers of two in the narrowest unsigned type
+        # holding min(K, 64) bits; the spare last column holds vertex m - 1
+        # when m - 1 = 64 * part_words
+        sig_type = np.min_scalar_type((1 << min(k, 64)) - 1)
+        sig = np.zeros(((k + 63) // 64, pop, 64 * w + 1), dtype=sig_type)
+        for s in range(len(sig)):
+            block = bits[:, 64 * s:64 * s + 64]
+            np.einsum("ijv,j->iv", block,
+                      _POW2[:block.shape[1]].astype(sig_type),
+                      out=sig[s, :, :-1])
+        # gathering vertex-major rows per edge endpoint costs a fraction of
+        # gathering the same columns
+        by_vertex = sig.transpose(0, 2, 1).copy()
+        keep = by_vertex[0][self.edge_u] == by_vertex[0][self.edge_v]
+        for word in by_vertex[1:]:
+            keep &= word[self.edge_u] == word[self.edge_v]
+        keep = np.ascontiguousarray(keep.T)
         # a cell lies inside one signature class, and equal signatures have
         # equal first words: only a row with more than N equal first words
         # (a run of N + 1 once sorted) can hold an oversize cell
-        first = np.sort(sig[0][:, :self.m], axis=1)
+        # (numpy sorts short uint64 rows faster than narrow ones)
+        first = np.sort(sig[0][:, :self.m].astype(np.uint64), axis=1)
         cap = self.max_size
         flagged = np.flatnonzero(
             (first[:, cap:] == first[:, :-cap]).any(axis=1))
@@ -312,7 +328,7 @@ class PopulationEvaluator:
         violations = (oversize + crossing[:, self.sc_edges].sum(axis=1)
                       + (~crossing[:, self.sn_edges]).sum(axis=1)
                       ).astype(np.int64)
-        traffic = crossing.astype(self.units_dtype) @ self.weight_units
+        traffic = np.einsum("ij,j->i", crossing, self.weight_units)
         fitness_units = (self.bound_units - traffic) \
             + (self.u - violations).astype(self.units_dtype) \
             * self.bound_units

@@ -1,46 +1,35 @@
 """Cut-based genetic algorithms over the flow graph.
 
-A chromosome is a plain tuple of K = ceil(m / N) int parts, each in
-[0, 2^(m-1) - 1] and naming a cut of the flow graph (0 = no cut); the part
-width m - 1 belongs to the encoding, not to the chromosome. Decoding ORs the
-named cuts together and reads off the resulting cells, so every individual
-is a valid partition by construction; cell-size and cohabitation
-constraints are handled by the penalty fitness. The operators keep parts in
-range by construction; parts from outside are checked where they are
-evaluated (``PopulationEvaluator.evaluate_parts``).
+A chromosome is K = ceil(m / N) parts, each in [0, 2^(m-1) - 1] and naming
+a cut of the flow graph (0 = no cut). Decoding ORs the named cuts together
+and reads off the cells, so every individual is a valid partition; cell-size
+and cohabitation constraints are handled by the penalty fitness.
 
-Three encodings run on one generational engine, ``evolve``, which owns the
-distinct-draw initial population (``init_population``), roulette selection,
-random top-up, mutation, elitism and the best-so-far history:
+Three encodings (``Encoding``) run on one generational engine, ``evolve``,
+which holds the population in one array, runs each operator once per
+generation on all of it, and takes every draw from one
+``numpy.random.Generator`` seeded by ``GAParams.seed``:
 
-* CGA keeps chromosomes as raw part chains.
-* SCGA canonicalizes every chromosome with a sorting procedure (parts in
-  descending order, duplicates zeroed, zeros last), which collapses the many
-  chains that decode to the same cut set and so removes phantom diversity.
-* EGA (``baselines.run_ega``) writes one int edge mask instead, bit i set
-  = edge i intercellular.
+* CGA: a (pop, K * W) uint64 array of raw part chains, W =
+  ``PopulationEvaluator.part_words``, part j in words j*W .. j*W+W-1,
+  least significant first; bit v of a part selects basis vertex v.
+* SCGA: the same with every chromosome sorted (``sort_chromosome``), which
+  collapses the chains that decode to the same cut set.
+* EGA (``baselines.run_ega``): a (pop, E) bool array, column i set = edge
+  i intercellular.
 
-Each encoding (``Encoding``) is the only place that tells CGA, SCGA and EGA
-apart. It supplies the hooks ``capacity`` (how many distinct individuals
-exist), ``draw``, ``crossover``, ``mutate``, ``canonical`` and ``evaluate``
-(a whole population at once); the engine reports the best individual as it
-was evolved, with its exact evaluation from the same population evaluator
-that ranked it.
-
-The bit chain seen by the any-position crossover lays parts end to end,
-alleles within a part ordered by basis vertex (vertex 0 first = bit 0 of the
-part integer).
+Only the best individual is converted back, to a tuple of Python int parts
+or an int edge mask, and reported with its exact evaluation from the same
+population evaluator that ranked it.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Sequence
+
+import numpy as np
 
 from .cuts import CutBasis, Partition, cut_from_index, decode_partition, \
     union_cuts
@@ -57,9 +46,11 @@ def compute_k(machine_count: int, max_cell_size: int) -> int:
 
 
 # 20x the largest population (500) any test, demo, CLI default or workload
-# uses: the first population is drawn as distinct Python values, so an
-# unbounded size would build them until memory runs out
+# uses: the population is an array of pop rows, so an unbounded size would
+# allocate it until memory runs out
 MAX_POPULATION = 10_000
+
+_ALL_ONES = np.uint64(2 ** 64 - 1)
 
 
 @dataclass(frozen=True)
@@ -71,8 +62,8 @@ class GAParams:
     crossover_rate: float = 0.7  # share of the population crossed
     mutation_rate: float = 0.03  # share of the population mutated
     variant: str = "scga"  # or "cga"; run_ega ignores it
-    seed: int = 0
-    gamma: float | None = None  # roulette on Y if None, else (Y/Y_max)^gamma
+    seed: int = 0  # any int, negative ones included
+    gamma: float | None = None  # roulette on (Y/Y_max)^gamma, 1 if None
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -96,8 +87,8 @@ class GAParams:
 class GAResult:
     """Outcome of a run: best individual, its evaluation, and the trace.
 
-    The best individual is a tuple of parts (CGA, SCGA) or an int edge
-    mask, bit i set = edge i intercellular (EGA).
+    The best individual is a tuple of Python int parts (CGA, SCGA) or an
+    int edge mask, bit i set = edge i intercellular (EGA).
     """
 
     best_chromosome: object
@@ -126,148 +117,157 @@ def sort_chromosome(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(distinct) + (0,) * (len(parts) - len(distinct))
 
 
-def init_population(size: int, capacity: int, draw) -> list:
-    """``size`` pairwise distinct (hashable) individuals from ``draw()``.
+def make_rng(seed: int) -> np.random.Generator:
+    """The generator of a run; the sign of the seed is an entropy word of
+    its own, as SeedSequence takes no negative entropy."""
+    return np.random.default_rng([int(seed < 0), abs(seed)])
 
-    Raises ValueError when ``size`` exceeds the ``capacity`` of distinct
-    individuals (pigeonhole) and RuntimeError when 1000 * size draws fail to
-    fill the population.
-    """
+
+def sorted_rows(rows: np.ndarray):
+    """A stable lexicographic order of the rows (last column first), the
+    rows in that order, and whether each differs from the one before."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    return order, ranked, new
+
+
+def init_population(size: int, capacity: int, draw) -> np.ndarray:
+    """The first ``size`` distinct rows drawn, in draw order, from batches
+    ``draw(n)`` of the rows still missing. Raises ValueError when ``size``
+    exceeds the ``capacity`` of distinct individuals and RuntimeError when
+    1000 * size draws fail to fill the population."""
     if size > capacity:
         raise ValueError(
             f"population size {size} exceeds the {capacity} distinct "
             f"individuals this encoding admits")
-    population = []
-    seen = set()
     max_attempts = 1000 * size
-    for _ in range(max_attempts):
-        individual = draw()
-        if individual not in seen:
-            seen.add(individual)
-            population.append(individual)
-            if len(population) == size:
-                return population
-    raise RuntimeError(
-        f"could not draw {size} distinct individuals in {max_attempts} "
-        f"attempts; the instance is too small for this population size")
+    population = draw(size)
+    drawn = size
+    while True:
+        order, _, new = sorted_rows(population)
+        population = population[np.sort(order[new])]
+        if len(population) == size:
+            return population
+        if drawn == max_attempts:
+            raise RuntimeError(
+                f"could not draw {size} distinct individuals in "
+                f"{max_attempts} attempts; the instance is too small for "
+                f"this population size")
+        more = min(size - len(population), max_attempts - drawn)
+        population = np.concatenate([population, draw(more)])
+        drawn += more
 
 
-def roulette_select(population: Sequence, fitnesses: Sequence, count: int,
-                    rng: random.Random) -> list:
-    """Fitness-proportional sampling with replacement.
+def roulette_select(weights: np.ndarray, count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Indices of ``count`` draws with replacement, in proportion to the
+    non-negative weights, or uniform when they are all zero."""
+    cumulative = np.cumsum(weights)
+    if not cumulative[-1] > 0:
+        cumulative = np.arange(1.0, len(weights) + 1)
+    picks = np.searchsorted(cumulative, rng.random(count) * cumulative[-1],
+                            side="right")
+    return np.minimum(picks, len(weights) - 1)
 
-    Fitnesses must be non-negative; if they are all zero the draw falls back
-    to uniform. One rng.random() is consumed per draw either way.
+
+def cut_points(rng: np.random.Generator, length: int, n: int) -> np.ndarray:
+    """``n`` cuts uniform over the gaps 1 .. length - 1 of a chain; a chain
+    without gaps gets ``length`` (no cut)."""
+    return rng.integers(1, max(length, 2), n)
+
+
+def splice(a: np.ndarray, b: np.ndarray, col: np.ndarray,
+           low: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One-point crossover of the row pairs (a[i], b[i]), uint64 or bool.
+
+    The first child takes the columns before col[i] from a[i], the ones
+    after it from b[i], and in column col[i] the bits set in low[i] (none
+    if low is None) from a[i]; the second child is its complement.
     """
-    weights = [float(f) for f in fitnesses]
-    if len(weights) != len(population):
-        raise ValueError("one fitness per individual required")
-    if any(w < 0 for w in weights):
-        raise ValueError("fitnesses must be non-negative")
-    n = len(population)
-    if not any(weights):
-        weights = [1.0] * n
-    total = sum(weights)
-    cumulative = list(accumulate(weights))
-    chosen = []
-    for _ in range(count):
-        r = rng.random() * total
-        idx = min(bisect_right(cumulative, r), n - 1)
-        chosen.append(population[idx])
-    return chosen
-
-
-def crossover_any(a: tuple[int, ...], b: tuple[int, ...], bits: int,
-                  rng: random.Random) -> tuple[tuple, tuple]:
-    """One-point crossover at any position of the K*bits bit chain (bits =
-    m - 1, the part width).
-
-    The cut position is uniform over the L-1 interior gaps, so it may fall
-    inside a part and recombine its bits. Degenerate chains (length 1)
-    return the parents unchanged.
-    """
-    if len(a) != len(b):
-        raise ValueError("parents must share shape")
-    length = len(a) * bits
-    if length < 2:
-        return a, b
-    cut = rng.randrange(1, length)
-    # parts before j come whole from one parent, part j is split at bit r
-    j, r = divmod(cut, bits)
-    low = (1 << r) - 1
-    part_mask = (1 << bits) - 1
-    return (a[:j] + ((a[j] & low) | (b[j] & part_mask & ~low),) + b[j + 1:],
-            b[:j] + ((b[j] & low) | (a[j] & part_mask & ~low),) + a[j + 1:])
-
-
-def crossover_boundary(a: tuple[int, ...], b: tuple[int, ...],
-                       rng: random.Random) -> tuple[tuple, tuple]:
-    """One-point crossover restricted to the K-1 part boundaries.
-
-    With K = 1 there is no boundary; the parents are returned unchanged.
-    """
-    if len(a) != len(b):
-        raise ValueError("parents must share shape")
-    k = len(a)
-    if k < 2:
-        return a, b
-    j = rng.randrange(1, k)
-    return a[:j] + b[j:], b[:j] + a[j:]
-
-
-def mutate(ch: tuple[int, ...], bits: int,
-           rng: random.Random) -> tuple[int, ...]:
-    """Replace one uniformly chosen part with a uniform value in
-    [0, 2^bits - 1]."""
-    idx = rng.randrange(len(ch))
-    return ch[:idx] + (rng.randrange(1 << bits),) + ch[idx + 1:]
+    width = a.shape[1]
+    mask = np.where(np.arange(width) < col[:, None], ~a.dtype.type(0),
+                    a.dtype.type(0))
+    if low is not None:
+        inside = np.flatnonzero(col < width)
+        mask[inside, col[inside]] = low[inside]
+    diff = (a ^ b) & mask
+    return b ^ diff, a ^ diff
 
 
 class Encoding:
     """One way of writing individuals, as the generational engine uses it.
 
-    Built from the instance, it holds the ``evaluator``, which owns the flow
-    graph and the fitness arithmetic. Subclasses supply ``capacity(size)``
-    (the number of distinct canonical individuals, or any count of them that
-    reaches ``size``), ``draw`` (one random individual), ``crossover`` (a
-    pair into two children), ``mutate`` (one individual) and ``evaluate`` (a
-    population into an EvalBatch). ``canonical`` returns an individual
-    unchanged unless the encoding has a canonical form.
+    It holds the instance's ``evaluator``. Subclasses supply, each on a
+    whole population array: ``capacity(size)`` (the number of distinct
+    canonical individuals, or any count of them that reaches ``size``),
+    ``draw(rng, n)``, ``crossover(a, b, rng)`` (row pairs into two
+    children), ``mutate(rows, rng)`` (one gene per row), ``evaluate`` and,
+    for one row, ``public`` (the reported form). ``canonical`` is the
+    identity unless the encoding has a canonical form.
     """
 
     def __init__(self, inst: Instance):
         self.evaluator = PopulationEvaluator(inst)
 
-    def canonical(self, individual):
-        return individual
+    def canonical(self, population: np.ndarray) -> np.ndarray:
+        return population
 
 
 class _CutEncoding(Encoding):
     """CGA: K cut-index parts of m - 1 bits per chromosome, kept as raw
-    chains."""
+    chains of W words each."""
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
         self.k = compute_k(inst.machine_count, inst.max_cell_size)
         self.bits = inst.machine_count - 1
+        self.words = w = self.evaluator.part_words
+        # every bit of a part's words but those at or above m - 1
+        part_mask = np.full(w, _ALL_ONES)
+        part_mask[-1] = (1 << (self.bits - 64 * (w - 1))) - 1
+        self.row_mask = np.tile(part_mask, self.k)
 
     def capacity(self, size: int) -> int:
         return (1 << self.bits) ** self.k
 
-    def draw(self, rng: random.Random) -> tuple[int, ...]:
-        """K uniform parts in [0, 2^bits - 1]."""
-        return tuple(rng.randrange(1 << self.bits) for _ in range(self.k))
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` chromosomes of K uniform parts in [0, 2^bits - 1]."""
+        return rng.integers(0, _ALL_ONES, (n, len(self.row_mask)),
+                            dtype=np.uint64, endpoint=True) & self.row_mask
 
-    def crossover(self, a: tuple, b: tuple, rng: random.Random):
-        if rng.random() < 0.5:
-            return crossover_any(a, b, self.bits, rng)
-        return crossover_boundary(a, b, rng)
+    def crossover(self, a: np.ndarray, b: np.ndarray,
+                  rng: np.random.Generator):
+        """A fair coin per pair: one-point cut anywhere in the K * (m - 1)
+        bit chain, or at one of the K - 1 part boundaries."""
+        n = len(a)
+        part, bit = np.divmod(cut_points(rng, self.k * self.bits, n),
+                              self.bits)
+        boundary = rng.random(n) < 0.5
+        part = np.where(boundary, cut_points(rng, self.k, n), part)
+        bit[boundary] = 0
+        low = (np.uint64(1) << (bit % 64).astype(np.uint64)) - np.uint64(1)
+        return splice(a, b, part * self.words + bit // 64, low)
 
-    def mutate(self, ch: tuple, rng: random.Random) -> tuple[int, ...]:
-        return mutate(ch, self.bits, rng)
+    def mutate(self, rows: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+        """Replace one uniformly chosen part of each row with a uniform
+        value in [0, 2^bits - 1]."""
+        n = len(rows)
+        cols = rng.integers(0, self.k, (n, 1)) * self.words \
+            + np.arange(self.words)
+        rows[np.arange(n)[:, None], cols] = self.draw(rng, n)[:, :self.words]
+        return rows
 
-    def evaluate(self, population: list[tuple]):
+    def evaluate(self, population: np.ndarray):
         return self.evaluator.evaluate_parts(population)
+
+    def public(self, row: np.ndarray) -> tuple[int, ...]:
+        raw = row.astype("<u8").tobytes()
+        width = 8 * self.words
+        return tuple(int.from_bytes(raw[i:i + width], "little")
+                     for i in range(0, len(raw), width))
 
 
 class _SortedCutEncoding(_CutEncoding):
@@ -284,8 +284,27 @@ class _SortedCutEncoding(_CutEncoding):
                 break
         return capacity
 
-    def canonical(self, ch: tuple[int, ...]) -> tuple[int, ...]:
-        return sort_chromosome(ch)
+    def canonical(self, population: np.ndarray) -> np.ndarray:
+        """``sort_chromosome`` of every row, on keys that order as the parts
+        do: a one-word part is its own key, wider ones are ranked among the
+        population's distinct parts."""
+        pop, w = len(population), self.words
+        if w == 1:
+            keys = population
+        else:
+            order, ranked, new = sorted_rows(population.reshape(-1, w))
+            rank_sorted = np.cumsum(new)  # from 1; 0 maps to the zero part
+            keys = np.empty_like(rank_sorted)
+            keys[order] = rank_sorted
+            keys = keys.reshape(pop, self.k)
+        keys = np.sort(keys, axis=1)[:, ::-1]
+        keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = 0
+        keys = np.sort(keys, axis=1)[:, ::-1]
+        if w == 1:
+            return np.ascontiguousarray(keys)
+        values = np.zeros((rank_sorted[-1] + 1, w), dtype=np.uint64)
+        values[rank_sorted] = ranked
+        return values[keys].reshape(pop, -1)
 
 
 def evolve(encoding: type[Encoding], inst: Instance,
@@ -297,18 +316,16 @@ def evolve(encoding: type[Encoding], inst: Instance,
     individuals, mutate a mutation_rate share (one gene each), put everyone
     in canonical form, evaluate, and reinsert the elite over the worst
     individual. best_history holds the exact Y of the best individual so
-    far after each generation, whatever the gamma. Same seed, same
-    best_history. The best individual is evaluated once more on its own
-    for its exact Evaluation.
+    far after each generation. Same seed, same best_history.
     """
     t0 = time.perf_counter()
     enc = encoding(inst)
     evaluator = enc.evaluator
-    rng = random.Random(params.seed)
+    rng = make_rng(params.seed)
     size = params.population_size
 
-    population = init_population(size, enc.capacity(size),
-                                 lambda: enc.canonical(enc.draw(rng)))
+    population = init_population(
+        size, enc.capacity(size), lambda n: enc.canonical(enc.draw(rng, n)))
     batch = enc.evaluate(population)
     best_idx = int(batch.fitness_units.argmax())
     best_units = batch.fitness_units[best_idx]
@@ -327,16 +344,15 @@ def evolve(encoding: type[Encoding], inst: Instance,
 
         weights = evaluator.selection_weights(batch.fitness_units,
                                               params.gamma)
-        parents = roulette_select(population, weights.tolist(), n_mate, rng)
-        nxt = []
-        for i in range(0, n_mate, 2):
-            nxt.extend(enc.crossover(parents[i], parents[i + 1], rng))
-        while len(nxt) < size:
-            nxt.append(enc.draw(rng))
-        for idx in rng.sample(range(size), n_mutate):
-            nxt[idx] = enc.mutate(nxt[idx], rng)
+        parents = population[roulette_select(weights, n_mate, rng)]
+        nxt = np.empty_like(population)
+        nxt[0:n_mate:2], nxt[1:n_mate:2] = enc.crossover(
+            parents[0::2], parents[1::2], rng)
+        nxt[n_mate:] = enc.draw(rng, size - n_mate)
+        mutants = rng.choice(size, n_mutate, replace=False)
+        nxt[mutants] = enc.mutate(nxt[mutants], rng)
 
-        population = [enc.canonical(ch) for ch in nxt]
+        population = enc.canonical(nxt)
         batch = enc.evaluate(population)
         worst = int(batch.fitness_units.argmin())
         population[worst] = elite
@@ -348,8 +364,8 @@ def evolve(encoding: type[Encoding], inst: Instance,
             best = population[gen_best]
         history.append(evaluator.to_fraction(best_units))
 
-    best_eval = evaluator.result(enc.evaluate([best]), 0)
-    return GAResult(best, best_eval, history,
+    best_eval = evaluator.result(enc.evaluate(best[None, :]), 0)
+    return GAResult(enc.public(best), best_eval, history,
                     time.perf_counter() - t0, best_eval.feasible)
 
 

@@ -25,6 +25,7 @@ rationals (``3``, ``1/2`` and ``0.5`` are all accepted). Machine indices are
 from __future__ import annotations
 
 import random
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,6 +63,10 @@ MAX_MACHINES = 1024
 # x86-64 core); --max-routing-len 1000000000 alone would ask for about 12 GB.
 MAX_PARTS = 100_000
 MAX_ROUTING_LEN = 100
+
+# Largest total flow (volume x routing steps, summed): roulette weights and
+# k-means run in float64
+MAX_FLOW = Fraction(sys.float_info.max)
 
 
 def _check_machine_count(m: int, line: int | None = None):
@@ -151,6 +156,9 @@ class Instance:
                     raise InstanceError(
                         f"{name} pair ({a + 1}, {b + 1}) is not a normalized "
                         f"pair of distinct machines")
+        if sum((p.volume * (len(p.routing) - 1) for p in self.parts),
+               Fraction(0)) > MAX_FLOW:
+            raise InstanceError("total flow exceeds the float64 range")
         overlap = self.cohabit & self.separate
         if overlap:
             a, b = min(overlap)

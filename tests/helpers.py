@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 import warnings
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import strategies as st
@@ -230,3 +232,106 @@ def reference_multikmeans(inst: Instance, restarts: int = 1, seed: int = 0):
             if ev.feasible and (best is None or ev.traffic < best.traffic):
                 best = ev
     return best
+
+
+# ----- per-individual reference operators of the GA ---------------------
+# The engine (``cellform.ga``) runs each operator once per generation on a
+# whole population array; these are the same operators on one individual
+# (a tuple of Python int parts) or one pair, driven by ``random.Random``.
+# They are the oracles its vector forms are checked against.
+
+
+def reference_init_population(size: int, capacity: int, draw) -> list:
+    """``size`` pairwise distinct (hashable) individuals from ``draw()``.
+
+    Raises ValueError when ``size`` exceeds the ``capacity`` of distinct
+    individuals (pigeonhole) and RuntimeError when 1000 * size draws fail to
+    fill the population.
+    """
+    if size > capacity:
+        raise ValueError(
+            f"population size {size} exceeds the {capacity} distinct "
+            f"individuals this encoding admits")
+    population = []
+    seen = set()
+    max_attempts = 1000 * size
+    for _ in range(max_attempts):
+        individual = draw()
+        if individual not in seen:
+            seen.add(individual)
+            population.append(individual)
+            if len(population) == size:
+                return population
+    raise RuntimeError(
+        f"could not draw {size} distinct individuals in {max_attempts} "
+        f"attempts; the instance is too small for this population size")
+
+
+def reference_roulette_select(population, fitnesses, count: int,
+                              rng: random.Random) -> list:
+    """Fitness-proportional sampling with replacement.
+
+    Fitnesses must be non-negative; if they are all zero the draw falls back
+    to uniform. One rng.random() is consumed per draw either way.
+    """
+    weights = [float(f) for f in fitnesses]
+    if len(weights) != len(population):
+        raise ValueError("one fitness per individual required")
+    if any(w < 0 for w in weights):
+        raise ValueError("fitnesses must be non-negative")
+    n = len(population)
+    if not any(weights):
+        weights = [1.0] * n
+    total = sum(weights)
+    cumulative = list(accumulate(weights))
+    chosen = []
+    for _ in range(count):
+        r = rng.random() * total
+        idx = min(bisect_right(cumulative, r), n - 1)
+        chosen.append(population[idx])
+    return chosen
+
+
+def reference_crossover_any(a: tuple, b: tuple, bits: int,
+                            rng: random.Random) -> tuple[tuple, tuple]:
+    """One-point crossover at any position of the K*bits bit chain (bits =
+    m - 1, the part width).
+
+    The cut position is uniform over the L-1 interior gaps, so it may fall
+    inside a part and recombine its bits. Degenerate chains (length 1)
+    return the parents unchanged.
+    """
+    if len(a) != len(b):
+        raise ValueError("parents must share shape")
+    length = len(a) * bits
+    if length < 2:
+        return a, b
+    cut = rng.randrange(1, length)
+    # parts before j come whole from one parent, part j is split at bit r
+    j, r = divmod(cut, bits)
+    low = (1 << r) - 1
+    part_mask = (1 << bits) - 1
+    return (a[:j] + ((a[j] & low) | (b[j] & part_mask & ~low),) + b[j + 1:],
+            b[:j] + ((b[j] & low) | (a[j] & part_mask & ~low),) + a[j + 1:])
+
+
+def reference_crossover_boundary(a: tuple, b: tuple,
+                                 rng: random.Random) -> tuple[tuple, tuple]:
+    """One-point crossover restricted to the K-1 part boundaries.
+
+    With K = 1 there is no boundary; the parents are returned unchanged.
+    """
+    if len(a) != len(b):
+        raise ValueError("parents must share shape")
+    k = len(a)
+    if k < 2:
+        return a, b
+    j = rng.randrange(1, k)
+    return a[:j] + b[j:], b[:j] + a[j:]
+
+
+def reference_mutate(ch: tuple, bits: int, rng: random.Random) -> tuple:
+    """Replace one uniformly chosen part with a uniform value in
+    [0, 2^bits - 1]."""
+    idx = rng.randrange(len(ch))
+    return ch[:idx] + (rng.randrange(1 << bits),) + ch[idx + 1:]

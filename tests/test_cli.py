@@ -4,10 +4,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from cellform import InstanceWarning, generate_instance, serialize_instance
 from cellform import ga
+from cellform.bench import METHODS
 from cellform.cli import main
 from cellform.instance import MAX_MACHINES, MAX_PARTS, MAX_ROUTING_LEN
 from helpers import make_instance
@@ -154,8 +156,10 @@ class TestInputErrors:
 
     def test_draws_exhausted(self, five_machine_file, capsys, monkeypatch):
         # every draw is the same chromosome, so no distinct population exists
-        monkeypatch.setattr(ga._CutEncoding, "draw",
-                            lambda self, rng: (0,) * self.k)
+        monkeypatch.setattr(
+            ga._CutEncoding, "draw",
+            lambda self, rng, n: np.zeros((n, self.k * self.words),
+                                          dtype=np.uint64))
         assert run_cli(["solve", five_machine_file, "--pop", "2",
                         "--gens", "1"]) == 2
         assert "could not draw 2 distinct" in capsys.readouterr().err
@@ -247,6 +251,52 @@ class TestSolve:
         strip = lambda text: [l for l in text.splitlines()
                               if not l.startswith("wall_time_s")]
         assert strip(first) == strip(second)
+
+
+class TestHugeFlows:
+    """Flows near the float64 limit: a shop whose fitness Y does not fit a
+    float64 still solves with every method (the roulette weights and the
+    k-means points are scaled), and a total flow beyond the float64 range
+    is an input error."""
+
+    # Y = (B - Z) + (u - v) * B reaches 5 * 1.2e308
+    BIG = "machines 4\nmax_cell_size 2\npart 4e307 : 1 2 3 4\n" \
+          "part 1 : 2 3\n"
+    HUGE = "machines 4\nmax_cell_size 2\npart 1e400 : 1 2 3 4\n" \
+           "part 1 : 2 3\n"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fitness_beyond_float_range(self, tmp_path, capsys, method):
+        path = tmp_path / "big.txt"
+        path.write_text(self.BIG, encoding="utf-8")
+        code = run_cli(["solve", str(path), "--method", method, "--pop", "6",
+                        "--gens", "5", "--reps", "2"])
+        assert code == 0 and "feasible: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_total_flow_beyond_float_range(self, tmp_path, capsys, method):
+        path = tmp_path / "huge.txt"
+        path.write_text(self.HUGE, encoding="utf-8")
+        assert run_cli(["solve", str(path), "--method", method, "--pop", "6",
+                        "--gens", "5"]) == 2
+        assert "total flow exceeds the float64 range" in \
+            capsys.readouterr().err
+
+
+class TestSeeds:
+    def test_negative_seed(self, tmp_path, capsys):
+        path = str(tmp_path / "shop.txt")
+        assert run_cli(["generate", "-m", "12", "-p", "30", "-N", "4",
+                        "--seed", "11", "--out", path]) == 0
+        outputs = []
+        for seed in ("-7", "-7", "7"):
+            assert run_cli(["solve", path, "--pop", "20", "--gens", "5",
+                            "--seed", seed]) == 0
+            outputs.append([line for line in
+                            capsys.readouterr().out.splitlines()
+                            if not line.startswith("wall_time_s")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]
 
 
 class TestGenerate:

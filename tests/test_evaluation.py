@@ -315,6 +315,18 @@ class TestPopulationEvaluator:
         self._check_parts_against_scalar(inst, rng, size=30, k=70,
                                          density=0.03)
 
+    @pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 33, 64, 65])
+    def test_parts_match_scalar_at_signature_widths(self, k):
+        # signatures take the narrowest unsigned type holding K bits; a row
+        # whose only nonzero part is the last one sets the top bit of the
+        # signature, which a type one bit too narrow would drop
+        rng = random.Random(k)
+        inst = generate_instance(k, 2 * k, 1, seed=k)
+        population = random_parts_population(rng, k, 1 << (k - 1), 6, 0.3)
+        population += [(0,) * (k - 1) + (rng.randrange(1, 1 << (k - 1)),)
+                       for _ in range(4)]
+        check_parts_against_scalar(inst, population)
+
     def test_parts_match_scalar_beyond_int64(self):
         # (u + 1) * B >= 2^62 in units: the unit arrays hold Python ints
         primes = [1000003, 1000033, 1000037, 1000039]
@@ -515,6 +527,53 @@ class TestEvaluatePartsRejectsMalformed:
         assert ev.evaluate_parts([(top, 0)]).violations.shape == (1,)
         with pytest.raises(ValueError, match="Python ints"):
             ev.evaluate_parts([(top + 1, 0)])
+
+
+class TestEvaluatePartsWordArrays:
+    """The GA hands evaluate_parts its (pop, K * W) uint64 word array; it
+    scores exactly as the same chromosomes given as Python int parts, and
+    rejects any other dtype, width or a bit at or above m - 1."""
+
+    @staticmethod
+    def words(ev, chains):
+        w = ev.part_words
+        return np.array([[(p >> 64 * i) & (2 ** 64 - 1)
+                          for p in ch for i in range(w)] for ch in chains],
+                        dtype=np.uint64)
+
+    @pytest.mark.parametrize("m", [5, 50, 65, 96, 130])
+    def test_array_equals_parts(self, m):
+        ev = PopulationEvaluator(generate_instance(m, 2 * m, 7, seed=m))
+        rng = random.Random(m)
+        chains = [tuple(rng.getrandbits(m - 1) if rng.random() < 0.6 else 0
+                        for _ in range(4)) for _ in range(30)]
+        a = ev.evaluate_parts(self.words(ev, chains))
+        b = ev.evaluate_parts(chains)
+        for field in ("traffic_units", "violations", "fitness_units",
+                      "keep"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("m", [5, 65, 66, 130])
+    def test_bad_arrays(self, m):
+        ev = PopulationEvaluator(generate_instance(m, 2 * m, 8, seed=m))
+        w = ev.part_words
+        good = np.zeros((3, 2 * w), dtype=np.uint64)
+        assert ev.evaluate_parts(good).violations.shape == (3,)
+        # a width that is no multiple of W exists only for W > 1
+        widths = [good[:, :-1]] if w > 1 else []
+        for bad in (good.astype(np.int64), *widths,
+                    np.zeros((3, 0), dtype=np.uint64),
+                    np.zeros((0, 2 * w), dtype=np.uint64), good[0]):
+            with pytest.raises(ValueError, match="part words must be a "
+                                                 "uint64"):
+                ev.evaluate_parts(bad)
+        top = self.words(ev, [(0, (1 << (m - 1)) - 1)])
+        assert ev.evaluate_parts(top).violations.shape == (1,)
+        if m - 1 < 64 * w:  # at m = 65 every 64-bit word is a valid part
+            above = self.words(ev, [(0, 1 << (m - 1))])
+            with pytest.raises(ValueError,
+                               match=rf"in 0\.\.2\^{m - 1} - 1"):
+                ev.evaluate_parts(above)
 
 
 class TestKeepsAndLabelsRejectMalformed:

@@ -5,18 +5,20 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
-                      chromosome_mask, compute_k, crossover_any,
-                      crossover_boundary, decode_chromosome,
-                      generate_instance, init_population, mask_from_bits,
-                      mutate, roulette_select, run_ga, sort_chromosome)
+                      chromosome_mask, compute_k, decode_chromosome,
+                      generate_instance, mask_from_bits, run_ga,
+                      sort_chromosome)
 from cellform import ga
-from cellform.baselines import exhaustive_oracle, run_ega
+from cellform.baselines import _EdgeEncoding, exhaustive_oracle, run_ega
 from cellform.ga import MAX_POPULATION
-from helpers import instances, make_instance
+from helpers import (instances, make_instance, reference_crossover_any,
+                     reference_crossover_boundary, reference_init_population,
+                     reference_mutate, reference_roulette_select)
 
 
 class ScriptedRng:
@@ -170,9 +172,10 @@ def test_sort_chromosome_idempotent_and_evaluation_invariant(inst, data):
 def first_population(inst, params, monkeypatch, method=run_ga):
     """The first population evolve draws for a run (generations unused)."""
     drawn = []
+    vector_init = ga.init_population
 
     def spy(*args):
-        drawn.append(init_population(*args))
+        drawn.append(vector_init(*args))
         return drawn[-1]
 
     monkeypatch.setattr(ga, "init_population", spy)
@@ -181,24 +184,31 @@ def first_population(inst, params, monkeypatch, method=run_ga):
     return drawn[0]
 
 
+def rows_as_parts(enc, population) -> list:
+    """The rows of a population array in their public form."""
+    return [enc.public(row) for row in population]
+
+
 class TestInitPopulation:
     def test_distinct_and_reproducible(self, monkeypatch):
-        # m = 8, N = 4: K = 2 parts of 7 bits
+        # m = 8, N = 4: K = 2 parts of 7 bits, one word each
         inst = make_instance(8, 4, [(1, (1, 2, 3, 4, 5, 6, 7, 8))])
         params = GAParams(100, 1, variant="cga", seed=9)
         pop = first_population(inst, params, monkeypatch)
-        assert len(pop) == 100
-        assert len(set(pop)) == 100
-        assert all(len(c) == 2 and all(0 <= p < 1 << 7 for p in c)
-                   for c in pop)
-        assert pop == first_population(inst, params, monkeypatch)
+        assert pop.shape == (100, 2) and pop.dtype == np.uint64
+        chains = rows_as_parts(ga._CutEncoding(inst), pop)
+        assert len(set(chains)) == 100
+        assert all(0 <= p < 1 << 7 for c in chains for p in c)
+        assert np.array_equal(pop, first_population(inst, params,
+                                                    monkeypatch))
 
     def test_scga_population_canonical(self, monkeypatch):
         inst = make_instance(8, 4, [(1, (1, 2, 3, 4, 5, 6, 7, 8))])
         pop = first_population(inst, GAParams(60, 1, variant="scga",
                                               seed=10), monkeypatch)
-        assert len(set(pop)) == 60
-        assert all(sort_chromosome(c) == c for c in pop)
+        chains = rows_as_parts(ga._SortedCutEncoding(inst), pop)
+        assert len(set(chains)) == 60
+        assert all(sort_chromosome(c) == c for c in chains)
 
     def test_cga_pigeonhole(self):
         # m = 2, K = 1: the raw chains are the 2 values 0..1
@@ -227,7 +237,9 @@ class TestInitPopulation:
         edges = PopulationEvaluator(inst).graph.edge_count
         pop = first_population(inst, GAParams(1 << edges, 1, seed=12),
                                monkeypatch, method=run_ega)
-        assert sorted(pop) == list(range(1 << edges))
+        assert pop.shape == (1 << edges, edges) and pop.dtype == bool
+        assert sorted(rows_as_parts(_EdgeEncoding(inst), pop)) == \
+            list(range(1 << edges))
         with pytest.raises(ValueError,
                            match=f"exceeds the {1 << edges} distinct"):
             run_ega(inst, GAParams((1 << edges) + 1, 1))
@@ -247,46 +259,55 @@ class TestInitPopulation:
         assert enc.k == 1024
         assert enc.capacity(4) == 1 + ((1 << 1023) - 1)
         assert terms == [0, 1]
-        rng = random.Random(0)
-        pop = init_population(4, enc.capacity(4),
-                              lambda: enc.canonical(enc.draw(rng)))
-        assert len(set(pop)) == 4
-        assert all(len(c) == 1024 and sort_chromosome(c) == c for c in pop)
+        rng = ga.make_rng(0)
+        pop = ga.init_population(4, enc.capacity(4),
+                                 lambda n: enc.canonical(enc.draw(rng, n)))
+        chains = rows_as_parts(enc, pop)
+        assert len(set(chains)) == 4
+        assert all(len(c) == 1024 and sort_chromosome(c) == c
+                   for c in chains)
 
     def test_scga_rejects_duplicate_canonical_forms(self):
-        # raw chains (5,7) and (7,5) sort identically; only one admitted
+        # raw chains (5,7) and (7,5) sort identically; only one admitted,
+        # and the next batch draws just the one row still missing
         enc = ga._SortedCutEncoding(make_instance(5, 3, [(1, (1, 2))]))
-        rng = ScriptedRng(randrange_values=[5, 7, 7, 5, 3, 1])
-        pop = init_population(2, enc.capacity(2),
-                              lambda: enc.canonical(enc.draw(rng)))
-        assert pop == [(7, 5), (3, 1)]
+        batches = [np.array(rows, dtype=np.uint64)
+                   for rows in ([[5, 7], [7, 5]], [[3, 1]])]
+
+        def draw(n):
+            assert n == len(batches[0])
+            return enc.canonical(batches.pop(0))
+
+        pop = ga.init_population(2, enc.capacity(2), draw)
+        assert rows_as_parts(enc, pop) == [(7, 5), (3, 1)]
 
     def test_draw_exhaustion(self):
         with pytest.raises(RuntimeError, match="could not draw 2 distinct "
                                                "individuals in 2000"):
-            init_population(2, 16, lambda: (0, 0))
+            ga.init_population(2, 16,
+                               lambda n: np.zeros((n, 2), dtype=np.uint64))
 
 
 class TestRouletteSelect:
     def test_boundary_draws(self):
         pop = ["a", "b"]
-        assert roulette_select(pop, (1, 3), 1,
+        assert reference_roulette_select(pop, (1, 3), 1,
                                ScriptedRng(random_values=[0.20])) == ["a"]
-        assert roulette_select(pop, (1, 3), 1,
+        assert reference_roulette_select(pop, (1, 3), 1,
                                ScriptedRng(random_values=[0.90])) == ["b"]
         # draws at 0.25 * total land exactly on the first boundary: second
-        assert roulette_select(pop, (1, 3), 1,
+        assert reference_roulette_select(pop, (1, 3), 1,
                                ScriptedRng(random_values=[0.25])) == ["b"]
 
     def test_statistical_proportions(self):
         rng = random.Random(12)
-        draws = roulette_select(["a", "b"], (1, 3), 100_000, rng)
+        draws = reference_roulette_select(["a", "b"], (1, 3), 100_000, rng)
         share_b = draws.count("b") / len(draws)
         assert abs(share_b - 0.75) < 0.01
 
     def test_all_zero_uniform_fallback(self):
         rng = random.Random(13)
-        draws = roulette_select(["a", "b"], (0, 0), 40_000, rng)
+        draws = reference_roulette_select(["a", "b"], (0, 0), 40_000, rng)
         share = draws.count("a") / len(draws)
         assert abs(share - 0.5) < 0.02
 
@@ -294,19 +315,19 @@ class TestRouletteSelect:
         # all-zero weights count as equal ones: draw r picks int(r * n)
         pop = ["a", "b", "c", "d"]
         draws = [0.0, 0.2499, 0.25, 0.5, 0.74, 0.75, 0.9999]
-        assert roulette_select(pop, (0, 0, 0, 0), len(draws),
+        assert reference_roulette_select(pop, (0, 0, 0, 0), len(draws),
                                ScriptedRng(random_values=draws)) == \
             [pop[int(r * 4)] for r in draws]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
-            roulette_select(["a"], (-1,), 1, random.Random(0))
+            reference_roulette_select(["a"], (-1,), 1, random.Random(0))
         with pytest.raises(ValueError, match="one fitness per individual"):
-            roulette_select(["a", "b"], (1,), 1, random.Random(0))
+            reference_roulette_select(["a", "b"], (1,), 1, random.Random(0))
 
     def test_fraction_fitnesses_accepted(self):
-        out = roulette_select(["a", "b"], (Fraction(1), Fraction(3)), 5,
-                              random.Random(14))
+        out = reference_roulette_select(
+            ["a", "b"], (Fraction(1), Fraction(3)), 5, random.Random(14))
         assert set(out) <= {"a", "b"}
 
 
@@ -325,14 +346,14 @@ class TestCrossoverAny:
                 b = tuple(rng.getrandbits(bits) for _ in range(k))
                 ca, cb = chain_bits(a, bits), chain_bits(b, bits)
                 for cut in range(1, k * bits):
-                    c1, c2 = crossover_any(
+                    c1, c2 = reference_crossover_any(
                         a, b, bits, ScriptedRng(randrange_values=[cut]))
                     assert chain_bits(c1, bits) == ca[:cut] + cb[cut:]
                     assert chain_bits(c2, bits) == cb[:cut] + ca[cut:]
 
     def test_identical_parents_fixed_point(self):
         a = (9, 2, 14)
-        c1, c2 = crossover_any(a, a, 4, random.Random(16))
+        c1, c2 = reference_crossover_any(a, a, 4, random.Random(16))
         assert c1 == a and c2 == a
 
     def test_locus_multiset_preserved(self):
@@ -340,25 +361,26 @@ class TestCrossoverAny:
         for _ in range(100):
             a = tuple(rng.randint(0, 127) for _ in range(2))
             b = tuple(rng.randint(0, 127) for _ in range(2))
-            c1, c2 = crossover_any(a, b, 7, rng)
+            c1, c2 = reference_crossover_any(a, b, 7, rng)
             for x, y, p, q in zip(chain_bits(a, 7), chain_bits(b, 7),
                                   chain_bits(c1, 7), chain_bits(c2, 7)):
                 assert sorted((x, y)) == sorted((p, q))
 
     def test_degenerate_single_bit_chain(self):
         a, b = (1,), (0,)
-        assert crossover_any(a, b, 1, random.Random(0)) == (a, b)
+        assert reference_crossover_any(a, b, 1, random.Random(0)) == (a, b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="share shape"):
-            crossover_any((1,), (1, 2), 2, random.Random(0))
+            reference_crossover_any((1,), (1, 2), 2, random.Random(0))
 
 
 class TestCrossoverBoundary:
     def test_single_boundary(self):
         a = (3, 9)
         b = (12, 6)
-        c1, c2 = crossover_boundary(a, b, ScriptedRng(randrange_values=[1]))
+        c1, c2 = reference_crossover_boundary(
+            a, b, ScriptedRng(randrange_values=[1]))
         assert c1 == (3, 6) and c2 == (12, 9)
 
     def test_parts_never_split(self):
@@ -367,7 +389,7 @@ class TestCrossoverBoundary:
             k = rng.randint(2, 5)
             a = tuple(rng.randint(0, 63) for _ in range(k))
             b = tuple(rng.randint(0, 63) for _ in range(k))
-            c1, c2 = crossover_boundary(a, b, rng)
+            c1, c2 = reference_crossover_boundary(a, b, rng)
             for i in range(k):
                 assert {c1[i], c2[i]} == {a[i], b[i]}
             # some interior boundary j splits both children prefix/suffix
@@ -377,20 +399,20 @@ class TestCrossoverBoundary:
 
     def test_k1_degenerate(self):
         a, b = (5,), (9,)
-        assert crossover_boundary(a, b, random.Random(0)) == (a, b)
+        assert reference_crossover_boundary(a, b, random.Random(0)) == (a, b)
 
 
 class TestMutate:
     def test_scripted(self):
         ch = (3, 9, 12)
-        out = mutate(ch, 4, ScriptedRng(randrange_values=[1, 6]))
+        out = reference_mutate(ch, 4, ScriptedRng(randrange_values=[1, 6]))
         assert out == (3, 6, 12)
 
     def test_changes_at_most_one_part(self):
         rng = random.Random(20)
         for _ in range(300):
             ch = tuple(rng.randint(0, 15) for _ in range(4))
-            out = mutate(ch, 4, rng)
+            out = reference_mutate(ch, 4, rng)
             diffs = [i for i in range(4) if out[i] != ch[i]]
             assert len(diffs) <= 1
 
@@ -402,13 +424,197 @@ class TestMutate:
         trials = 96_000
         value_counts = [0] * 16
         for _ in range(trials):
-            out = mutate(ch, 4, rng)
+            out = reference_mutate(ch, 4, rng)
             nonzero = [p for p in out if p]
             value_counts[nonzero[0] if nonzero else 0] += 1
         expected = trials / 16
         chi2 = sum((c - expected) ** 2 / expected for c in value_counts)
         # 99.9th percentile of chi-square with 15 degrees of freedom ~ 37.7
         assert chi2 < 37.7
+
+
+class ScriptedGenerator:
+    """Plays back fixed arrays for the numpy Generator calls of the vector
+    operators, checking each against the bounds it was asked for."""
+
+    def __init__(self, integers=(), random=()):
+        self._integers = [np.asarray(v) for v in integers]
+        self._random = [np.asarray(v, dtype=float) for v in random]
+
+    def integers(self, low, high, size, dtype=np.int64, endpoint=False):
+        out = self._integers.pop(0).astype(dtype)
+        assert out.shape == np.empty(size).shape
+        assert (out >= low).all()
+        assert ((out <= high) if endpoint else (out < high)).all()
+        return out
+
+    def random(self, size):
+        out = self._random.pop(0)
+        assert out.shape == (size,)
+        return out
+
+
+def pack(enc, chains) -> np.ndarray:
+    """Tuples of Python int parts as the encoding's word rows."""
+    raw = b"".join(p.to_bytes(8 * enc.words, "little")
+                   for ch in chains for p in ch)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(chains), -1).copy()
+
+
+def cut_encoding(m: int, k: int, sorted_form: bool = False):
+    """Cut encoding of a chain shop with m machines and K = k parts."""
+    inst = make_instance(m, -(-m // k), [(1, tuple(range(1, m + 1)))])
+    enc = (ga._SortedCutEncoding if sorted_form else ga._CutEncoding)(inst)
+    assert enc.k == k and enc.words == (m - 2) // 64 + 1
+    return enc
+
+
+# m = 5 and 50 hold a part in one word, m = 96 in two (W = 2)
+WIDTHS = [5, 50, 96]
+
+
+class TestVectorOperatorsMatchReferences:
+    """Each vector operator of the engine against its per-individual
+    reference in ``helpers``, fed the same scripted draws."""
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_crossover_at_every_cut(self, m):
+        enc = cut_encoding(m, 3)
+        rng = random.Random(m)
+        chain = enc.k * enc.bits
+        # every any-position cut, then every part boundary
+        anywhere = list(range(1, chain))
+        boundary = list(range(1, enc.k))
+        n = len(anywhere) + len(boundary)
+        a = [tuple(rng.getrandbits(enc.bits) for _ in range(enc.k))
+             for _ in range(n)]
+        b = [tuple(rng.getrandbits(enc.bits) for _ in range(enc.k))
+             for _ in range(n)]
+        coin = [0.9] * len(anywhere) + [0.1] * len(boundary)
+        scripted = ScriptedGenerator(
+            integers=[anywhere + [1] * len(boundary),
+                      [1] * len(anywhere) + boundary],
+            random=[coin])
+        c1, c2 = enc.crossover(pack(enc, a), pack(enc, b), scripted)
+        for i, cut in enumerate(anywhere):
+            assert (enc.public(c1[i]), enc.public(c2[i])) == \
+                reference_crossover_any(a[i], b[i], enc.bits,
+                                        ScriptedRng(randrange_values=[cut]))
+        for i, j in enumerate(boundary, start=len(anywhere)):
+            assert (enc.public(c1[i]), enc.public(c2[i])) == \
+                reference_crossover_boundary(
+                    a[i], b[i], ScriptedRng(randrange_values=[j]))
+
+    def test_crossover_without_cut_copies_parents(self):
+        # m = 2, K = 1: a one-bit chain has no gap, one part no boundary
+        enc = cut_encoding(2, 1)
+        a, b = pack(enc, [(1,), (1,)]), pack(enc, [(0,), (0,)])
+        c1, c2 = enc.crossover(a, b, ga.make_rng(0))
+        assert np.array_equal(c1, a) and np.array_equal(c2, b)
+
+    @pytest.mark.parametrize("edges", [1, 2, 9, 70])
+    def test_edge_crossover_is_one_part_chain(self, edges):
+        rng = random.Random(edges)
+        inst = make_instance(
+            edges + 1, 1, [(1, (v, v + 1)) for v in range(1, edges + 1)])
+        enc = _EdgeEncoding(inst)
+        assert enc.edges == edges
+        cuts = list(range(1, edges)) or [edges]
+        a = [rng.getrandbits(edges) for _ in cuts]
+        b = [rng.getrandbits(edges) for _ in cuts]
+        rows = lambda masks: np.array(
+            [[(x >> i) & 1 for i in range(edges)] for x in masks], dtype=bool)
+        scripted = ScriptedGenerator(integers=[cuts])
+        c1, c2 = enc.crossover(rows(a), rows(b), scripted)
+        for i, cut in enumerate(cuts):
+            (r1,), (r2,) = reference_crossover_any(
+                (a[i],), (b[i],), edges, ScriptedRng(randrange_values=[cut]))
+            assert (enc.public(c1[i]), enc.public(c2[i])) == (r1, r2)
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_mutate(self, m):
+        enc = cut_encoding(m, 5)
+        rng = random.Random(m)
+        n = 40
+        chains = [tuple(rng.getrandbits(enc.bits) for _ in range(enc.k))
+                  for _ in range(n)]
+        where = [rng.randrange(enc.k) for _ in range(n)]
+        values = [rng.getrandbits(enc.bits) for _ in range(n)]
+        # mutate draws a whole chromosome of words and takes the first
+        # part; the draw may carry bits above the part width, masked away
+        full = 64 * enc.words
+        words = pack(enc, [(v | rng.getrandbits(full) >> enc.bits << enc.bits,)
+                           + tuple(rng.getrandbits(full)
+                                   for _ in range(enc.k - 1))
+                           for v in values])
+        scripted = ScriptedGenerator(
+            integers=[np.array(where)[:, None], words])
+        out = enc.mutate(pack(enc, chains), scripted)
+        for i in range(n):
+            assert enc.public(out[i]) == reference_mutate(
+                chains[i], enc.bits,
+                ScriptedRng(randrange_values=[where[i], values[i]]))
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_canonical_equals_sort_chromosome(self, m):
+        enc = cut_encoding(m, 5, sorted_form=True)
+        rng = random.Random(m)
+        # parts from a small pool, so repeats, zeros and pool values shared
+        # across rows (equal ranks) are common
+        pool = [0, 1, (1 << enc.bits) - 1, 1 << 63 & ((1 << enc.bits) - 1)]
+        pool += [rng.getrandbits(enc.bits) for _ in range(6)]
+        chains = [tuple(rng.choice(pool) for _ in range(enc.k))
+                  for _ in range(300)]
+        chains += [(0,) * enc.k, (pool[2],) * enc.k]
+        out = enc.canonical(pack(enc, chains))
+        assert out.dtype == np.uint64 and out.shape == (len(chains),
+                                                        enc.k * enc.words)
+        assert [enc.public(row) for row in out] == \
+            [sort_chromosome(ch) for ch in chains]
+
+    def test_roulette_matches_reference(self):
+        weights = [0.0, 1.0, 3.0, 0.5, 0.0, 2.0]
+        draws = [0.0, 0.1, 0.15, 0.5, 0.7, 0.93, 0.999, 1 / 6.5]
+        picks = ga.roulette_select(np.array(weights), len(draws),
+                                   ScriptedGenerator(random=[draws]))
+        assert picks.tolist() == reference_roulette_select(
+            list(range(len(weights))), weights, len(draws),
+            ScriptedRng(random_values=draws))
+
+    def test_roulette_all_zero_matches_reference(self):
+        draws = [0.0, 0.2499, 0.25, 0.5, 0.74, 0.75, 0.9999]
+        picks = ga.roulette_select(np.zeros(4), len(draws),
+                                   ScriptedGenerator(random=[draws]))
+        assert picks.tolist() == [int(r * 4) for r in draws]
+
+    def test_roulette_proportions(self):
+        rng = ga.make_rng(12)
+        picks = ga.roulette_select(np.array([1.0, 3.0]), 100_000, rng)
+        assert abs(picks.mean() - 0.75) < 0.01
+        picks = ga.roulette_select(np.zeros(2), 40_000, rng)
+        assert abs(picks.mean() - 0.5) < 0.02
+
+    @pytest.mark.parametrize("size", [1, 5, 40])
+    def test_init_population_matches_reference(self, size):
+        # a stream with many repeats: both keep its first distinct rows
+        rng = random.Random(size)
+        stream = [(rng.randrange(3), rng.randrange(2 * size))
+                  for _ in range(1000 * size)]
+        rows = np.array(stream, dtype=np.uint64)
+        drawn = []
+
+        def draw(n):
+            start = sum(drawn)
+            drawn.append(n)
+            return rows[start:start + n]
+
+        pop = ga.init_population(size, 6 * size, draw)
+        it = iter(stream)
+        expected = reference_init_population(size, 6 * size,
+                                             lambda: next(it))
+        assert [tuple(map(int, row)) for row in pop] == expected
+        # no draw beyond the one that completed the population
+        assert sum(drawn) == stream.index(expected[-1]) + 1
 
 
 class TestRunGA:

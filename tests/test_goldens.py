@@ -21,21 +21,20 @@ def shop():
 # (method, seed): (best_history, best cells, traffic, violations)
 GA_GOLDENS = {
     ("cga", 0): (
-        [6874] * 1 + [6884] * 1 + [6893] * 1 + [6916] * 5 + [6918] * 4
-        + [6935] * 1 + [6942] * 2 + [6971] * 15,
-        ((0, 3, 4, 9), (1, 5, 7, 10), (2,), (6, 8, 11)),
-        348, 0),
-    ("cga", 1): (
-        [6948] * 30,
-        ((0,), (1, 5, 6, 8), (2, 4, 7, 10), (3,), (9, 11)),
+        [6933] * 15 + [6948] * 15,
+        ((0, 3, 5, 10), (1,), (2, 7, 8, 11), (4, 9), (6,)),
         371, 0),
+    ("cga", 1): (
+        [6883] * 1 + [6951] * 29,
+        ((0, 3, 10), (1, 4, 5, 6), (2, 7, 9, 11), (8,)),
+        368, 0),
     ("scga", 0): (
-        [6918] * 3 + [6919] * 5 + [6973] * 22,
-        ((0, 2, 7, 10), (1, 3, 4, 5), (6, 8, 11), (9,)),
-        346, 0),
+        [6911] * 6 + [6912] * 8 + [6925] * 16,
+        ((0,), (1,), (2, 8, 11), (3, 4, 7, 10), (5, 6), (9,)),
+        394, 0),
     ("scga", 1): (
-        [6914] * 1 + [6938] * 22 + [6951] * 7,
-        ((0, 3), (1, 5), (2, 8, 9, 11), (4, 6, 7, 10)),
+        [6883] * 1 + [6951] * 29,
+        ((0, 3, 10), (1, 4, 5, 6), (2, 7, 9, 11), (8,)),
         368, 0),
     ("ega", 0): (
         [6756] * 30,
@@ -51,14 +50,13 @@ GA_GOLDENS = {
 # method: seed 0 under power tuning with gamma = 2.5, same layout
 POWER_GOLDENS = {
     "cga": (
-        [6874] * 1 + [6884] * 1 + [6893] * 1 + [6916] * 5 + [6918] * 5
-        + [6942] * 2 + [6971] * 15,
-        ((0, 3, 4, 9), (1, 5, 7, 10), (2,), (6, 8, 11)),
-        348, 0),
+        [6933] * 15 + [6948] * 15,
+        ((0, 3, 5, 10), (1,), (2, 7, 8, 11), (4, 9), (6,)),
+        371, 0),
     "scga": (
-        [6918] * 3 + [6919] * 4 + [6941] * 23,
-        ((0, 5, 7, 10), (1, 2, 4, 6), (3, 8, 11), (9,)),
-        378, 0),
+        [6911] * 6 + [6912] * 8 + [6925] * 5 + [6933] * 11,
+        ((0,), (1, 9), (2, 8, 11), (3, 4, 7, 10), (5, 6)),
+        386, 0),
     "ega": (
         [6756] * 30,
         ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),),

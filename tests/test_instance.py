@@ -9,8 +9,8 @@ from hypothesis import given
 
 from cellform import (Instance, InstanceError, InstanceWarning, Part,
                       generate_instance, parse_instance, serialize_instance)
-from cellform.instance import MAX_MACHINES, MAX_PARTS, MAX_ROUTING_LEN, \
-    vertex_groups
+from cellform.instance import MAX_FLOW, MAX_MACHINES, MAX_PARTS, \
+    MAX_ROUTING_LEN, vertex_groups
 from helpers import instances, random_instance
 
 
@@ -188,6 +188,16 @@ class TestValidation:
                            match=r"SC and SN overlap on pair \(1, 2\)"):
             Instance(3, 2, cohabit=frozenset({(0, 1)}),
                      separate=frozenset({(0, 1)}))
+
+    def test_total_flow_limit(self):
+        # two steps of half the limit reach it exactly; one more unit
+        # anywhere does not fit a float64
+        half = MAX_FLOW / 2
+        Instance(3, 1, (Part(half, (0, 1, 2)),))
+        with pytest.raises(InstanceError, match="total flow exceeds"):
+            Instance(3, 1, (Part(half, (0, 1, 2)), Part(Fraction(1), (0, 1))))
+        with pytest.raises(InstanceError, match="total flow exceeds"):
+            parse_instance("machines 2\nmax_cell_size 1\npart 1e400 : 1 2\n")
 
     def test_oversize_cohabit_group_warns(self):
         with pytest.warns(InstanceWarning,
