@@ -162,11 +162,11 @@ class PopulationEvaluator:
         # each SC or SN pair is one flow-graph edge
         self.sc_edges = np.flatnonzero([e.in_sc for e in g.edges])
         self.sn_edges = np.flatnonzero([e.in_sn for e in g.edges])
-        # uint64 words per part (parts are below 2^(m-1)), and the bits of
-        # a part's top word at or above m - 1
-        self.part_words = (self.m - 2) // 64 + 1
-        self._above_part = ~np.uint64(
-            (1 << (self.m - 1 - 64 * (self.part_words - 1))) - 1)
+        # uint64 words per part (parts are below 2^(m-1)), and the bits a
+        # part may set in each of them
+        self.part_words = w = (self.m - 2) // 64 + 1
+        self.part_mask = np.full(w, ~np.uint64(0))
+        self.part_mask[-1] = (1 << (self.m - 1 - 64 * (w - 1))) - 1
 
     # ----- exact conversions and selection ------------------------------
 
@@ -229,7 +229,7 @@ class PopulationEvaluator:
             except (AttributeError, OverflowError):
                 raise ValueError(bad_part) from None
             words = np.frombuffer(raw, "<u8").reshape(len(population), -1)
-        if (words[:, w - 1::w] & self._above_part).any():
+        if (words[:, w - 1::w] & ~self.part_mask[-1]).any():
             raise ValueError(bad_part)
         pop, k = len(words), words.shape[1] // w
         # bits[i, j, v]: bit v of part j of individual i
@@ -237,8 +237,9 @@ class PopulationEvaluator:
                              axis=2, bitorder="little")
         # sig[s, i, v]: bits 64s.. of vertex v's signature in individual i,
         # a sum of distinct powers of two in the narrowest unsigned type
-        # holding min(K, 64) bits; the spare last column holds vertex m - 1
-        # when m - 1 = 64 * part_words
+        # holding min(K, 64) bits, which makes the einsum and the gathers
+        # below several times cheaper than in uint64; the spare last column
+        # holds vertex m - 1 when m - 1 = 64 * part_words
         sig_type = np.min_scalar_type((1 << min(k, 64)) - 1)
         sig = np.zeros(((k + 63) // 64, pop, 64 * w + 1), dtype=sig_type)
         for s in range(len(sig)):
@@ -255,8 +256,8 @@ class PopulationEvaluator:
         keep = np.ascontiguousarray(keep.T)
         # a cell lies inside one signature class, and equal signatures have
         # equal first words: only a row with more than N equal first words
-        # (a run of N + 1 once sorted) can hold an oversize cell
-        # (numpy sorts short uint64 rows faster than narrow ones)
+        # (a run of N + 1 once sorted) can hold an oversize cell; numpy
+        # sorts short uint64 rows several times faster than uint8 ones
         first = np.sort(sig[0][:, :self.m].astype(np.uint64), axis=1)
         cap = self.max_size
         flagged = np.flatnonzero(

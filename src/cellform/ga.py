@@ -223,11 +223,8 @@ class _CutEncoding(Encoding):
         super().__init__(inst)
         self.k = compute_k(inst.machine_count, inst.max_cell_size)
         self.bits = inst.machine_count - 1
-        self.words = w = self.evaluator.part_words
-        # every bit of a part's words but those at or above m - 1
-        part_mask = np.full(w, _ALL_ONES)
-        part_mask[-1] = (1 << (self.bits - 64 * (w - 1))) - 1
-        self.row_mask = np.tile(part_mask, self.k)
+        self.words = self.evaluator.part_words
+        self.row_mask = np.tile(self.evaluator.part_mask, self.k)
 
     def capacity(self, size: int) -> int:
         return (1 << self.bits) ** self.k
@@ -286,25 +283,27 @@ class _SortedCutEncoding(_CutEncoding):
 
     def canonical(self, population: np.ndarray) -> np.ndarray:
         """``sort_chromosome`` of every row, on keys that order as the parts
-        do: a one-word part is its own key, wider ones are ranked among the
+        do: a one-word part is its own key (ranking it would cost several
+        times the rest of the sort), wider ones are ranked among the
         population's distinct parts."""
         pop, w = len(population), self.words
         if w == 1:
-            keys = population
-        else:
-            order, ranked, new = sorted_rows(population.reshape(-1, w))
-            rank_sorted = np.cumsum(new)  # from 1; 0 maps to the zero part
-            keys = np.empty_like(rank_sorted)
-            keys[order] = rank_sorted
-            keys = keys.reshape(pop, self.k)
-        keys = np.sort(keys, axis=1)[:, ::-1]
-        keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = 0
-        keys = np.sort(keys, axis=1)[:, ::-1]
-        if w == 1:
-            return np.ascontiguousarray(keys)
+            return _sort_keys(population)
+        order, ranked, new = sorted_rows(population.reshape(-1, w))
+        rank_sorted = np.cumsum(new)  # from 1; 0 maps to the zero part
+        keys = np.empty_like(rank_sorted)
+        keys[order] = rank_sorted
         values = np.zeros((rank_sorted[-1] + 1, w), dtype=np.uint64)
         values[rank_sorted] = ranked
-        return values[keys].reshape(pop, -1)
+        return values[_sort_keys(keys.reshape(pop, self.k))].reshape(pop, -1)
+
+
+def _sort_keys(keys: np.ndarray) -> np.ndarray:
+    """Each row of non-negative keys (0 for the zero part) in sorted form:
+    distinct keys descending, repeats zeroed and moved last."""
+    keys = np.sort(keys, axis=1)[:, ::-1]
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = 0
+    return np.ascontiguousarray(np.sort(keys, axis=1)[:, ::-1])
 
 
 def evolve(encoding: type[Encoding], inst: Instance,
