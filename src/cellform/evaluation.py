@@ -139,6 +139,15 @@ class PopulationEvaluator:
     word, to count their oversize cells. ``evaluate_keeps`` and
     ``evaluate_labels`` take arbitrary masks and run components on every
     row, and ``result`` runs them on the one row it reports.
+
+    Connected components run on one graph of pop * m vertices that stacks
+    the rows (vertex v of row r is r * m + v), built as CSR straight from
+    the keep matrix. This relies on ``graph.edges`` being in ascending
+    (u, v) order, pinned by ``test_connected_canonical_and_weight_total_fuzz``
+    in ``tests/test_flowgraph.py``: the kept edges of a row-major keep
+    matrix then come out sorted by stacked source vertex, which is CSR row
+    order, with no sort. Their endpoints are gathered from a table of two
+    int32 per (row, edge), 8 * pop * E bytes for the largest batch seen.
     """
 
     def __init__(self, inst: Instance):
@@ -167,6 +176,8 @@ class PopulationEvaluator:
         self.part_words = w = (self.m - 2) // 64 + 1
         self.part_mask = np.full(w, ~np.uint64(0))
         self.part_mask[-1] = (1 << (self.m - 1 - 64 * (w - 1))) - 1
+        # stacked endpoints of every (row, edge), grown by _cells on demand
+        self._ends = np.empty((2, 0), dtype=np.int32)
 
     # ----- exact conversions and selection ------------------------------
 
@@ -302,16 +313,21 @@ class PopulationEvaluator:
     def _cells(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells of the graphs a (pop, E) keep matrix leaves: (pop, m)
         labels, distinct across rows, and each row's oversize cell count."""
-        pop, ecount = keep.shape
+        pop = len(keep)
         n = pop * self.m
-        # 1-D nonzero and a division: cheaper than 2-D nonzero
-        hits = np.flatnonzero(keep)
-        ind = hits // ecount
-        edge = hits - ind * ecount
-        src = ind * self.m + self.edge_u[edge]
-        dst = ind * self.m + self.edge_v[edge]
-        # float64 COO is what connected_components converts to most cheaply
-        graph = sparse.coo_matrix((np.ones(len(src)), (src, dst)),
+        if self._ends.shape[1] < keep.size:
+            # entry r*E + e: edge e's endpoints in row r, whose vertices are
+            # r*m .. r*m + m - 1 of the stacked graph (n < 2^31)
+            ends = np.array([self.edge_u, self.edge_v], dtype=np.int32)
+            offsets = np.arange(0, n, self.m, dtype=np.int32)
+            self._ends = (ends[:, None, :] + offsets[:, None]).reshape(2, -1)
+        # edges sorted by (u, v) and rows stacked in order: the kept edges
+        # come out sorted by stacked source vertex, which is CSR row order
+        src, dst = np.take(self._ends, np.flatnonzero(keep), axis=1)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        # float64 data is what connected_components works on, uncopied
+        graph = sparse.csr_matrix((np.ones(len(dst)), dst, indptr),
                                   shape=(n, n))
         ncomp, flat = csgraph.connected_components(graph, directed=False)
         comp_sizes = np.bincount(flat, minlength=ncomp)

@@ -11,6 +11,7 @@ can reach every partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,13 +42,18 @@ def compute_traffic(inst: Instance) -> TrafficMatrix:
 
     A routing (M1, M2, M1) with volume 2 contributes 4 to the (M1, M2)
     traffic: two adjacent occurrences, each weighted by the volume.
+    Counts are summed exactly in integer units of 1 / (the least common
+    multiple of the volume denominators), one Fraction per machine pair.
     """
-    entries: dict[tuple[int, int], Fraction] = {}
+    scale = math.lcm(*(part.volume.denominator for part in inst.parts))
+    units: dict[tuple[int, int], int] = {}
     for part in inst.parts:
+        step = part.volume.numerator * (scale // part.volume.denominator)
         for a, b in zip(part.routing, part.routing[1:]):
             key = (a, b) if a < b else (b, a)
-            entries[key] = entries.get(key, Fraction(0)) + part.volume
-    return TrafficMatrix(inst.machine_count, entries)
+            units[key] = units.get(key, 0) + step
+    return TrafficMatrix(inst.machine_count, {
+        key: Fraction(total, scale) for key, total in units.items()})
 
 
 @dataclass(frozen=True)

@@ -313,9 +313,10 @@ def evolve(encoding: type[Encoding], inst: Instance,
     Per generation: save the elite, roulette-select a crossover_rate share
     of parents, cross each pair, top the population up with fresh random
     individuals, mutate a mutation_rate share (one gene each), put everyone
-    in canonical form, evaluate, and reinsert the elite over the worst
-    individual. best_history holds the exact Y of the best individual so
-    far after each generation. Same seed, same best_history.
+    in canonical form, evaluate, and reinsert the elite, with its whole
+    batch row, over the worst individual. best_history holds the exact Y of
+    the best individual so far after each generation. Same seed, same
+    best_history.
     """
     t0 = time.perf_counter()
     enc = encoding(inst)
@@ -339,7 +340,7 @@ def evolve(encoding: type[Encoding], inst: Instance,
     for _ in range(params.generations):
         elite_idx = int(batch.fitness_units.argmax())
         elite = population[elite_idx]
-        elite_units = batch.fitness_units[elite_idx]
+        elite_row = [a[elite_idx] for a in vars(batch).values()]
 
         weights = evaluator.selection_weights(batch.fitness_units,
                                               params.gamma)
@@ -355,7 +356,8 @@ def evolve(encoding: type[Encoding], inst: Instance,
         batch = enc.evaluate(population)
         worst = int(batch.fitness_units.argmin())
         population[worst] = elite
-        batch.fitness_units[worst] = elite_units
+        for a, value in zip(vars(batch).values(), elite_row):
+            a[worst] = value
 
         gen_best = int(batch.fitness_units.argmax())
         if batch.fitness_units[gen_best] > best_units:

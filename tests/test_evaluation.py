@@ -495,6 +495,69 @@ class TestComponentsOnlyForFlaggedRows:
         check_parts_against_scalar(inst, population)
 
 
+class TestEndpointTable:
+    """One evaluator serves batches of any size from one grow-only table of
+    stacked edge endpoints: 200 keep rows, single rows through ``result``,
+    350 rows, then the flagged rows of ``evaluate_parts``. Every row equals
+    the scalar reference, and the table never outgrows the largest batch."""
+
+    @pytest.mark.parametrize("m, n, k", [(10, 2, 3), (80, 6, 8)])
+    def test_batches_of_changing_size(self, monkeypatch, m, n, k):
+        rng = random.Random(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstanceWarning)
+            inst = random_instance(rng, m, max_parts=3 * m, max_cell_size=n)
+        ev = PopulationEvaluator(inst)
+        g, cfg = ev.graph, ev.cfg
+        ecount = g.edge_count
+        rows, largest = [], 0
+        original = evaluation.csgraph.connected_components
+
+        def spy(graph, **kwargs):
+            nonlocal largest
+            rows.append(graph.shape[0] // m)
+            largest = max(largest, rows[-1] * ecount)
+            return original(graph, **kwargs)
+
+        def check_table():
+            assert 0 < ev._ends.shape[1] <= largest
+
+        monkeypatch.setattr(evaluation.csgraph, "connected_components", spy)
+        for size in (200, 350):
+            # few or many edges removed: large cells and small ones
+            masks = [rng.getrandbits(ecount) & rng.getrandbits(ecount)
+                     if i % 2 else
+                     rng.getrandbits(ecount) | rng.getrandbits(ecount)
+                     for i in range(size)]
+            batch = ev.evaluate_keeps(np.array(
+                [[not (mask >> i) & 1 for i in range(ecount)]
+                 for mask in masks]))
+            check_table()
+            for i, mask in enumerate(masks):
+                scalar = reference_evaluation(
+                    inst, decode_partition(g, mask), cfg)
+                assert ev.result(batch, i) == scalar
+                assert ev.to_fraction(batch.traffic_units[i]) == \
+                    scalar.traffic
+                assert batch.violations[i] == scalar.violations
+                check_table()
+        assert rows[:201] == [200] + [1] * 200
+        assert rows[201:] == [350] + [1] * 350
+        assert ev._ends.shape[1] == 350 * ecount
+
+        rows.clear()
+        population = random_parts_population(rng, k, 1 << (m - 1), 120, 0.5)
+        flagged = sum(largest_class(ch, m, words=1) > n for ch in population)
+        assert 0 < flagged < len(population)
+        batch = ev.evaluate_parts(population)
+        assert rows == [flagged]
+        basis = build_basis(g)
+        for i, parts in enumerate(population):
+            assert ev.result(batch, i) == reference_evaluation(
+                inst, decode_chromosome(parts, basis, g), cfg)
+        assert ev._ends.shape[1] == 350 * ecount
+
+
 class TestEvaluatePartsRejectsMalformed:
     """evaluate_parts takes parts from outside the GA: anything but rows of
     one common length holding Python ints in [0, 2^(m-1) - 1] raises

@@ -4,7 +4,8 @@ import random
 import warnings
 from fractions import Fraction
 
-from cellform import (InstanceWarning, build_graph, compute_traffic)
+from cellform import (Instance, InstanceWarning, Part, build_graph,
+                      compute_traffic)
 from helpers import make_instance, random_instance
 
 
@@ -49,6 +50,36 @@ class TestComputeTraffic:
             assert t.entry(a, a) == 0
             for b in range(4):
                 assert t.entry(a, b) == t.entry(b, a)
+
+    def test_matches_per_step_fractions_fuzz(self):
+        # integer units against summing one Fraction per routing step, on
+        # volumes whose denominators mix primes, powers and composites
+        rng = random.Random(321)
+        denominators = [1, 2, 3, 4, 6, 7, 9, 10, 12, 25, 49, 97, 1000003]
+        for _ in range(200):
+            m = rng.randint(2, 12)
+            parts = []
+            for _ in range(rng.randint(0, 15)):
+                routing = [rng.randrange(m)]
+                for _ in range(rng.randint(1, 7)):
+                    step = rng.randrange(m - 1)
+                    routing.append(step + (step >= routing[-1]))
+                volume = Fraction(rng.randint(0, 40), rng.choice(denominators))
+                parts.append(Part(volume, tuple(routing)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InstanceWarning)
+                inst = Instance(m, m, tuple(parts))
+            expected = {}
+            for part in parts:
+                for a, b in zip(part.routing, part.routing[1:]):
+                    key = (min(a, b), max(a, b))
+                    expected[key] = expected.get(key, Fraction(0)) \
+                        + part.volume
+            got = compute_traffic(inst).nonzero()
+            assert got == sorted((k, v) for k, v in expected.items() if v)
+            assert all(type(v) is Fraction for _, v in got)
+            assert repr(got) == repr(sorted(
+                (k, v) for k, v in expected.items() if v))
 
 
 class TestBuildGraph:

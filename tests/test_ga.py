@@ -711,3 +711,36 @@ class TestRunGA:
                      self._params(crossover_rate=0.0, mutation_rate=0.0,
                                   generations=10))
         assert len(res.best_history) == 10
+
+
+class TestEliteReinsertion:
+    """The elite replaces the worst individual with its whole batch row:
+    after every generation the loop's batch equals a fresh evaluation of
+    the population it holds."""
+
+    @pytest.mark.parametrize("encoding", [ga._CutEncoding,
+                                          ga._SortedCutEncoding,
+                                          _EdgeEncoding])
+    def test_batch_matches_population(self, monkeypatch, encoding):
+        inst = generate_instance(9, 27, 3, 8, seed=11)
+        calls = []
+        original = encoding.evaluate
+
+        def spy(self, population):
+            batch = original(self, population)
+            calls.append((self, population, batch,
+                          [a.copy() for a in vars(batch).values()]))
+            return batch
+
+        monkeypatch.setattr(encoding, "evaluate", spy)
+        ga.evolve(encoding, inst, GAParams(30, 25, seed=3))
+        # the first population, one per generation, then the best row
+        assert len(calls) == 27
+        reinserted = 0
+        for enc, population, batch, as_returned in calls:
+            fresh = original(enc, population)
+            for name, value in vars(fresh).items():
+                assert np.array_equal(getattr(batch, name), value), name
+            reinserted += any(not np.array_equal(a, b) for a, b in
+                              zip(vars(batch).values(), as_returned))
+        assert reinserted > 0
