@@ -78,8 +78,6 @@ class TestComputeTraffic:
             got = compute_traffic(inst).nonzero()
             assert got == sorted((k, v) for k, v in expected.items() if v)
             assert all(type(v) is Fraction for _, v in got)
-            assert repr(got) == repr(sorted(
-                (k, v) for k, v in expected.items() if v))
 
 
 class TestBuildGraph:
