@@ -18,6 +18,10 @@ builds the instance's flow graph and fitness config itself, scores whole
 populations in exact integer weight units, and turns any row of a batch
 into the exact ``Evaluation`` a solver reports. The exhaustive oracle sums
 the same units.
+
+scipy is imported only when a batch needs connected components (EGA masks,
+k-means labels, cut rows that may hold an oversize cell), so a cut GA run
+that never flags a row, and the CLI verbs that run no solver, never load it.
 """
 
 from __future__ import annotations
@@ -27,12 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
-from .cuts import Partition, partition_from_labels
+from .cuts import Partition
 from .flowgraph import build_graph
-from .instance import Instance
+from .instance import Instance, vertex_groups
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,11 @@ class PopulationEvaluator:
     u = m + |SC| + |SN|.
 
     Edge weights are scaled by the least common multiple of their
-    denominators to exact integer units; ``to_fraction`` converts traffic
-    and fitness units back. The unit arrays are int64 when the largest
-    fitness (u + 1) * B fits with room to spare, and Python ints (object
-    dtype) otherwise; the same code runs on either.
+    denominators to exact integer units, and B is summed in the same
+    units; ``to_fraction`` converts traffic and fitness units back. The
+    unit arrays are int64 when the largest fitness (u + 1) * B fits with
+    room to spare, and Python ints (object dtype) otherwise; the same code
+    runs on either.
 
     Traffic is always measured on the decoded partition (edges whose
     endpoints land in different cells). For masks that are unions of cuts
@@ -138,35 +141,39 @@ class PopulationEvaluator:
     only for the rows where more than N vertices share the first signature
     word, to count their oversize cells. ``evaluate_keeps`` and
     ``evaluate_labels`` take arbitrary masks and run components on every
-    row, and ``result`` runs them on the one row it reports.
+    row. ``result`` decodes the one row it reports with the union-find of
+    ``instance.vertex_groups`` (cells ordered by lowest member, as in
+    ``decode_partition``), not with the batch components path.
 
-    Connected components run on one graph of pop * m vertices that stacks
-    the rows (vertex v of row r is r * m + v), built as CSR straight from
-    the keep matrix. This relies on ``graph.edges`` being in ascending
-    (u, v) order, pinned by ``test_connected_canonical_and_weight_total_fuzz``
-    in ``tests/test_flowgraph.py``: the kept edges of a row-major keep
-    matrix then come out sorted by stacked source vertex, which is CSR row
-    order, with no sort. Their endpoints are gathered from a table of two
+    Batch connected components (scipy's, imported on the first call) run
+    on one graph of pop * m vertices that stacks the rows (vertex v of row
+    r is r * m + v), built as CSR straight from the keep matrix. This
+    relies on ``graph.edges`` being in ascending (u, v) order, pinned by
+    ``test_connected_canonical_and_weight_total_fuzz`` in
+    ``tests/test_flowgraph.py``: the kept edges of a row-major keep matrix
+    then come out sorted by stacked source vertex, which is CSR row order,
+    with no sort. Their endpoints are gathered from a table of two
     int32 per (row, edge), 8 * pop * E bytes for the largest batch seen.
     """
 
     def __init__(self, inst: Instance):
         self.graph = g = build_graph(inst)
+        self.scale = scale = math.lcm(
+            *(e.weight.denominator for e in g.edges)) if g.edges else 1
+        units = [e.weight.numerator * (scale // e.weight.denominator)
+                 for e in g.edges]
+        # B = total flow, or 1 when there is none
+        self.bound_units = sum(units) or scale
         self.cfg = cfg = FitnessConfig(
-            g.total_weight() or Fraction(1),
+            Fraction(self.bound_units, scale),
             inst.machine_count + len(inst.cohabit) + len(inst.separate))
         self.m = g.machine_count
         self.edge_u = np.array([e.u for e in g.edges], dtype=np.int64)
         self.edge_v = np.array([e.v for e in g.edges], dtype=np.int64)
-        self.scale = math.lcm(*(e.weight.denominator for e in g.edges)) \
-            if g.edges else 1
-        self.bound_units = int(cfg.bound * self.scale)
         self.u = cfg.constraint_count
         fits_int64 = (self.u + 1) * self.bound_units < 2 ** 62
         self.units_dtype = np.int64 if fits_int64 else object
-        self.weight_units = np.array(
-            [int(e.weight * self.scale) for e in g.edges],
-            dtype=self.units_dtype)
+        self.weight_units = np.array(units, dtype=self.units_dtype)
         self.max_size = inst.max_cell_size
         # each SC or SN pair is one flow-graph edge
         self.sc_edges = np.flatnonzero([e.in_sc for e in g.edges])
@@ -189,8 +196,10 @@ class PopulationEvaluator:
         """Exact Evaluation of row ``i`` of a batch."""
         traffic = self.to_fraction(batch.traffic_units[i])
         violations = int(batch.violations[i])
-        labels, _ = self._cells(batch.keep[i:i + 1])
-        return Evaluation(partition_from_labels(labels[0]), traffic,
+        kept = np.flatnonzero(batch.keep[i])
+        cells = vertex_groups(self.m, zip(self.edge_u[kept].tolist(),
+                                          self.edge_v[kept].tolist()))
+        return Evaluation(Partition(tuple(map(tuple, cells))), traffic,
                           violations, violations == 0,
                           fitness(traffic, violations, self.cfg))
 
@@ -313,6 +322,10 @@ class PopulationEvaluator:
     def _cells(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells of the graphs a (pop, E) keep matrix leaves: (pop, m)
         labels, distinct across rows, and each row's oversize cell count."""
+        # imported here, on the first batch that needs components: scipy
+        # doubles the start-up time and memory of a run that never does
+        from scipy import sparse
+        from scipy.sparse import csgraph
         pop = len(keep)
         n = pop * self.m
         if self._ends.shape[1] < keep.size:

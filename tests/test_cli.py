@@ -1,8 +1,10 @@
 """Command line interface: verbs, output formats, and exit codes."""
 
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +392,46 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "solve" in proc.stdout
+
+
+class TestWithoutScipy:
+    """Only batch connected components load scipy. The cut GA never flags
+    a row on a 50-machine shop with N = 7, so with scipy unimportable the
+    library imports, SCGA and CGA run, and ``solve`` (default method),
+    ``generate`` and ``dump-graph`` exit 0; EGA, which needs components on
+    every generation, raises ImportError there."""
+
+    SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+import cellform
+from cellform import GAParams, cli, generate_instance, run_ega, run_ga
+inst = generate_instance(50, 100, 7, 10, seed=42)
+for variant in ("scga", "cga"):
+    for seed in range(4):
+        run_ga(inst, GAParams(100, 50, variant=variant, seed=seed))
+shop = sys.argv[1]
+assert cli.main(["generate", "-m", "50", "-p", "100", "-N", "7",
+                 "--seed", "42", "--out", shop]) == 0
+for seed in ("0", "1"):
+    assert cli.main(["solve", shop, "--pop", "100", "--gens", "50",
+                     "--seed", seed]) == 0
+assert cli.main(["dump-graph", shop]) == 0
+assert not [name for name in sys.modules if name.startswith("scipy.")]
+try:
+    run_ega(inst, GAParams(20, 2))
+except ImportError:
+    print("EGA needs scipy")
+"""
+
+    def test_cut_ga_and_cli_run_without_scipy(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "shop.txt")],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "EGA needs scipy"
