@@ -322,8 +322,8 @@ class PopulationEvaluator:
     def _cells(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells of the graphs a (pop, E) keep matrix leaves: (pop, m)
         labels, distinct across rows, and each row's oversize cell count."""
-        # imported here, on the first batch that needs components: scipy
-        # doubles the start-up time and memory of a run that never does
+        # imported here, on the first batch that needs components: scipy is
+        # over half the start-up time and memory of a run that never does
         from scipy import sparse
         from scipy.sparse import csgraph
         pop = len(keep)
