@@ -14,13 +14,11 @@
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from .evaluation import Evaluation, PopulationEvaluator
 from .ga import Encoding, GAParams, GAResult, compute_k, cut_points, \
-    evolve, splice
+    evolve, make_rng, splice
 from .instance import Instance
 
 _ORACLE_GUARD = 12
@@ -93,17 +91,19 @@ def _nearest(d2: np.ndarray, points: np.ndarray, sq_norms: np.ndarray,
     return assign
 
 
-def _lloyd(points: np.ndarray, k: int, rng: random.Random) -> np.ndarray:
+def _lloyd(points: np.ndarray, k: int,
+           rng: np.random.Generator) -> np.ndarray:
     """Euclidean k-means to an assignment fixpoint (cap 100 iterations).
 
-    Centroids start on k distinct rows; an empty cluster is re-seeded on the
-    row farthest from its assigned centroid. Memory is O(m * k), and every
-    choice is the one exact differences (x - c)^2 would make.
+    Centroids start on k distinct rows drawn by ``rng.choice``; an empty
+    cluster is re-seeded on the row farthest from its assigned centroid.
+    Memory is O(m * k), and every choice is the one exact differences
+    (x - c)^2 would make.
     """
     m = len(points)
     sq_norms = (points ** 2).sum(axis=1)
     columns = np.arange(m)
-    centroids = points[rng.sample(range(m), k)].copy()
+    centroids = points[rng.choice(m, k, replace=False)]
     assign = None
     for _ in range(100):
         d2 = _sq_distances(points, sq_norms, centroids)
@@ -142,7 +142,9 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     (UF). Clusterings are scored as cell labels
     (``PopulationEvaluator.evaluate_labels``), so a cluster that is
     disconnected in the flow graph counts as its connected pieces. All
-    clusterings are scored in one batch.
+    clusterings are scored in one batch. Every draw comes from
+    ``ga.make_rng(seed)``, as in the GAs, so a negative seed has its own
+    stream.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -158,7 +160,7 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     # scaled by a power of two, exactly, so no clustering changes and no
     # squared flow overflows
     points = np.ldexp(points, -np.frexp(points.max())[1])
-    rng = random.Random(seed)
+    rng = make_rng(seed)
     labels = np.array([_lloyd(points, k, rng)
                        for _ in range(restarts) for k in ks], dtype=np.int64)
     batch = evaluator.evaluate_labels(labels)

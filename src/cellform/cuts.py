@@ -31,11 +31,6 @@ def mask_from_bits(bits) -> int:
     return mask
 
 
-def bits_from_mask(mask: int, width: int) -> tuple[int, ...]:
-    """Unpack an int mask into a tuple of 0/1 flags of the given width."""
-    return tuple((mask >> i) & 1 for i in range(width))
-
-
 @dataclass(frozen=True)
 class Cut:
     """A cut: its edge-incidence mask and its integer name in the basis."""
@@ -146,16 +141,6 @@ class Partition:
         return lab
 
 
-def partition_from_labels(labels) -> Partition:
-    """Partition from any per-machine label sequence (labels need not be
-    canonical; the cells come out in canonical order)."""
-    groups: dict[int, list[int]] = {}
-    for v, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(v)
-    # vertices ascending: each cell is sorted, cells come by lowest vertex
-    return Partition(tuple(map(tuple, groups.values())))
-
-
 def decode_partition(g: FlowGraph, edge_mask: int) -> Partition:
     """Cells left after removing the masked edges from the graph.
 
@@ -165,13 +150,3 @@ def decode_partition(g: FlowGraph, edge_mask: int) -> Partition:
     kept = [(e.u, e.v) for i, e in enumerate(g.edges)
             if not (edge_mask >> i) & 1]
     return Partition(tuple(map(tuple, vertex_groups(g.machine_count, kept))))
-
-
-def boundary_mask(g: FlowGraph, partition: Partition) -> int:
-    """Mask of the edges whose endpoints lie in different cells."""
-    labels = partition.labels(g.machine_count)
-    mask = 0
-    for i, e in enumerate(g.edges):
-        if labels[e.u] != labels[e.v]:
-            mask |= 1 << i
-    return mask

@@ -215,42 +215,67 @@ class PopulationEvaluator:
         ratio = np.asarray(fitness_units / top, dtype=np.float64)
         return ratio if gamma is None else ratio ** gamma
 
+    # ----- part words ---------------------------------------------------
+
+    def pack_parts(self, rows) -> np.ndarray:
+        """Rows of K Python int parts as the (pop, K * W) uint64 word array
+        ``evaluate_parts`` takes (W = ``part_words``, part j in words
+        j*W .. j*W+W-1, least significant first).
+
+        Raises ValueError for rows of unequal or zero length and for a part
+        that is not a Python int in [0, 2^(m-1) - 1] (for m > 64 a part
+        does not fit a numpy integer).
+        """
+        counts = {len(parts) for parts in rows}
+        if len(counts) != 1 or 0 in counts:
+            raise ValueError(f"chromosomes need one common, nonzero part "
+                             f"count, got {sorted(counts)}")
+        bad_part = f"chromosome parts must be Python ints in " \
+                   f"0..2^{self.m - 1} - 1"
+        width = 8 * self.part_words
+        try:
+            raw = b"".join([p.to_bytes(width, "little")
+                            for parts in rows for p in parts])
+        except (AttributeError, OverflowError):
+            raise ValueError(bad_part) from None
+        words = np.frombuffer(raw, "<u8").reshape(len(rows), -1)
+        if self._above_range(words):
+            raise ValueError(bad_part)
+        return words.astype(np.uint64)
+
+    def unpack_parts(self, row: np.ndarray) -> tuple[int, ...]:
+        """One row of part words as its tuple of Python int parts; the
+        inverse of ``pack_parts``."""
+        raw = row.astype("<u8").tobytes()
+        width = 8 * self.part_words
+        return tuple(int.from_bytes(raw[i:i + width], "little")
+                     for i in range(0, len(raw), width))
+
+    def _above_range(self, words: np.ndarray) -> bool:
+        """Whether any part of a word array has a bit at or above m - 1."""
+        w = self.part_words
+        return bool((words[:, w - 1::w] & ~self.part_mask[-1]).any())
+
     # ----- population paths --------------------------------------------
 
-    def evaluate_parts(self, population) -> EvalBatch:
-        """Evaluate cut chromosomes: the GA's (pop >= 1, K * W) uint64 word
-        array (W = ``part_words``, part j in words j*W .. j*W+W-1, least
-        significant first), or rows of K Python int parts, packed into it.
+    def evaluate_parts(self, population: np.ndarray) -> EvalBatch:
+        """Evaluate cut chromosomes given as the GA's (pop >= 1, K * W)
+        uint64 word array (``pack_parts`` builds one from Python int parts).
 
-        Raises ValueError for an array of any other dtype or shape, for rows
-        of unequal or zero length, and for a part outside [0, 2^(m-1) - 1]
-        or, in rows, not a Python int (for m > 64 a part does not fit a
-        numpy integer).
+        Raises ValueError for an array of any other dtype or shape, and for
+        a part outside [0, 2^(m-1) - 1].
         """
         w = self.part_words
-        if isinstance(population, np.ndarray):
-            if population.dtype != np.uint64 or population.ndim != 2 \
-                    or 0 in population.shape or population.shape[1] % w:
-                raise ValueError(
-                    f"part words must be a uint64 (pop >= 1, K * {w}) "
-                    f"array, got {population.dtype} {population.shape}")
-            words = np.ascontiguousarray(population, dtype="<u8")
-            bad_part = f"chromosome parts must be in 0..2^{self.m - 1} - 1"
-        else:
-            counts = {len(parts) for parts in population}
-            if len(counts) != 1 or 0 in counts:
-                raise ValueError(f"chromosomes need one common, nonzero part "
-                                 f"count, got {sorted(counts)}")
-            bad_part = f"chromosome parts must be Python ints in " \
-                       f"0..2^{self.m - 1} - 1"
-            try:
-                raw = b"".join([p.to_bytes(8 * w, "little")
-                                for parts in population for p in parts])
-            except (AttributeError, OverflowError):
-                raise ValueError(bad_part) from None
-            words = np.frombuffer(raw, "<u8").reshape(len(population), -1)
-        if (words[:, w - 1::w] & ~self.part_mask[-1]).any():
-            raise ValueError(bad_part)
+        population = np.asarray(population)
+        if population.dtype != np.uint64 or population.ndim != 2 \
+                or 0 in population.shape or population.shape[1] % w:
+            raise ValueError(
+                f"part words must be a uint64 (pop >= 1, K * {w}) array, "
+                f"got {population.dtype} {population.shape}")
+        words = np.ascontiguousarray(population, dtype="<u8")
+        if self._above_range(words):
+            raise ValueError(
+                f"chromosome parts must be in 0..2^{self.m - 1} - 1")
         pop, k = len(words), words.shape[1] // w
         # bits[i, j, v]: bit v of part j of individual i
         bits = np.unpackbits(words.view(np.uint8).reshape(pop, k, 8 * w),

@@ -18,32 +18,15 @@ from fractions import Fraction
 from .instance import Instance, vertex_groups
 
 
-class TrafficMatrix:
-    """Symmetric machine-to-machine traffic with a zero diagonal."""
-
-    def __init__(self, machine_count: int,
-                 entries: dict[tuple[int, int], Fraction]):
-        self.machine_count = machine_count
-        self._entries = {k: v for k, v in entries.items() if v != 0}
-
-    def entry(self, a: int, b: int) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        key = (a, b) if a < b else (b, a)
-        return self._entries.get(key, Fraction(0))
-
-    def nonzero(self) -> list[tuple[tuple[int, int], Fraction]]:
-        """Pairs with positive traffic, sorted by (low, high) endpoint."""
-        return sorted(self._entries.items())
-
-
-def compute_traffic(inst: Instance) -> TrafficMatrix:
+def compute_traffic(inst: Instance) -> dict[tuple[int, int], Fraction]:
     """Accumulate volume-weighted adjacent-machine counts over all routings.
 
     A routing (M1, M2, M1) with volume 2 contributes 4 to the (M1, M2)
     traffic: two adjacent occurrences, each weighted by the volume.
     Counts are summed exactly in integer units of 1 / (the least common
     multiple of the volume denominators), one Fraction per machine pair.
+    Returns {(a, b): traffic} for the pairs a < b with positive traffic,
+    in ascending (a, b) order.
     """
     scale = math.lcm(*(part.volume.denominator for part in inst.parts))
     units: dict[tuple[int, int], int] = {}
@@ -52,8 +35,8 @@ def compute_traffic(inst: Instance) -> TrafficMatrix:
         for a, b in zip(part.routing, part.routing[1:]):
             key = (a, b) if a < b else (b, a)
             units[key] = units.get(key, 0) + step
-    return TrafficMatrix(inst.machine_count, {
-        key: Fraction(total, scale) for key, total in units.items()})
+    return {key: Fraction(total, scale)
+            for key, total in sorted(units.items()) if total}
 
 
 @dataclass(frozen=True)
@@ -79,9 +62,6 @@ class FlowGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def total_weight(self) -> Fraction:
-        return sum((e.weight for e in self.edges), Fraction(0))
-
 
 def build_graph(inst: Instance) -> FlowGraph:
     """Build the flow graph for an instance.
@@ -95,9 +75,8 @@ def build_graph(inst: Instance) -> FlowGraph:
     """
     traffic = compute_traffic(inst)
     m = inst.machine_count
-    keys = {pair for pair, _ in traffic.nonzero()}
-    keys |= inst.cohabit | inst.separate
-    edges = [Edge(a, b, traffic.entry(a, b),
+    keys = traffic.keys() | inst.cohabit | inst.separate
+    edges = [Edge(a, b, traffic.get((a, b), Fraction(0)),
                   in_sc=(a, b) in inst.cohabit,
                   in_sn=(a, b) in inst.separate)
              for a, b in keys]

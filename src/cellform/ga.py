@@ -98,15 +98,12 @@ class GAResult:
     feasible_found: bool
 
 
-def chromosome_mask(parts: tuple[int, ...], basis: CutBasis) -> int:
-    """OR-union of the cuts named by the nonzero parts."""
-    return union_cuts(cut_from_index(basis, p) for p in parts if p)
-
-
 def decode_chromosome(parts: tuple[int, ...], basis: CutBasis,
                       g: FlowGraph) -> Partition:
-    """Partition encoded by the parts (cells after removing their cuts)."""
-    return decode_partition(g, chromosome_mask(parts, basis))
+    """Partition encoded by the parts: the cells left after removing the
+    OR-union of the cuts the nonzero parts name."""
+    return decode_partition(
+        g, union_cuts(cut_from_index(basis, p) for p in parts if p))
 
 
 def sort_chromosome(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -261,10 +258,7 @@ class _CutEncoding(Encoding):
         return self.evaluator.evaluate_parts(population)
 
     def public(self, row: np.ndarray) -> tuple[int, ...]:
-        raw = row.astype("<u8").tobytes()
-        width = 8 * self.words
-        return tuple(int.from_bytes(raw[i:i + width], "little")
-                     for i in range(0, len(raw), width))
+        return self.evaluator.unpack_parts(row)
 
 
 class _SortedCutEncoding(_CutEncoding):

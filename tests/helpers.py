@@ -17,8 +17,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cellform import Evaluation, Instance, InstanceWarning, Part, \
-    PopulationEvaluator, boundary_mask, compute_k, compute_traffic, \
-    decode_partition, fitness, partition_from_labels, violation_breakdown
+    Partition, PopulationEvaluator, compute_k, compute_traffic, \
+    decode_partition, fitness, violation_breakdown
+from cellform.ga import make_rng
 
 
 def make_instance(machine_count, max_cell_size, routings,
@@ -85,6 +86,36 @@ def instances(draw, min_machines=2, max_machines=12):
             m, n, tuple(parts),
             frozenset(p for p, sc in zip(pairs, cohabit) if sc),
             frozenset(p for p, sc in zip(pairs, cohabit) if not sc))
+
+
+def bits_from_mask(mask: int, width: int) -> tuple[int, ...]:
+    """Unpack an int mask into a tuple of 0/1 flags of the given width."""
+    return tuple((mask >> i) & 1 for i in range(width))
+
+
+def boundary_mask(g, partition: Partition) -> int:
+    """Mask of the edges whose endpoints lie in different cells."""
+    labels = partition.labels(g.machine_count)
+    mask = 0
+    for i, e in enumerate(g.edges):
+        if labels[e.u] != labels[e.v]:
+            mask |= 1 << i
+    return mask
+
+
+def partition_from_labels(labels) -> Partition:
+    """Partition from any per-machine label sequence (labels need not be
+    canonical; the cells come out in canonical order)."""
+    groups: dict[int, list[int]] = {}
+    for v, lab in enumerate(labels):
+        groups.setdefault(int(lab), []).append(v)
+    # vertices ascending: each cell is sorted, cells come by lowest vertex
+    return Partition(tuple(map(tuple, groups.values())))
+
+
+def total_weight(g) -> Fraction:
+    """Sum of a flow graph's edge weights, in Fractions."""
+    return sum((e.weight for e in g.edges), Fraction(0))
 
 
 def vertex_cut_mask(graph, vertex_set) -> int:
@@ -176,13 +207,13 @@ def dense_traffic(inst: Instance) -> np.ndarray:
     """The (m, m) float traffic matrix, from ``compute_traffic``."""
     m = inst.machine_count
     points = np.zeros((m, m))
-    for (a, b), t in compute_traffic(inst).nonzero():
+    for (a, b), t in compute_traffic(inst).items():
         points[a, b] = points[b, a] = float(t)
     return points
 
 
 def reference_lloyd(points: np.ndarray, k: int,
-                    rng: random.Random) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Reference for ``_lloyd``: exact differences in an (m, k, m) tensor
     and a per-cluster mean() loop.
 
@@ -190,7 +221,7 @@ def reference_lloyd(points: np.ndarray, k: int,
     library's ``_lloyd``; only the arithmetic layout differs.
     """
     m = len(points)
-    centroids = points[rng.sample(range(m), k)].copy()
+    centroids = points[rng.choice(m, k, replace=False)]
     assign = None
     for _ in range(100):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -222,7 +253,7 @@ def reference_multikmeans(inst: Instance, restarts: int = 1, seed: int = 0):
     g, cfg = evaluator.graph, evaluator.cfg
     m = inst.machine_count
     points = dense_traffic(inst)
-    rng = random.Random(seed)
+    rng = make_rng(seed)
     best = None
     for _ in range(restarts):
         for k in range(compute_k(m, inst.max_cell_size), m):

@@ -1,5 +1,6 @@
 """Edge-encoding GA, k-means clustering, and the exhaustive oracle."""
 
+import copy
 import random
 import warnings
 from fractions import Fraction
@@ -9,14 +10,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
-                      boundary_mask, build_graph, compute_k, decode_partition,
-                      generate_instance, partition_from_labels, run_ega,
-                      run_ga, run_multikmeans, solve)
+                      baselines, build_graph, compute_k, decode_partition,
+                      generate_instance, run_ega, run_ga, run_multikmeans,
+                      solve)
 from cellform.baselines import _lloyd, exhaustive_oracle
 from cellform.bench import BENCH_METHODS
-from helpers import (brute_force_optimum, dense_traffic, instances,
-                     make_instance, partition_traffic, random_instance,
-                     reference_lloyd, reference_multikmeans)
+from cellform.ga import make_rng
+from helpers import (boundary_mask, brute_force_optimum, dense_traffic,
+                     instances, make_instance, partition_from_labels,
+                     partition_traffic, random_instance, reference_lloyd,
+                     reference_multikmeans)
 
 
 CHAIN_ROUTINGS = [(4, (1, 2)), (1, (2, 3)), (3, (3, 4))]
@@ -128,6 +131,22 @@ class TestRunMultikmeans:
                                  cohabit=[(1, 2), (2, 3)])
         assert run_multikmeans(inst, restarts=3, seed=0) is None
 
+    def test_negative_seed_draws_its_own_centroids(self, monkeypatch):
+        # the first centroids of seeds 5 and -5 differ: like the GAs,
+        # k-means seeds a generator on the sign as well as on |seed|
+        inst = generate_instance(20, 40, 5, seed=2)
+        firsts = {}
+
+        def spy(points, k, rng):
+            firsts.setdefault(seed, copy.deepcopy(rng).choice(
+                len(points), k, replace=False))
+            return _lloyd(points, k, rng)
+
+        monkeypatch.setattr(baselines, "_lloyd", spy)
+        for seed in (5, -5):
+            run_multikmeans(inst, seed=seed)
+        assert not np.array_equal(firsts[5], firsts[-5])
+
     def test_never_beats_oracle(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -157,7 +176,7 @@ class TestKmeansMatchesReference:
             m = inst.machine_count
             g = build_graph(inst)
             points = dense_traffic(inst)
-            ours, ref = random.Random(seed), random.Random(seed)
+            ours, ref = make_rng(seed), make_rng(seed)
             for k in range(compute_k(m, inst.max_cell_size), m):
                 assign = _lloyd(points, k, ours)
                 assert np.array_equal(assign,

@@ -6,12 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from cellform import (InstanceWarning, Partition, bits_from_mask, build_basis,
-                      build_graph, boundary_mask, cut_from_index,
-                      decode_partition, enumerate_all_cuts, mask_from_bits,
-                      partition_from_labels, union_cuts, xor_cuts)
+from cellform import (InstanceWarning, Partition, build_basis, build_graph,
+                      cut_from_index, decode_partition, enumerate_all_cuts,
+                      mask_from_bits, union_cuts, xor_cuts)
 from cellform.instance import generate_instance
-from helpers import make_instance, random_instance, vertex_cut_mask
+from helpers import (bits_from_mask, boundary_mask, make_instance,
+                     partition_from_labels, random_instance, vertex_cut_mask)
 
 # Hand-derived single-vertex cuts of the five-machine graph: bit i of a mask
 # flags edge i of the canonical order (1,3)(1,4)(1,5)(2,3)(2,4)(2,5)(3,5)(4,5).

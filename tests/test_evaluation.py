@@ -1,5 +1,6 @@
 """Fitness function, violation counting, and batch evaluation equivalence."""
 
+import functools
 import math
 import random
 import warnings
@@ -16,7 +17,8 @@ from cellform import (FitnessConfig, InstanceWarning, Partition,
                       decode_chromosome, decode_partition, fitness,
                       generate_instance, union_cuts, violation_breakdown)
 from cellform import Instance, Part, mask_from_bits
-from helpers import make_instance, random_instance, reference_evaluation
+from helpers import make_instance, random_instance, reference_evaluation, \
+    total_weight
 
 F = Fraction
 
@@ -187,7 +189,8 @@ class TestEvaluate:
                 parts = [rng.randint(1, basis.max_index)
                          for _ in range(rng.randint(1, 3))]
                 union = union_cuts([cut_from_index(basis, n) for n in parts])
-                ev = evaluator.result(evaluator.evaluate_parts([parts]), 0)
+                ev = evaluator.result(
+                    evaluator.evaluate_parts(evaluator.pack_parts([parts])), 0)
                 assert ev.partition == decode_partition(g, union)
                 # independent recomputation over the decoded partition
                 labels = ev.partition.labels(6)
@@ -241,7 +244,7 @@ def check_parts_against_scalar(inst, population):
     ev = PopulationEvaluator(inst)
     g, cfg = ev.graph, ev.cfg
     basis = build_basis(g)
-    batch = ev.evaluate_parts(population)
+    batch = ev.evaluate_parts(ev.pack_parts(population))
     for i, parts in enumerate(population):
         scalar = reference_evaluation(
             inst, decode_chromosome(parts, basis, g), cfg)
@@ -430,7 +433,7 @@ class TestPopulationEvaluator:
             g = ev.graph
             scale = math.lcm(*(e.weight.denominator for e in g.edges))
             u = m + len(pairs)
-            assert ev.cfg == FitnessConfig(g.total_weight() or F(1), u)
+            assert ev.cfg == FitnessConfig(total_weight(g) or F(1), u)
             assert ev.scale == scale
             assert ev.bound_units == ev.cfg.bound * scale
             units = [e.weight * scale for e in g.edges]
@@ -496,7 +499,7 @@ class TestComponentsOnlyForFlaggedRows:
 
         with monkeypatch.context() as patch:
             patch.setattr(csgraph, "connected_components", spy)
-            ev.evaluate_parts(population)
+            ev.evaluate_parts(ev.pack_parts(population))
         return rows
 
     def test_no_rows_when_classes_fit(self, monkeypatch):
@@ -595,7 +598,7 @@ class TestEndpointTable:
         population = random_parts_population(rng, k, 1 << (m - 1), 120, 0.5)
         flagged = sum(largest_class(ch, m, words=1) > n for ch in population)
         assert 0 < flagged < len(population)
-        batch = ev.evaluate_parts(population)
+        batch = ev.evaluate_parts(ev.pack_parts(population))
         assert rows == [flagged]
         basis = build_basis(g)
         for i, parts in enumerate(population):
@@ -604,10 +607,16 @@ class TestEndpointTable:
         assert ev._ends.shape[1] == 350 * ecount
 
 
+@functools.lru_cache(maxsize=None)
+def shop_evaluator(m):
+    """The evaluator of one generated m-machine shop, built once."""
+    return PopulationEvaluator(generate_instance(m, 2 * m, 8, seed=m))
+
+
 class TestEvaluatePartsRejectsMalformed:
-    """evaluate_parts takes parts from outside the GA: anything but rows of
+    """pack_parts takes parts from outside the GA: anything but rows of
     one common length holding Python ints in [0, 2^(m-1) - 1] raises
-    ValueError instead of being evaluated as some other chromosome."""
+    ValueError instead of being packed as some other chromosome."""
 
     @pytest.fixture
     def ev(self, five_machine_instance):
@@ -619,32 +628,36 @@ class TestEvaluatePartsRejectsMalformed:
         ids=["2^4", "2^5-1", "2^40", "negative", "numpy-int64", "float"])
     def test_bad_part(self, ev, part):
         with pytest.raises(ValueError, match=r"Python ints in 0\.\.2\^4 - 1"):
-            ev.evaluate_parts([(15, 0), (3, part)])
+            ev.pack_parts([(15, 0), (3, part)])
 
     @pytest.mark.parametrize("population", [[(1, 2, 3), (4,)], [()]],
                              ids=["unequal-rows", "empty-row"])
     def test_bad_row_lengths(self, ev, population):
         with pytest.raises(ValueError, match="one common, nonzero part"):
-            ev.evaluate_parts(population)
+            ev.pack_parts(population)
 
     @pytest.mark.parametrize("m", [64, 65, 66, 129])
     def test_range_edges_on_wide_shops(self, m):
         # the top valid part passes on either side of a word boundary of
         # the packed parts; one more fails
-        ev = PopulationEvaluator(generate_instance(m, 2 * m, 8, seed=m))
+        ev = shop_evaluator(m)
         top = (1 << (m - 1)) - 1
-        assert ev.evaluate_parts([(top, 0)]).violations.shape == (1,)
+        words = ev.pack_parts([(top, 0)])
+        assert ev.evaluate_parts(words).violations.shape == (1,)
         with pytest.raises(ValueError, match="Python ints"):
-            ev.evaluate_parts([(top + 1, 0)])
+            ev.pack_parts([(top + 1, 0)])
 
 
 class TestEvaluatePartsWordArrays:
-    """The GA hands evaluate_parts its (pop, K * W) uint64 word array; it
-    scores exactly as the same chromosomes given as Python int parts, and
-    rejects any other dtype, width or a bit at or above m - 1."""
+    """evaluate_parts takes only the GA's (pop, K * W) uint64 word array:
+    ``pack_parts`` builds it from Python int parts as an independent packer
+    does, ``unpack_parts`` reads them back, and any other dtype, width or
+    a bit at or above m - 1 is rejected."""
 
     @staticmethod
     def words(ev, chains):
+        """Independent packer: part j in words j*W .. j*W+W-1, least
+        significant first."""
         w = ev.part_words
         return np.array([[(p >> 64 * i) & (2 ** 64 - 1)
                           for p in ch for i in range(w)] for ch in chains],
@@ -656,23 +669,27 @@ class TestEvaluatePartsWordArrays:
         rng = random.Random(m)
         chains = [tuple(rng.getrandbits(m - 1) if rng.random() < 0.6 else 0
                         for _ in range(4)) for _ in range(30)]
-        a = ev.evaluate_parts(self.words(ev, chains))
-        b = ev.evaluate_parts(chains)
+        words = self.words(ev, chains)
+        assert np.array_equal(ev.pack_parts(chains), words)
+        a = ev.evaluate_parts(words)
+        b = ev.evaluate_parts(ev.pack_parts(chains))
         for field in ("traffic_units", "violations", "fitness_units",
                       "keep"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     @pytest.mark.parametrize("m", [5, 65, 66, 130])
     def test_bad_arrays(self, m):
-        ev = PopulationEvaluator(generate_instance(m, 2 * m, 8, seed=m))
+        ev = shop_evaluator(m)
         w = ev.part_words
         good = np.zeros((3, 2 * w), dtype=np.uint64)
         assert ev.evaluate_parts(good).violations.shape == (3,)
         # a width that is no multiple of W exists only for W > 1
         widths = [good[:, :-1]] if w > 1 else []
+        # rows of Python int parts go through pack_parts first
         for bad in (good.astype(np.int64), *widths,
                     np.zeros((3, 0), dtype=np.uint64),
-                    np.zeros((0, 2 * w), dtype=np.uint64), good[0]):
+                    np.zeros((0, 2 * w), dtype=np.uint64), good[0],
+                    [(0, 0)] * 3):
             with pytest.raises(ValueError, match="part words must be a "
                                                  "uint64"):
                 ev.evaluate_parts(bad)
@@ -683,6 +700,23 @@ class TestEvaluatePartsWordArrays:
             with pytest.raises(ValueError,
                                match=rf"in 0\.\.2\^{m - 1} - 1"):
                 ev.evaluate_parts(above)
+
+    @pytest.mark.parametrize("m", [5, 64, 65, 66, 129])
+    @given(data=st.data())
+    def test_pack_unpack_round_trip(self, m, data):
+        # parts on both sides of each 64-bit word boundary below 2^(m-1),
+        # and at the top of the range
+        ev = shop_evaluator(m)
+        top = (1 << (m - 1)) - 1
+        edges = [0, 1, top, top - 1] + [
+            (1 << b) + d for b in range(64, m - 1, 64) for d in (-1, 0)]
+        part = st.one_of(st.integers(0, top), st.sampled_from(edges))
+        k = data.draw(st.integers(1, 5))
+        rows = data.draw(st.lists(st.tuples(*[part] * k), min_size=1,
+                                  max_size=6))
+        words = ev.pack_parts(rows)
+        assert np.array_equal(words, self.words(ev, rows))
+        assert [ev.unpack_parts(row) for row in words] == rows
 
 
 class TestKeepsAndLabelsRejectMalformed:

@@ -1,4 +1,4 @@
-"""Traffic matrix accumulation and flow-graph construction."""
+"""Traffic accumulation and flow-graph construction."""
 
 import random
 import warnings
@@ -6,50 +6,48 @@ from fractions import Fraction
 
 from cellform import (Instance, InstanceWarning, Part, build_graph,
                       compute_traffic)
-from helpers import make_instance, random_instance
+from helpers import dense_traffic, make_instance, random_instance, \
+    total_weight
 
 
 class TestComputeTraffic:
     def test_single_transition(self):
         t = compute_traffic(make_instance(2, 1, [(5, (1, 2))]))
-        assert t.entry(0, 1) == 5
-        assert t.entry(1, 0) == 5
-        assert t.nonzero() == [((0, 1), Fraction(5))]
+        assert t == {(0, 1): Fraction(5)}
 
     def test_revisit_counts_twice(self):
         # routing 1-2-1 with volume 2: two adjacent occurrences, each x2
         t = compute_traffic(make_instance(2, 1, [(2, (1, 2, 1))]))
-        assert t.entry(0, 1) == 4
+        assert t[0, 1] == 4
 
     def test_direction_ignored(self):
         t = compute_traffic(make_instance(2, 1, [(3, (1, 2)), (4, (2, 1))]))
-        assert t.entry(0, 1) == 7
+        assert t == {(0, 1): 7}
 
     def test_diagonal_and_absent_pairs_zero(self):
-        t = compute_traffic(make_instance(3, 1, [(5, (1, 2))]))
-        assert t.entry(1, 1) == 0
-        assert t.entry(0, 2) == 0
+        inst = make_instance(3, 1, [(5, (1, 2))])
+        assert list(compute_traffic(inst)) == [(0, 1)]
+        dense = dense_traffic(inst)
+        assert dense[1, 1] == dense[0, 2] == 0
 
     def test_zero_volume_contributes_nothing(self):
         t = compute_traffic(make_instance(2, 1, [(0, (1, 2))]))
-        assert t.entry(0, 1) == 0
-        assert t.nonzero() == []
+        assert t == {}
 
     def test_fraction_volumes_exact(self):
         t = compute_traffic(
             make_instance(2, 1, [(Fraction(1, 2), (1, 2)),
                                  (Fraction(1, 3), (2, 1))]))
-        assert t.entry(0, 1) == Fraction(5, 6)
+        assert t == {(0, 1): Fraction(5, 6)}
 
     def test_nonzero_sorted_and_dense_symmetric(self):
-        t = compute_traffic(
-            make_instance(4, 2, [(1, (3, 4)), (2, (1, 2)), (3, (2, 3))]))
-        assert t.nonzero() == [((0, 1), Fraction(2)), ((1, 2), Fraction(3)),
-                               ((2, 3), Fraction(1))]
-        for a in range(4):
-            assert t.entry(a, a) == 0
-            for b in range(4):
-                assert t.entry(a, b) == t.entry(b, a)
+        inst = make_instance(4, 2, [(1, (3, 4)), (2, (1, 2)), (3, (2, 3))])
+        t = compute_traffic(inst)
+        assert list(t.items()) == [((0, 1), Fraction(2)),
+                                   ((1, 2), Fraction(3)),
+                                   ((2, 3), Fraction(1))]
+        dense = dense_traffic(inst)
+        assert (dense == dense.T).all() and not dense.diagonal().any()
 
     def test_matches_per_step_fractions_fuzz(self):
         # integer units against summing one Fraction per routing step, on
@@ -75,7 +73,7 @@ class TestComputeTraffic:
                     key = (min(a, b), max(a, b))
                     expected[key] = expected.get(key, Fraction(0)) \
                         + part.volume
-            got = compute_traffic(inst).nonzero()
+            got = list(compute_traffic(inst).items())
             assert got == sorted((k, v) for k, v in expected.items() if v)
             assert all(type(v) is Fraction for _, v in got)
 
@@ -89,7 +87,7 @@ class TestBuildGraph:
             (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
         assert all(e.weight == 1 for e in g.edges)
         assert not any(e.fictive or e.in_sc or e.in_sn for e in g.edges)
-        assert g.total_weight() == 8
+        assert total_weight(g) == 8
 
     def test_single_edge_no_fictive(self):
         g = build_graph(make_instance(2, 1, [(5, (1, 2))]))
@@ -131,7 +129,7 @@ class TestBuildGraph:
         g = build_graph(make_instance(3, 1, [(0, (1, 2))]))
         assert [(e.u, e.v) for e in g.edges] == [(0, 1), (0, 2)]
         assert all(e.fictive for e in g.edges)
-        assert g.total_weight() == 0
+        assert total_weight(g) == 0
 
 
 class TestGraphProperties:
@@ -166,7 +164,6 @@ class TestGraphProperties:
                     parent[find(u)] = find(v)
                 assert len({find(v) for v in range(inst.machine_count)}) == 1
                 # total weight equals total traffic (fictive edges add zero)
-                assert g.total_weight() == \
-                    sum((t for _, t in traffic.nonzero()), Fraction(0))
+                assert total_weight(g) == sum(traffic.values(), Fraction(0))
                 # deterministic construction
                 assert build_graph(inst) == g

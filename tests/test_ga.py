@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
-                      chromosome_mask, compute_k, decode_chromosome,
+                      compute_k, cut_from_index, decode_chromosome,
                       generate_instance, mask_from_bits, run_ga,
-                      sort_chromosome)
+                      sort_chromosome, union_cuts)
 from cellform import ga
 from cellform.baselines import _EdgeEncoding, exhaustive_oracle, run_ega
 from cellform.ga import MAX_POPULATION
@@ -58,7 +58,7 @@ class TestChromosome:
     def test_mask_and_decode_golden(self, five_machine_graph,
                                     five_machine_basis):
         ch = (5, 7, 0)
-        mask = chromosome_mask(ch, five_machine_basis)
+        mask = union_cuts(cut_from_index(five_machine_basis, p) for p in ch)
         assert mask == mask_from_bits((0, 1, 1, 1, 1, 1, 1, 0))
         p = decode_chromosome(ch, five_machine_basis, five_machine_graph)
         assert p.cells == ((0, 2), (1,), (3, 4))
@@ -162,8 +162,8 @@ def test_sort_chromosome_idempotent_and_evaluation_invariant(inst, data):
     s = sort_chromosome(ch)
     assert sort_chromosome(s) == s
     ev = PopulationEvaluator(inst)
-    raw = ev.evaluate_parts([ch])
-    canonical = ev.evaluate_parts([s])
+    raw = ev.evaluate_parts(ev.pack_parts([ch]))
+    canonical = ev.evaluate_parts(ev.pack_parts([s]))
     assert ev.result(raw, 0).partition == ev.result(canonical, 0).partition
     assert raw.traffic_units[0] == canonical.traffic_units[0]
     assert raw.violations[0] == canonical.violations[0]

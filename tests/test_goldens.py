@@ -89,9 +89,8 @@ def test_ga_power_golden(shop, method):
 
 def test_multikmeans_golden(shop):
     assert run_multikmeans(shop, seed=0) == Evaluation(
-        Partition(((0, 5), (1, 4, 6), (2,), (3,), (7,), (8, 9), (10,),
-                   (11,))),
-        Fraction(538), 0, True, Fraction(6781))
+        Partition(((0,), (1, 4, 5, 10), (2,), (3,), (6, 11), (7,), (8, 9))),
+        Fraction(512), 0, True, Fraction(6807))
 
 
 def test_oracle_golden(shop):
