@@ -140,11 +140,12 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     first one met, restarts outer and k ascending, among those with the
     least traffic), or None when every clustering violates a constraint
     (UF). Clusterings are scored as cell labels
-    (``PopulationEvaluator.evaluate_labels``), so a cluster that is
-    disconnected in the flow graph counts as its connected pieces. All
-    clusterings are scored in one batch. Every draw comes from
-    ``ga.make_rng(seed)``, as in the GAs, so a negative seed has its own
-    stream.
+    (``PopulationEvaluator.evaluate_labels``, which loads no scipy), so a
+    cluster that is disconnected in the flow graph counts as its connected
+    pieces. Each restart's clusterings are scored as one batch as soon as
+    they are drawn, and only the best row so far is kept, so memory does
+    not grow with ``restarts``. Every draw comes from ``ga.make_rng(seed)``,
+    as in the GAs, so a negative seed has its own stream.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -161,14 +162,17 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     # squared flow overflows
     points = np.ldexp(points, -np.frexp(points.max())[1])
     rng = make_rng(seed)
-    labels = np.array([_lloyd(points, k, rng)
-                       for _ in range(restarts) for k in ks], dtype=np.int64)
-    batch = evaluator.evaluate_labels(labels)
-    feasible = np.flatnonzero(batch.violations == 0)
-    if not len(feasible):
-        return None
-    return evaluator.result(
-        batch, feasible[np.argmin(batch.traffic_units[feasible])])
+    best = None
+    for _ in range(restarts):
+        batch = evaluator.evaluate_labels(
+            np.array([_lloyd(points, k, rng) for k in ks], dtype=np.int64))
+        feasible = np.flatnonzero(batch.violations == 0)
+        if len(feasible):
+            i = feasible[np.argmin(batch.traffic_units[feasible])]
+            if best is None or \
+                    batch.traffic_units[i] < best[0].traffic_units[best[1]]:
+                best = batch, i
+    return None if best is None else evaluator.result(*best)
 
 
 def exhaustive_oracle(inst: Instance) -> Evaluation | None:
@@ -177,7 +181,8 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
     Branches that would oversize a cell or break a cohabit/separate pair are
     pruned (this never removes a feasible partition), as are branches whose
     accumulated traffic already exceeds the best found. Returns None when no
-    feasible partition exists. Guarded to m <= 12.
+    feasible partition exists. Guarded to m <= 12. The optimum's labels are
+    scored by ``PopulationEvaluator.evaluate_labels``, which loads no scipy.
     """
     m = inst.machine_count
     if m > _ORACLE_GUARD:

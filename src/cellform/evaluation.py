@@ -19,9 +19,13 @@ populations in exact integer weight units, and turns any row of a batch
 into the exact ``Evaluation`` a solver reports. The exhaustive oracle sums
 the same units.
 
-scipy is imported only when a batch needs connected components (EGA masks,
-k-means labels, cut rows that may hold an oversize cell), so a cut GA run
-that never flags a row, and the CLI verbs that run no solver, never load it.
+Cut chromosomes and cell labels both describe vertex classes (equal cut
+signatures, equal labels), and each cell lies inside one class, so their
+cells are decoded only on rows where a class has more than N members, one
+row at a time by the union-find that ``result`` uses. scipy is imported
+only by ``evaluate_keeps``, which runs batch connected components on
+arbitrary edge masks (EGA): the cut GA, multi-k-means, the oracle and the
+CLI verbs that run them never load it.
 """
 
 from __future__ import annotations
@@ -137,16 +141,16 @@ class PopulationEvaluator:
     survives the union of cuts exactly when its endpoints have equal
     signatures. So every cell lies inside one signature class, and an SC
     or SN pair (always a flow-graph edge) shares a cell exactly when its
-    edge is kept: ``evaluate_parts`` needs connected components
-    only for the rows where more than N vertices share the first signature
-    word, to count their oversize cells. ``evaluate_keeps`` and
-    ``evaluate_labels`` take arbitrary masks and run components on every
-    row. ``result`` decodes the one row it reports with the union-find of
+    edge is kept. The same holds for the label classes of
+    ``evaluate_labels``. Both decode cells only on the rows where more than
+    N vertices share a label or a first signature word, to count their
+    oversize cells, one row at a time with the union-find of
     ``instance.vertex_groups`` (cells ordered by lowest member, as in
-    ``decode_partition``), not with the batch components path.
+    ``decode_partition``) that ``result`` also decodes its row with.
 
-    Batch connected components (scipy's, imported on the first call) run
-    on one graph of pop * m vertices that stacks the rows (vertex v of row
+    Only ``evaluate_keeps`` takes arbitrary masks. It runs scipy's batch
+    connected components (imported on the first call) on every row, on
+    one graph of pop * m vertices that stacks the rows (vertex v of row
     r is r * m + v), built as CSR straight from the keep matrix. This
     relies on ``graph.edges`` being in ascending (u, v) order, pinned by
     ``test_connected_canonical_and_weight_total_fuzz`` in
@@ -183,7 +187,7 @@ class PopulationEvaluator:
         self.part_words = w = (self.m - 2) // 64 + 1
         self.part_mask = np.full(w, ~np.uint64(0))
         self.part_mask[-1] = (1 << (self.m - 1 - 64 * (w - 1))) - 1
-        # stacked endpoints of every (row, edge), grown by _cells on demand
+        # stacked endpoints of every (row, edge), grown by evaluate_keeps
         self._ends = np.empty((2, 0), dtype=np.int32)
 
     # ----- exact conversions and selection ------------------------------
@@ -196,12 +200,16 @@ class PopulationEvaluator:
         """Exact Evaluation of row ``i`` of a batch."""
         traffic = self.to_fraction(batch.traffic_units[i])
         violations = int(batch.violations[i])
-        kept = np.flatnonzero(batch.keep[i])
-        cells = vertex_groups(self.m, zip(self.edge_u[kept].tolist(),
-                                          self.edge_v[kept].tolist()))
+        cells = self._decode(batch.keep[i])
         return Evaluation(Partition(tuple(map(tuple, cells))), traffic,
                           violations, violations == 0,
                           fitness(traffic, violations, self.cfg))
+
+    def _decode(self, keep: np.ndarray) -> list[list[int]]:
+        """Cells of the graph one keep row leaves (``vertex_groups``)."""
+        kept = np.flatnonzero(keep)
+        return vertex_groups(self.m, zip(self.edge_u[kept].tolist(),
+                                         self.edge_v[kept].tolist()))
 
     def selection_weights(self, fitness_units: np.ndarray,
                           gamma: float | None) -> np.ndarray:
@@ -299,20 +307,9 @@ class PopulationEvaluator:
         for word in by_vertex[1:]:
             keep &= word[self.edge_u] == word[self.edge_v]
         keep = np.ascontiguousarray(keep.T)
-        # a cell lies inside one signature class, and equal signatures have
-        # equal first words: only a row with more than N equal first words
-        # (a run of N + 1 once sorted) can hold an oversize cell; numpy
-        # sorts short uint64 rows several times faster than uint8 ones
-        first = np.sort(sig[0][:, :self.m].astype(np.uint64), axis=1)
-        cap = self.max_size
-        flagged = np.flatnonzero(
-            (first[:, cap:] == first[:, :-cap]).any(axis=1))
-        oversize = np.zeros(pop, dtype=np.int64)
-        if len(flagged):
-            oversize[flagged] = self._cells(keep[flagged])[1]
-        # an edge left out of a union of cuts joins two different
-        # signatures, hence two cells: the removed edges are the crossing ones
-        return self._score(keep, ~keep, oversize)
+        # equal signatures have equal first words, and numpy sorts short
+        # uint64 rows several times faster than uint8 ones
+        return self._classes(keep, sig[0][:, :self.m].astype(np.uint64))
 
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
         """Evaluate masks given as a (pop, E) boolean keep matrix.
@@ -325,30 +322,8 @@ class PopulationEvaluator:
                 or keep.shape[1] != len(self.edge_u):
             raise ValueError(f"keep matrix must be (pop >= 1, "
                              f"{len(self.edge_u)}), got {keep.shape}")
-        labels, oversize = self._cells(keep)
-        return self._score(
-            keep, labels[:, self.edge_u] != labels[:, self.edge_v], oversize)
-
-    def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
-        """Evaluate a (pop, m) matrix of per-machine cell labels.
-
-        The cells' boundary edges are removed and the cells read off the
-        remaining graph, so a labelled cell that is disconnected in the
-        flow graph counts as its connected pieces. Raises ValueError unless
-        the matrix is (pop >= 1, m).
-        """
-        labels = np.asarray(labels)
-        if labels.ndim != 2 or not len(labels) or labels.shape[1] != self.m:
-            raise ValueError(f"label matrix must be (pop >= 1, {self.m}), "
-                             f"got {labels.shape}")
-        return self.evaluate_keeps(
-            labels[:, self.edge_u] == labels[:, self.edge_v])
-
-    def _cells(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cells of the graphs a (pop, E) keep matrix leaves: (pop, m)
-        labels, distinct across rows, and each row's oversize cell count."""
-        # imported here, on the first batch that needs components: scipy is
-        # over half the start-up time and memory of a run that never does
+        # imported here: scipy is over half the start-up time and memory of
+        # a run that scores no arbitrary mask
         from scipy import sparse
         from scipy.sparse import csgraph
         pop = len(keep)
@@ -373,7 +348,42 @@ class PopulationEvaluator:
         owner[flat] = np.repeat(np.arange(pop, dtype=np.int64), self.m)
         oversize = np.bincount(owner[comp_sizes > self.max_size],
                                minlength=pop)
-        return flat.reshape(pop, self.m), oversize
+        labels = flat.reshape(pop, self.m)
+        return self._score(
+            keep, labels[:, self.edge_u] != labels[:, self.edge_v], oversize)
+
+    def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
+        """Evaluate a (pop, m) matrix of per-machine cell labels.
+
+        The cells' boundary edges are removed and the cells read off the
+        remaining graph, so a labelled cell that is disconnected in the
+        flow graph counts as its connected pieces. Labels are compared as
+        given (any dtype numpy sorts), never cast. Raises ValueError unless
+        the matrix is (pop >= 1, m).
+        """
+        labels = np.asarray(labels)
+        if labels.ndim != 2 or not len(labels) or labels.shape[1] != self.m:
+            raise ValueError(f"label matrix must be (pop >= 1, {self.m}), "
+                             f"got {labels.shape}")
+        return self._classes(
+            labels[:, self.edge_u] == labels[:, self.edge_v], labels)
+
+    def _classes(self, keep: np.ndarray, key: np.ndarray) -> EvalBatch:
+        """Batch for a keep matrix that removes an edge only between two
+        vertex classes (unequal cut signatures, unequal labels), given a
+        (pop, m) key that is equal within a class. Every cell then lies
+        inside one class, so the removed edges are the crossing ones, and
+        only a row where more than N vertices share a key (a run of N + 1
+        once sorted) can hold an oversize cell: those rows alone are
+        decoded, one at a time."""
+        key = np.sort(key, axis=1)
+        cap = self.max_size
+        flagged = np.flatnonzero((key[:, cap:] == key[:, :-cap]).any(axis=1))
+        oversize = np.zeros(len(keep), dtype=np.int64)
+        for row in flagged:
+            oversize[row] = sum(len(cell) > cap
+                                for cell in self._decode(keep[row]))
+        return self._score(keep, ~keep, oversize)
 
     def _score(self, keep: np.ndarray, crossing: np.ndarray,
                oversize: np.ndarray) -> EvalBatch:

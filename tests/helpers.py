@@ -17,8 +17,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cellform import Evaluation, Instance, InstanceWarning, Part, \
-    Partition, PopulationEvaluator, compute_k, compute_traffic, \
-    decode_partition, fitness, violation_breakdown
+    Partition, PopulationEvaluator, build_graph, compute_k, \
+    compute_traffic, decode_partition, fitness, violation_breakdown
+from cellform.instance import vertex_groups
 from cellform.ga import make_rng
 
 
@@ -171,6 +172,18 @@ def reference_evaluation(inst: Instance, partition, cfg) -> Evaluation:
     violations = sum(violation_breakdown(partition, inst))
     return Evaluation(partition, traffic, violations, violations == 0,
                       fitness(traffic, violations, cfg))
+
+
+def reference_label_evaluation(inst: Instance, labels, cfg) -> Evaluation:
+    """Reference for one row of ``PopulationEvaluator.evaluate_labels``:
+    the connected pieces that the flow-graph edges between equal labels
+    leave (``vertex_groups``), scored by ``reference_evaluation``. Labels
+    are compared as given."""
+    g = build_graph(inst)
+    pieces = vertex_groups(inst.machine_count, [
+        (e.u, e.v) for e in g.edges if labels[e.u] == labels[e.v]])
+    return reference_evaluation(inst, Partition(tuple(map(tuple, pieces))),
+                                cfg)
 
 
 def partition_feasible(inst: Instance, cells) -> bool:

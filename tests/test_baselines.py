@@ -2,6 +2,7 @@
 
 import copy
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -146,6 +147,21 @@ class TestRunMultikmeans:
         for seed in (5, -5):
             run_multikmeans(inst, seed=seed)
         assert not np.array_equal(firsts[5], firsts[-5])
+
+    def test_memory_does_not_grow_with_restarts(self):
+        # each restart's clusterings are scored as they are drawn, so 20
+        # restarts peak where 2 do (scoring all rows at once took about 8x)
+        inst = generate_instance(40, 80, 5, seed=1)
+        run_multikmeans(inst, restarts=1, seed=0)
+        peaks = {}
+        for restarts in (2, 20):
+            tracemalloc.start()
+            try:
+                run_multikmeans(inst, restarts=restarts, seed=0)
+                peaks[restarts] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] < 1.25 * peaks[2]
 
     def test_never_beats_oracle(self):
         rng = random.Random(31)

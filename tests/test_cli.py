@@ -395,33 +395,54 @@ class TestModuleEntryPoint:
 
 
 class TestWithoutScipy:
-    """Only batch connected components load scipy. The cut GA never flags
-    a row on a 50-machine shop with N = 7, so with scipy unimportable the
-    library imports, SCGA and CGA run, and ``solve`` (default method),
-    ``generate`` and ``dump-graph`` exit 0; EGA, which needs components on
-    every generation, raises ImportError there."""
+    """Only EGA, which scores arbitrary edge masks, loads scipy. With scipy
+    unimportable the library imports, SCGA and CGA run (they never flag a
+    row on a 50-machine shop with N = 7), multi-k-means and the oracle give
+    the same results as an ordinary process, and ``solve`` (default method,
+    multikmeans and oracle), ``generate`` and ``dump-graph`` exit 0 with
+    the same output; ``run_ega`` raises ImportError there."""
 
     SCRIPT = """
-import sys
-sys.modules["scipy"] = None
+import contextlib, io, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
 import cellform
-from cellform import GAParams, cli, generate_instance, run_ega, run_ga
+from cellform import GAParams, cli, exhaustive_oracle, generate_instance, \\
+    run_ega, run_ga, run_multikmeans
 inst = generate_instance(50, 100, 7, 10, seed=42)
 for variant in ("scga", "cga"):
     for seed in range(4):
-        run_ga(inst, GAParams(100, 50, variant=variant, seed=seed))
+        print(run_ga(inst, GAParams(100, 50, variant=variant,
+                                    seed=seed)).best_evaluation)
+wide = generate_instance(96, 192, 8, 10, seed=1)
+for shop, restarts in ((inst, 3), (wide, 2)):
+    print(run_multikmeans(shop, restarts=restarts, seed=5))
+small = generate_instance(9, 18, 3, 6, seed=3)
+print(exhaustive_oracle(small))
 shop = sys.argv[1]
-assert cli.main(["generate", "-m", "50", "-p", "100", "-N", "7",
-                 "--seed", "42", "--out", shop]) == 0
-for seed in ("0", "1"):
-    assert cli.main(["solve", shop, "--pop", "100", "--gens", "50",
-                     "--seed", seed]) == 0
-assert cli.main(["dump-graph", shop]) == 0
-assert not [name for name in sys.modules if name.startswith("scipy.")]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["generate", "-m", "50", "-p", "100", "-N", "7",
+                     "--seed", "42", "--out", shop]) == 0
+    for seed in ("0", "1"):
+        assert cli.main(["solve", shop, "--pop", "100", "--gens", "50",
+                         "--seed", seed]) == 0
+    assert cli.main(["solve", shop, "--method", "multikmeans",
+                     "--reps", "4"]) == 0
+    with open(shop + ".small", "w") as f:
+        f.write(cellform.serialize_instance(small))
+    assert cli.main(["solve", shop + ".small", "--method", "oracle"]) == 0
+    assert cli.main(["dump-graph", shop]) == 0
+print("\\n".join(line for line in out.getvalue().splitlines()
+                if not line.startswith("wall_time_s")))
+if sys.argv[2] == "blocked":
+    assert not [name for name in sys.modules if name.startswith("scipy.")]
 try:
     run_ega(inst, GAParams(20, 2))
 except ImportError:
     print("EGA needs scipy")
+else:
+    print("EGA ran")
 """
 
     def test_cut_ga_and_cli_run_without_scipy(self, tmp_path):
@@ -429,9 +450,18 @@ except ImportError:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "shop.txt")],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "EGA needs scipy"
+        out = {}
+        for mode in ("blocked", "ordinary"):
+            (tmp_path / mode).mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT,
+                 str(tmp_path / mode / "shop.txt"), mode],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            out[mode] = proc.stdout.splitlines()
+        assert out["blocked"][-1] == "EGA needs scipy"
+        assert out["ordinary"][-1] == "EGA ran"
+        assert out["blocked"][:-1] == out["ordinary"][:-1]
+        assert sum(line.startswith("method: ") for line in out["blocked"]) \
+            == 4

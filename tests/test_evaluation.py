@@ -18,7 +18,7 @@ from cellform import (FitnessConfig, InstanceWarning, Partition,
                       generate_instance, union_cuts, violation_breakdown)
 from cellform import Instance, Part, mask_from_bits
 from helpers import make_instance, random_instance, reference_evaluation, \
-    total_weight
+    reference_label_evaluation, total_weight
 
 F = Fraction
 
@@ -481,49 +481,78 @@ def largest_class(parts, m, words=None):
     return max(Counter(sigs).values())
 
 
+@pytest.fixture
+def no_scipy_components(monkeypatch):
+    """Every batch connected-components call made while active; evaluate_parts
+    and evaluate_labels must make none."""
+    calls = []
+    original = csgraph.connected_components
+
+    def spy(graph, **kwargs):
+        calls.append(graph.shape[0])
+        return original(graph, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", spy)
+    return calls
+
+
+def spy_decodes(monkeypatch, ev):
+    """The keep rows ``ev``'s per-row decode gets, as tuples, in call order."""
+    rows = []
+    original = ev._decode
+
+    def spy(keep):
+        rows.append(tuple(keep.tolist()))
+        return original(keep)
+
+    monkeypatch.setattr(ev, "_decode", spy)
+    return rows
+
+
 class TestComponentsOnlyForFlaggedRows:
-    """evaluate_parts runs connected components only on the rows where more
-    than N vertices share the first signature word; every row's result
-    still equals the scalar reference."""
+    """evaluate_parts decodes cells only on the rows where more than N
+    vertices share the first signature word, one row at a time through the
+    per-row decode ``result`` uses, and never calls scipy; every row's
+    result still equals the scalar reference."""
 
     @staticmethod
-    def component_rows(monkeypatch, inst, population):
-        """Rows each connected-components call of evaluate_parts got."""
+    def decoded_rows(monkeypatch, inst, population, flagged):
+        """Check that evaluate_parts decodes exactly the keep rows of the
+        ``flagged`` individuals, in order, and calls no batch components."""
         ev = PopulationEvaluator(inst)
-        rows = []
-        original = csgraph.connected_components
-
-        def spy(graph, **kwargs):
-            rows.append(graph.shape[0] // ev.m)
-            return original(graph, **kwargs)
-
         with monkeypatch.context() as patch:
-            patch.setattr(csgraph, "connected_components", spy)
-            ev.evaluate_parts(ev.pack_parts(population))
+            rows = spy_decodes(patch, ev)
+            batch = ev.evaluate_parts(ev.pack_parts(population))
+        assert rows == [tuple(batch.keep[i].tolist()) for i in flagged]
         return rows
 
-    def test_no_rows_when_classes_fit(self, monkeypatch):
+    def test_no_rows_when_classes_fit(self, monkeypatch,
+                                      no_scipy_components):
         rng = random.Random(47)
         inst = random_instance(rng, 8, max_cell_size=2)
         population = [ch for ch in random_parts_population(rng, 6, 1 << 7, 60)
                       if largest_class(ch, 8) <= 2]
         assert len(population) >= 10
-        assert self.component_rows(monkeypatch, inst, population) == []
+        assert self.decoded_rows(monkeypatch, inst, population, []) == []
         check_parts_against_scalar(inst, population)
+        assert no_scipy_components == []
 
     @pytest.mark.parametrize("n, k", [(1, 8), (2, 5)])
-    def test_only_flagged_rows(self, monkeypatch, n, k):
+    def test_only_flagged_rows(self, monkeypatch, no_scipy_components, n, k):
         # sparse parts: some rows have a class larger than N, some do not
         rng = random.Random(48 + n)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=n)
         population = random_parts_population(rng, k, 1 << 9, 40, 0.8)
-        flagged = sum(largest_class(ch, 10) > n for ch in population)
-        assert 0 < flagged < len(population)
-        assert self.component_rows(monkeypatch, inst, population) == \
-            [flagged]
+        flagged = [i for i, ch in enumerate(population)
+                   if largest_class(ch, 10) > n]
+        assert 0 < len(flagged) < len(population)
+        assert len(self.decoded_rows(
+            monkeypatch, inst, population, flagged)) == len(flagged)
         check_parts_against_scalar(inst, population)
+        assert no_scipy_components == []
 
-    def test_first_word_collision_is_flagged_and_exact(self, monkeypatch):
+    def test_first_word_collision_is_flagged_and_exact(
+            self, monkeypatch, no_scipy_components):
         # K = 70 at m = 70, N = 1. Row 0: parts 0..62 isolate vertices
         # 0..62 and parts 64..69 vertices 63..68, so every signature is
         # distinct but vertices 63..69 share the first word 0. Row 1 gives
@@ -540,19 +569,22 @@ class TestComponentsOnlyForFlaggedRows:
         assert largest_class(collide, 70) == 1
         assert largest_class(collide, 70, words=1) == 7
         assert largest_class(distinct, 70, words=1) == 1
-        assert self.component_rows(monkeypatch, inst, population) == [1]
+        assert len(self.decoded_rows(monkeypatch, inst, population, [0])) == 1
         check_parts_against_scalar(inst, population)
+        assert no_scipy_components == []
 
 
 class TestEndpointTable:
     """One evaluator serves batches of any size from one grow-only table of
-    stacked edge endpoints: 200 keep rows, 350 rows, then the flagged rows
-    of ``evaluate_parts``. Every row, read back through ``result`` (which
-    decodes it without the batch components path), equals the scalar
-    reference, and the table never outgrows the largest batch."""
+    stacked edge endpoints, which only ``evaluate_keeps`` sizes: 200 keep
+    rows, 350 rows, then cut chromosomes and label rows, whose flagged rows
+    are decoded one at a time without the table or scipy. Every row, read
+    back through ``result``, equals the scalar reference, and the table
+    never outgrows the largest ``evaluate_keeps`` batch."""
 
     @pytest.mark.parametrize("m, n, k", [(10, 2, 3), (80, 6, 8)])
-    def test_batches_of_changing_size(self, monkeypatch, m, n, k):
+    def test_batches_of_changing_size(self, monkeypatch, no_scipy_components,
+                                      m, n, k):
         rng = random.Random(m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InstanceWarning)
@@ -560,19 +592,11 @@ class TestEndpointTable:
         ev = PopulationEvaluator(inst)
         g, cfg = ev.graph, ev.cfg
         ecount = g.edge_count
-        rows, largest = [], 0
-        original = csgraph.connected_components
-
-        def spy(graph, **kwargs):
-            nonlocal largest
-            rows.append(graph.shape[0] // m)
-            largest = max(largest, rows[-1] * ecount)
-            return original(graph, **kwargs)
+        rows = no_scipy_components
 
         def check_table():
-            assert 0 < ev._ends.shape[1] <= largest
+            assert 0 < ev._ends.shape[1] <= max(rows) // m * ecount
 
-        monkeypatch.setattr(csgraph, "connected_components", spy)
         for size in (200, 350):
             # few or many edges removed: large cells and small ones
             masks = [rng.getrandbits(ecount) & rng.getrandbits(ecount)
@@ -591,21 +615,31 @@ class TestEndpointTable:
                     scalar.traffic
                 assert batch.violations[i] == scalar.violations
                 check_table()
-        assert rows == [200, 350]
+        assert [r // m for r in rows] == [200, 350]
         assert ev._ends.shape[1] == 350 * ecount
 
         rows.clear()
         population = random_parts_population(rng, k, 1 << (m - 1), 120, 0.5)
-        flagged = sum(largest_class(ch, m, words=1) > n for ch in population)
-        assert 0 < flagged < len(population)
-        batch = ev.evaluate_parts(ev.pack_parts(population))
-        assert rows == [flagged]
+        flagged = [i for i, ch in enumerate(population)
+                   if largest_class(ch, m, words=1) > n]
+        assert 0 < len(flagged) < len(population)
+        with monkeypatch.context() as patch:
+            decoded = spy_decodes(patch, ev)
+            batch = ev.evaluate_parts(ev.pack_parts(population))
+        assert decoded == [tuple(batch.keep[i].tolist()) for i in flagged]
         basis = build_basis(g)
         for i, parts in enumerate(population):
             assert ev.result(batch, i) == reference_evaluation(
                 inst, decode_chromosome(parts, basis, g), cfg)
-        assert ev._ends.shape[1] == 350 * ecount
 
+        labels = np.array([[rng.randrange(1 + i % m) for _ in range(m)]
+                           for i in range(120)])
+        batch = ev.evaluate_labels(labels)
+        for i, row in enumerate(labels):
+            assert ev.result(batch, i) == reference_label_evaluation(
+                inst, row, cfg)
+        assert rows == []
+        assert ev._ends.shape[1] == 350 * ecount
 
 @functools.lru_cache(maxsize=None)
 def shop_evaluator(m):
@@ -742,3 +776,86 @@ class TestKeepsAndLabelsRejectMalformed:
     def test_bad_label_shape(self, ev, shape):
         with pytest.raises(ValueError, match="label matrix must be"):
             ev.evaluate_labels(np.zeros(shape, dtype=np.int64))
+
+
+class TestLabelsMatchComponentsReference:
+    """evaluate_labels and result, row by row, against the connected pieces
+    that the edges between equal labels leave (``reference_label_evaluation``)
+    on random label matrices. The fuzz is checked to contain label classes
+    that are disconnected in the flow graph, classes larger than N that
+    split into pieces both within and above N, split SC and united SN
+    pairs, and float labels that an int cast would merge."""
+
+    @staticmethod
+    def check(inst, labels):
+        ev = PopulationEvaluator(inst)
+        batch = ev.evaluate_labels(labels)
+        refs = [reference_label_evaluation(inst, row, ev.cfg)
+                for row in labels]
+        for i, ref in enumerate(refs):
+            assert ev.result(batch, i) == ref
+            assert ev.to_fraction(batch.traffic_units[i]) == ref.traffic
+            assert batch.violations[i] == ref.violations
+            assert ev.to_fraction(batch.fitness_units[i]) == ref.fitness
+        return refs
+
+    @staticmethod
+    def label_matrix(rng, m, rows):
+        """Rows with 1..m distinct labels drawn at random."""
+        return np.array([[rng.randrange(1 + i % m) for _ in range(m)]
+                         for i in range(rows)])
+
+    def test_random_label_matrices(self):
+        seen = Counter()
+        for seed in range(80):
+            rng = random.Random(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InstanceWarning)
+                inst = random_instance(rng, rng.randint(3, 14),
+                                       max_parts=rng.randint(1, 16))
+            m, n = inst.machine_count, inst.max_cell_size
+            labels = self.label_matrix(rng, m, 24)
+            refs = self.check(inst, labels)
+            for row, ref in zip(labels, refs):
+                cells = ref.partition.cells
+                seen["disconnected"] += len(cells) > len(set(row.tolist()))
+                sizes = Counter(row.tolist())
+                for lab, size in sizes.items():
+                    if size > n:
+                        pieces = [len(c) for c in cells if row[c[0]] == lab]
+                        seen["split_oversize"] += \
+                            min(pieces) <= n < max(pieces)
+                seen["sc_split"] += any(row[a] != row[b]
+                                        for a, b in inst.cohabit)
+                seen["sn_united"] += any(row[a] == row[b]
+                                         for a, b in inst.separate)
+        assert min(seen[case] for case in (
+            "disconnected", "split_oversize", "sc_split", "sn_united")) >= 20
+
+    def test_oversize_class_splits_into_pieces(self):
+        # flow-graph components {0}, path 1-2-3, edge 4-5 (also a separated
+        # pair) and the cohabiting pair 6-7, linked by the fictive edges
+        # 0-1, 0-4 and 0-6. One label for machines 1..5, a class of 5 > N = 2
+        # that splits into {1, 2, 3} (oversize) and {4, 5} (united SN pair)
+        inst = make_instance(8, 2, [(3, (2, 3, 4)), (2, (5, 6))],
+                             cohabit=[(7, 8)], separate=[(5, 6)])
+        [split, joined] = self.check(inst, np.array([
+            [9, 0, 0, 0, 0, 0, 1, 2], [9, 0, 0, 0, 0, 0, 1, 1]]))
+        assert split.partition.cells == ((0,), (1, 2, 3), (4, 5), (6,), (7,))
+        assert (split.traffic, split.violations) == (0, 3)
+        assert (joined.traffic, joined.violations) == (0, 2)
+
+    def test_float_labels_are_compared_as_given(self):
+        merged = 0
+        for seed in range(30):
+            rng = random.Random(100 + seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InstanceWarning)
+                inst = random_instance(rng, rng.randint(4, 12), max_parts=12)
+            labels = self.label_matrix(rng, inst.machine_count, 16) / 4.0
+            self.check(inst, labels)
+            ev = PopulationEvaluator(inst)
+            as_float = ev.evaluate_labels(labels)
+            as_int = ev.evaluate_labels(labels.astype(np.int64))
+            merged += int((as_float.keep != as_int.keep).any())
+        assert merged >= 10
