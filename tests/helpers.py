@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from cellform import Evaluation, Instance, InstanceWarning, Part, \
     Partition, PopulationEvaluator, build_graph, compute_k, \
     compute_traffic, decode_partition, fitness, violation_breakdown
-from cellform.instance import vertex_groups
 from cellform.ga import make_rng
+from cellform.instance import vertex_groups
 
 
 def make_instance(machine_count, max_cell_size, routings,

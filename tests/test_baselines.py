@@ -148,9 +148,19 @@ class TestRunMultikmeans:
             run_multikmeans(inst, seed=seed)
         assert not np.array_equal(firsts[5], firsts[-5])
 
+    def test_first_met_wins_ties_across_restarts(self, monkeypatch):
+        # a 4-cycle of unit flows: cells {0,1},{2,3} (restart 0) and
+        # {0,3},{1,2} (restart 1) both cut two edges; restart 0's is kept
+        inst = make_instance(4, 2, [(1, (1, 2, 3, 4, 1))])
+        draws = iter([[0, 0, 1, 1], [0, 1, 2, 2], [0, 1, 1, 0], [0, 1, 2, 2]])
+        monkeypatch.setattr(baselines, "_lloyd",
+                            lambda points, k, rng: np.array(next(draws)))
+        res = run_multikmeans(inst, restarts=2)
+        assert (res.partition.cells, res.traffic) == (((0, 1), (2, 3)), 2)
+
     def test_memory_does_not_grow_with_restarts(self):
-        # each restart's clusterings are scored as they are drawn, so 20
-        # restarts peak where 2 do (scoring all rows at once took about 8x)
+        # each restart's clusterings are scored as they are drawn, so the
+        # peak does not depend on the number of restarts
         inst = generate_instance(40, 80, 5, seed=1)
         run_multikmeans(inst, restarts=1, seed=0)
         peaks = {}

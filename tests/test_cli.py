@@ -399,8 +399,9 @@ class TestWithoutScipy:
     unimportable the library imports, SCGA and CGA run (they never flag a
     row on a 50-machine shop with N = 7), multi-k-means and the oracle give
     the same results as an ordinary process, and ``solve`` (default method,
-    multikmeans and oracle), ``generate`` and ``dump-graph`` exit 0 with
-    the same output; ``run_ega`` raises ImportError there."""
+    multikmeans and oracle), ``bench`` without EGA, ``generate`` and
+    ``dump-graph`` exit 0 with the same output; ``run_ega`` raises
+    ImportError there."""
 
     SCRIPT = """
 import contextlib, io, sys
@@ -432,6 +433,9 @@ with contextlib.redirect_stdout(out):
     with open(shop + ".small", "w") as f:
         f.write(cellform.serialize_instance(small))
     assert cli.main(["solve", shop + ".small", "--method", "oracle"]) == 0
+    assert cli.main(["bench", shop, "--method", "cga,scga,multikmeans",
+                     "--pop", "20", "--gens", "5", "--reps", "2",
+                     "--timing", "none"]) == 0
     assert cli.main(["dump-graph", shop]) == 0
 print("\\n".join(line for line in out.getvalue().splitlines()
                 if not line.startswith("wall_time_s")))
@@ -465,3 +469,5 @@ else:
         assert out["blocked"][:-1] == out["ordinary"][:-1]
         assert sum(line.startswith("method: ") for line in out["blocked"]) \
             == 4
+        assert sum(line.startswith("multikmeans,")
+                   for line in out["blocked"]) == 1

@@ -269,6 +269,12 @@ def random_parts_population(rng, k, part_count, size, density=1.0):
             for _ in range(size)]
 
 
+def random_label_matrix(rng, m, rows):
+    """(rows, m) labels; row i draws each label from 0..i mod m."""
+    return np.array([[rng.randrange(1 + i % m) for _ in range(m)]
+                     for i in range(rows)])
+
+
 class TestPopulationEvaluator:
     def _check_parts_against_scalar(self, inst, rng, size=40, k=None,
                                     density=1.0):
@@ -482,9 +488,9 @@ def largest_class(parts, m, words=None):
 
 
 @pytest.fixture
-def no_scipy_components(monkeypatch):
-    """Every batch connected-components call made while active; evaluate_parts
-    and evaluate_labels must make none."""
+def components_calls(monkeypatch):
+    """The stacked vertex count of every scipy connected-components call
+    made while active (evaluate_parts and evaluate_labels must make none)."""
     calls = []
     original = csgraph.connected_components
 
@@ -510,15 +516,15 @@ def spy_decodes(monkeypatch, ev):
 
 
 class TestComponentsOnlyForFlaggedRows:
-    """evaluate_parts decodes cells only on the rows where more than N
-    vertices share the first signature word, one row at a time through the
-    per-row decode ``result`` uses, and never calls scipy; every row's
-    result still equals the scalar reference."""
+    """evaluate_parts and evaluate_labels decode cells only on the rows
+    where more than N vertices share a first signature word or a label,
+    one row at a time through the per-row decode ``result`` uses, and never
+    call scipy; every row's result still equals the scalar reference."""
 
     @staticmethod
     def decoded_rows(monkeypatch, inst, population, flagged):
         """Check that evaluate_parts decodes exactly the keep rows of the
-        ``flagged`` individuals, in order, and calls no batch components."""
+        ``flagged`` individuals, in order, and return those rows."""
         ev = PopulationEvaluator(inst)
         with monkeypatch.context() as patch:
             rows = spy_decodes(patch, ev)
@@ -527,7 +533,7 @@ class TestComponentsOnlyForFlaggedRows:
         return rows
 
     def test_no_rows_when_classes_fit(self, monkeypatch,
-                                      no_scipy_components):
+                                      components_calls):
         rng = random.Random(47)
         inst = random_instance(rng, 8, max_cell_size=2)
         population = [ch for ch in random_parts_population(rng, 6, 1 << 7, 60)
@@ -535,10 +541,10 @@ class TestComponentsOnlyForFlaggedRows:
         assert len(population) >= 10
         assert self.decoded_rows(monkeypatch, inst, population, []) == []
         check_parts_against_scalar(inst, population)
-        assert no_scipy_components == []
+        assert components_calls == []
 
     @pytest.mark.parametrize("n, k", [(1, 8), (2, 5)])
-    def test_only_flagged_rows(self, monkeypatch, no_scipy_components, n, k):
+    def test_only_flagged_rows(self, monkeypatch, components_calls, n, k):
         # sparse parts: some rows have a class larger than N, some do not
         rng = random.Random(48 + n)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=n)
@@ -549,10 +555,10 @@ class TestComponentsOnlyForFlaggedRows:
         assert len(self.decoded_rows(
             monkeypatch, inst, population, flagged)) == len(flagged)
         check_parts_against_scalar(inst, population)
-        assert no_scipy_components == []
+        assert components_calls == []
 
     def test_first_word_collision_is_flagged_and_exact(
-            self, monkeypatch, no_scipy_components):
+            self, monkeypatch, components_calls):
         # K = 70 at m = 70, N = 1. Row 0: parts 0..62 isolate vertices
         # 0..62 and parts 64..69 vertices 63..68, so every signature is
         # distinct but vertices 63..69 share the first word 0. Row 1 gives
@@ -571,7 +577,26 @@ class TestComponentsOnlyForFlaggedRows:
         assert largest_class(distinct, 70, words=1) == 1
         assert len(self.decoded_rows(monkeypatch, inst, population, [0])) == 1
         check_parts_against_scalar(inst, population)
-        assert no_scipy_components == []
+        assert components_calls == []
+
+
+    def test_only_flagged_label_rows(self, monkeypatch, components_calls):
+        # rows of 1..10 labels on 10 machines, N = 3: a row is decoded only
+        # when more than 3 machines share a label
+        rng = random.Random(52)
+        inst = random_instance(rng, 10, max_parts=20, max_cell_size=3)
+        labels = random_label_matrix(rng, 10, 60)
+        flagged = [i for i, row in enumerate(labels)
+                   if max(Counter(row.tolist()).values()) > 3]
+        assert 0 < len(flagged) < len(labels)
+        ev = PopulationEvaluator(inst)
+        rows = spy_decodes(monkeypatch, ev)
+        batch = ev.evaluate_labels(labels)
+        assert rows == [tuple(batch.keep[i].tolist()) for i in flagged]
+        for i, row in enumerate(labels):
+            assert ev.result(batch, i) == reference_label_evaluation(
+                inst, row, ev.cfg)
+        assert components_calls == []
 
 
 class TestEndpointTable:
@@ -583,7 +608,7 @@ class TestEndpointTable:
     never outgrows the largest ``evaluate_keeps`` batch."""
 
     @pytest.mark.parametrize("m, n, k", [(10, 2, 3), (80, 6, 8)])
-    def test_batches_of_changing_size(self, monkeypatch, no_scipy_components,
+    def test_batches_of_changing_size(self, monkeypatch, components_calls,
                                       m, n, k):
         rng = random.Random(m)
         with warnings.catch_warnings():
@@ -592,7 +617,7 @@ class TestEndpointTable:
         ev = PopulationEvaluator(inst)
         g, cfg = ev.graph, ev.cfg
         ecount = g.edge_count
-        rows = no_scipy_components
+        rows = components_calls
 
         def check_table():
             assert 0 < ev._ends.shape[1] <= max(rows) // m * ecount
@@ -632,8 +657,7 @@ class TestEndpointTable:
             assert ev.result(batch, i) == reference_evaluation(
                 inst, decode_chromosome(parts, basis, g), cfg)
 
-        labels = np.array([[rng.randrange(1 + i % m) for _ in range(m)]
-                           for i in range(120)])
+        labels = random_label_matrix(rng, m, 120)
         batch = ev.evaluate_labels(labels)
         for i, row in enumerate(labels):
             assert ev.result(batch, i) == reference_label_evaluation(
@@ -799,12 +823,6 @@ class TestLabelsMatchComponentsReference:
             assert ev.to_fraction(batch.fitness_units[i]) == ref.fitness
         return refs
 
-    @staticmethod
-    def label_matrix(rng, m, rows):
-        """Rows with 1..m distinct labels drawn at random."""
-        return np.array([[rng.randrange(1 + i % m) for _ in range(m)]
-                         for i in range(rows)])
-
     def test_random_label_matrices(self):
         seen = Counter()
         for seed in range(80):
@@ -814,7 +832,7 @@ class TestLabelsMatchComponentsReference:
                 inst = random_instance(rng, rng.randint(3, 14),
                                        max_parts=rng.randint(1, 16))
             m, n = inst.machine_count, inst.max_cell_size
-            labels = self.label_matrix(rng, m, 24)
+            labels = random_label_matrix(rng, m, 24)
             refs = self.check(inst, labels)
             for row, ref in zip(labels, refs):
                 cells = ref.partition.cells
@@ -852,7 +870,7 @@ class TestLabelsMatchComponentsReference:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", InstanceWarning)
                 inst = random_instance(rng, rng.randint(4, 12), max_parts=12)
-            labels = self.label_matrix(rng, inst.machine_count, 16) / 4.0
+            labels = random_label_matrix(rng, inst.machine_count, 16) / 4.0
             self.check(inst, labels)
             ev = PopulationEvaluator(inst)
             as_float = ev.evaluate_labels(labels)
