@@ -22,10 +22,12 @@ the same units.
 Cut chromosomes and cell labels both describe vertex classes (equal cut
 signatures, equal labels), and each cell lies inside one class, so their
 cells are decoded only on rows where a class has more than N members, one
-row at a time by the union-find that ``result`` uses. scipy is imported
-only by ``evaluate_keeps``, which runs batch connected components on
-arbitrary edge masks (EGA): the cut GA, multi-k-means, the oracle and the
-CLI verbs that run them never load it.
+row at a time by the union-find that ``result`` uses. Arbitrary edge masks
+(EGA) go through ``evaluate_keeps``: a bit-packed sweep from machine 0
+settles every row that is one cell, and scipy's batch connected components
+runs on the other rows only. scipy is imported on every ``evaluate_keeps``
+call and nowhere else, so the cut GA, multi-k-means, the oracle and the
+CLI verbs that run them never load it, and EGA always does.
 """
 
 from __future__ import annotations
@@ -148,16 +150,20 @@ class PopulationEvaluator:
     ``instance.vertex_groups`` (cells ordered by lowest member, as in
     ``decode_partition``) that ``result`` also decodes its row with.
 
-    Only ``evaluate_keeps`` takes arbitrary masks. It runs scipy's batch
-    connected components (imported on the first call) on every row, on
-    one graph of pop * m vertices that stacks the rows (vertex v of row
-    r is r * m + v), built as CSR straight from the keep matrix. This
-    relies on ``graph.edges`` being in ascending (u, v) order, pinned by
-    ``test_connected_canonical_and_weight_total_fuzz`` in
-    ``tests/test_flowgraph.py``: the kept edges of a row-major keep matrix
-    then come out sorted by stacked source vertex, which is CSR row order,
-    with no sort. Their endpoints are gathered from a table of two
-    int32 per (row, edge), 8 * pop * E bytes for the largest batch seen.
+    Only ``evaluate_keeps`` takes arbitrary masks. It first sweeps all
+    rows at once, 64 to a uint64 word, out from machine 0 over the kept
+    edges (``_one_cell``); a row in which every machine is reached is one
+    cell, which crosses no edge and is oversize exactly when m > N. The
+    rows left open go to scipy's batch connected components (imported on
+    every call), on one graph of (open rows) * m vertices that stacks them
+    (vertex v of open row r is r * m + v), built as CSR straight from
+    their keep rows. This relies on ``graph.edges`` being in ascending
+    (u, v) order, pinned by ``test_connected_canonical_and_weight_total_fuzz``
+    in ``tests/test_flowgraph.py``: the kept edges of a row-major keep
+    matrix then come out sorted by stacked source vertex, which is CSR row
+    order, with no sort. Their endpoints are gathered from a table of two
+    int32 per (row, edge), 8 * rows * E bytes for the most open rows of
+    one call so far.
     """
 
     def __init__(self, inst: Instance):
@@ -187,7 +193,15 @@ class PopulationEvaluator:
         self.part_words = w = (self.m - 2) // 64 + 1
         self.part_mask = np.full(w, ~np.uint64(0))
         self.part_mask[-1] = (1 << (self.m - 1 - 64 * (w - 1))) - 1
-        # stacked endpoints of every (row, edge), grown by evaluate_keeps
+        # both arcs of every edge, grouped by target vertex; every vertex
+        # has one, since build_graph stitches the graph connected
+        arc_dst = np.concatenate([self.edge_v, self.edge_u])
+        order = np.argsort(arc_dst, kind="stable")
+        self._arc_src = np.concatenate([self.edge_u, self.edge_v])[order]
+        self._arc_edge = np.tile(np.arange(len(g.edges)), 2)[order]
+        self._arc_starts = np.searchsorted(arc_dst[order], np.arange(self.m))
+        # stacked endpoints of every (row, edge) of the rows evaluate_keeps
+        # sends to scipy, grown to the most it has sent at once
         self._ends = np.empty((2, 0), dtype=np.int32)
 
     # ----- exact conversions and selection ------------------------------
@@ -323,12 +337,21 @@ class PopulationEvaluator:
             raise ValueError(f"keep matrix must be (pop >= 1, "
                              f"{len(self.edge_u)}), got {keep.shape}")
         # imported here: scipy is over half the start-up time and memory of
-        # a run that scores no arbitrary mask
+        # a run that scores no arbitrary mask. It is imported on every call,
+        # so whether EGA runs without it does not hang on the masks drawn.
         from scipy import sparse
         from scipy.sparse import csgraph
-        pop = len(keep)
+        # a row whose kept edges reach every machine from machine 0 is one
+        # cell: it crosses no edge and is oversize exactly when m > N
+        crossing = np.zeros(keep.shape, dtype=bool)
+        oversize = np.full(len(keep), int(self.m > self.max_size))
+        rows = np.flatnonzero(~self._one_cell(keep))
+        if not len(rows):
+            return self._score(keep, crossing, oversize)
+        keep_open = keep[rows]
+        pop = len(rows)
         n = pop * self.m
-        if self._ends.shape[1] < keep.size:
+        if self._ends.shape[1] < keep_open.size:
             # entry r*E + e: edge e's endpoints in row r, whose vertices are
             # r*m .. r*m + m - 1 of the stacked graph (n < 2^31)
             ends = np.array([self.edge_u, self.edge_v], dtype=np.int32)
@@ -336,7 +359,7 @@ class PopulationEvaluator:
             self._ends = (ends[:, None, :] + offsets[:, None]).reshape(2, -1)
         # edges sorted by (u, v) and rows stacked in order: the kept edges
         # come out sorted by stacked source vertex, which is CSR row order
-        src, dst = np.take(self._ends, np.flatnonzero(keep), axis=1)
+        src, dst = np.take(self._ends, np.flatnonzero(keep_open), axis=1)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         # float64 data is what connected_components works on, uncopied
@@ -346,11 +369,46 @@ class PopulationEvaluator:
         comp_sizes = np.bincount(flat, minlength=ncomp)
         owner = np.empty(ncomp, dtype=np.int64)
         owner[flat] = np.repeat(np.arange(pop, dtype=np.int64), self.m)
-        oversize = np.bincount(owner[comp_sizes > self.max_size],
-                               minlength=pop)
+        oversize[rows] = np.bincount(owner[comp_sizes > self.max_size],
+                                     minlength=pop)
         labels = flat.reshape(pop, self.m)
-        return self._score(
-            keep, labels[:, self.edge_u] != labels[:, self.edge_v], oversize)
+        crossing[rows] = labels[:, self.edge_u] != labels[:, self.edge_v]
+        return self._score(keep, crossing, oversize)
+
+    def _one_cell(self, keep: np.ndarray) -> np.ndarray:
+        """Whether each row of a keep matrix leaves the graph one cell.
+
+        The rows are packed 64 to a uint64 word, so ``kept[a]`` holds the
+        rows that keep the edge of arc a and ``reach[v]`` the rows in which
+        vertex v is known to be joined to vertex 0. Each round ORs into
+        every vertex the rows in which a neighbour is reached over a kept
+        edge, until nothing changes (at most m - 1 rounds); a row is one
+        cell when every vertex is reached in it.
+        """
+        pop = len(keep)
+        words = (pop + 63) // 64
+        packed = np.zeros((keep.shape[1], 8 * words), dtype=np.uint8)
+        # packbits runs several times faster along a contiguous axis
+        packed[:, :(pop + 7) // 8] = np.packbits(
+            np.ascontiguousarray(keep.T), axis=1, bitorder="little")
+        kept = packed.view("<u8")[self._arc_edge]
+        reach = np.zeros((self.m, words), dtype="<u8")
+        # a row in which some vertex keeps no edge is not one cell, so the
+        # sweep starts from the other rows only
+        reach[0] = np.bitwise_and.reduce(
+            np.bitwise_or.reduceat(kept, self._arc_starts))
+        arcs = np.empty_like(kept)
+        while True:
+            # np.take into a buffer is about 3x faster than reach[arc_src]
+            np.take(reach, self._arc_src, axis=0, out=arcs)
+            arcs &= kept
+            grown = np.bitwise_or.reduceat(arcs, self._arc_starts)
+            grown |= reach
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        done = np.bitwise_and.reduce(reach).view(np.uint8)
+        return np.unpackbits(done, count=pop, bitorder="little").view(bool)
 
     def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
         """Evaluate a (pop, m) matrix of per-machine cell labels.

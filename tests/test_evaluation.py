@@ -601,11 +601,13 @@ class TestComponentsOnlyForFlaggedRows:
 
 class TestEndpointTable:
     """One evaluator serves batches of any size from one grow-only table of
-    stacked edge endpoints, which only ``evaluate_keeps`` sizes: 200 keep
+    stacked edge endpoints, which only ``evaluate_keeps`` sizes, for the
+    rows its sweep leaves open (those of more than one cell): 200 keep
     rows, 350 rows, then cut chromosomes and label rows, whose flagged rows
     are decoded one at a time without the table or scipy. Every row, read
-    back through ``result``, equals the scalar reference, and the table
-    never outgrows the largest ``evaluate_keeps`` batch."""
+    back through ``result``, equals the scalar reference, scipy sees
+    exactly the open rows, and the table never outgrows the most open rows
+    of one ``evaluate_keeps`` batch."""
 
     @pytest.mark.parametrize("m, n, k", [(10, 2, 3), (80, 6, 8)])
     def test_batches_of_changing_size(self, monkeypatch, components_calls,
@@ -622,6 +624,7 @@ class TestEndpointTable:
         def check_table():
             assert 0 < ev._ends.shape[1] <= max(rows) // m * ecount
 
+        open_rows = []
         for size in (200, 350):
             # few or many edges removed: large cells and small ones
             masks = [rng.getrandbits(ecount) & rng.getrandbits(ecount)
@@ -632,16 +635,20 @@ class TestEndpointTable:
                 [[not (mask >> i) & 1 for i in range(ecount)]
                  for mask in masks]))
             check_table()
+            open_rows.append(0)
             for i, mask in enumerate(masks):
-                scalar = reference_evaluation(
-                    inst, decode_partition(g, mask), cfg)
+                p = decode_partition(g, mask)
+                open_rows[-1] += len(p.cells) > 1
+                scalar = reference_evaluation(inst, p, cfg)
                 assert ev.result(batch, i) == scalar
                 assert ev.to_fraction(batch.traffic_units[i]) == \
                     scalar.traffic
                 assert batch.violations[i] == scalar.violations
                 check_table()
-        assert [r // m for r in rows] == [200, 350]
-        assert ev._ends.shape[1] == 350 * ecount
+        # the second batch leaves more rows open, so the table grows
+        assert 0 < open_rows[0] < open_rows[1] < 350
+        assert [r // m for r in rows] == open_rows
+        assert ev._ends.shape[1] == open_rows[1] * ecount
 
         rows.clear()
         population = random_parts_population(rng, k, 1 << (m - 1), 120, 0.5)
@@ -663,7 +670,75 @@ class TestEndpointTable:
             assert ev.result(batch, i) == reference_label_evaluation(
                 inst, row, cfg)
         assert rows == []
-        assert ev._ends.shape[1] == 350 * ecount
+        assert ev._ends.shape[1] == open_rows[1] * ecount
+
+
+# an m = 2 shop whose one cell is oversize (N = 1), a shop whose flow graph
+# is stitched connected by fictive edges (N = 2), and a fictive-edge shop
+# where one cell fits (N = m = 12)
+SWEEP_SHOPS = {
+    "m2": lambda: make_instance(2, 1, [(3, (1, 2))]),
+    "fictive": lambda: make_instance(
+        8, 2, [(3, (2, 3, 4)), (2, (5, 6))], cohabit=[(7, 8)],
+        separate=[(5, 6)]),
+    "roomy": lambda: random_instance(random.Random(60), 12, max_parts=10,
+                                     max_cell_size=12),
+}
+
+
+class TestOneCellSweep:
+    """evaluate_keeps settles the rows that are one cell by its bit-packed
+    sweep from machine 0 and sends scipy only the others. Across word
+    boundaries (pop 1, 63, 64, 65, 129) and keep densities from none to
+    all, every row equals the reference evaluation of its decoded
+    partition, and scipy's one call sees exactly (rows of more than one
+    cell) * m vertices, or is not made at all."""
+
+    @staticmethod
+    def batch(shop, pop, density):
+        inst = SWEEP_SHOPS[shop]()
+        ev = PopulationEvaluator(inst)
+        rng = np.random.default_rng([pop, round(10 * density)])
+        keep = rng.random((pop, ev.graph.edge_count)) < density
+        partitions = [decode_partition(ev.graph, mask_from_bits(~row))
+                      for row in keep]
+        return inst, ev, ev.evaluate_keeps(keep), partitions
+
+    def test_shops(self):
+        for shop, m, n in (("m2", 2, 1), ("fictive", 8, 2),
+                           ("roomy", 12, 12)):
+            inst = SWEEP_SHOPS[shop]()
+            assert (inst.machine_count, inst.max_cell_size) == (m, n)
+        for shop in ("fictive", "roomy"):
+            ev = PopulationEvaluator(SWEEP_SHOPS[shop]())
+            assert any(e.fictive for e in ev.graph.edges)
+
+    @pytest.mark.parametrize("density", [0, 0.2, 0.5, 0.9, 1])
+    @pytest.mark.parametrize("pop", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("shop", sorted(SWEEP_SHOPS))
+    def test_rows_match_reference(self, components_calls, shop, pop,
+                                  density):
+        inst, ev, batch, partitions = self.batch(shop, pop, density)
+        for i, p in enumerate(partitions):
+            ref = reference_evaluation(inst, p, ev.cfg)
+            assert ev.result(batch, i) == ref
+            assert ev.to_fraction(batch.traffic_units[i]) == ref.traffic
+            assert batch.violations[i] == ref.violations
+            assert ev.to_fraction(batch.fitness_units[i]) == ref.fitness
+        left_open = sum(len(p.cells) > 1 for p in partitions)
+        assert components_calls == ([left_open * ev.m] if left_open else [])
+        if density == 1:
+            assert components_calls == []
+
+    @pytest.mark.parametrize("shop", sorted(SWEEP_SHOPS))
+    def test_each_word_mixes_both_kinds(self, components_calls, shop):
+        # at 90% kept, each of the first two 64-row words holds rows the
+        # sweep finishes and rows it leaves to scipy
+        _, ev, _, partitions = self.batch(shop, 129, 0.9)
+        one_cell = [len(p.cells) == 1 for p in partitions]
+        for word in (one_cell[:64], one_cell[64:128]):
+            assert 0 < sum(word) < 64
+        assert components_calls == [one_cell.count(False) * ev.m]
 
 @functools.lru_cache(maxsize=None)
 def shop_evaluator(m):
