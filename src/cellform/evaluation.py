@@ -387,11 +387,13 @@ class PopulationEvaluator:
         """
         pop = len(keep)
         words = (pop + 63) // 64
-        packed = np.zeros((keep.shape[1], 8 * words), dtype=np.uint8)
-        # packbits runs several times faster along a contiguous axis
-        packed[:, :(pop + 7) // 8] = np.packbits(
-            np.ascontiguousarray(keep.T), axis=1, bitorder="little")
-        kept = packed.view("<u8")[self._arc_edge]
+        padded = np.zeros((64 * words, keep.shape[1]), dtype=np.uint8)
+        padded[:pop] = keep
+        # byte b of edge e has bit i set when row 8b + i keeps e; summing
+        # powers of two is about twice as fast as np.packbits across rows
+        packed = np.einsum("ijk,j->ik", padded.reshape(8 * words, 8, -1),
+                           _POW2[:8].astype(np.uint8))
+        kept = np.ascontiguousarray(packed.T).view("<u8")[self._arc_edge]
         reach = np.zeros((self.m, words), dtype="<u8")
         # a row in which some vertex keeps no edge is not one cell, so the
         # sweep starts from the other rows only

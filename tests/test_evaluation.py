@@ -704,15 +704,6 @@ class TestOneCellSweep:
                       for row in keep]
         return inst, ev, ev.evaluate_keeps(keep), partitions
 
-    def test_shops(self):
-        for shop, m, n in (("m2", 2, 1), ("fictive", 8, 2),
-                           ("roomy", 12, 12)):
-            inst = SWEEP_SHOPS[shop]()
-            assert (inst.machine_count, inst.max_cell_size) == (m, n)
-        for shop in ("fictive", "roomy"):
-            ev = PopulationEvaluator(SWEEP_SHOPS[shop]())
-            assert any(e.fictive for e in ev.graph.edges)
-
     @pytest.mark.parametrize("density", [0, 0.2, 0.5, 0.9, 1])
     @pytest.mark.parametrize("pop", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("shop", sorted(SWEEP_SHOPS))
@@ -734,7 +725,10 @@ class TestOneCellSweep:
     def test_each_word_mixes_both_kinds(self, components_calls, shop):
         # at 90% kept, each of the first two 64-row words holds rows the
         # sweep finishes and rows it leaves to scipy
-        _, ev, _, partitions = self.batch(shop, 129, 0.9)
+        inst, ev, _, partitions = self.batch(shop, 129, 0.9)
+        assert (inst.machine_count, inst.max_cell_size) == {
+            "m2": (2, 1), "fictive": (8, 2), "roomy": (12, 12)}[shop]
+        assert any(e.fictive for e in ev.graph.edges) == (shop != "m2")
         one_cell = [len(p.cells) == 1 for p in partitions]
         for word in (one_cell[:64], one_cell[64:128]):
             assert 0 < sum(word) < 64
