@@ -734,6 +734,7 @@ class TestOneCellSweep:
             assert 0 < sum(word) < 64
         assert components_calls == [one_cell.count(False) * ev.m]
 
+
 @functools.lru_cache(maxsize=None)
 def shop_evaluator(m):
     """The evaluator of one generated m-machine shop, built once."""
