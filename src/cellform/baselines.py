@@ -154,10 +154,11 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     if not ks:
         return None
     evaluator = PopulationEvaluator(inst)
-    # traffic-matrix rows, read off the graph (its other edges weigh 0)
+    # traffic-matrix rows, read off the graph (its other edges weigh 0);
+    # int true division rounds each exact weight once, as float() does
+    g = evaluator.graph
     points = np.zeros((m, m))
-    for e in evaluator.graph.edges:
-        points[e.u, e.v] = points[e.v, e.u] = float(e.weight)
+    points[g.u, g.v] = points[g.v, g.u] = [w / g.scale for w in g.units]
     # scaled by a power of two, exactly, so no clustering changes and no
     # squared flow overflows
     points = np.ldexp(points, -np.frexp(points.max())[1])
@@ -194,9 +195,10 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
 
     # branch sums run on the evaluator's exact integer weight units
     prior_weighted: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for e, w in zip(evaluator.graph.edges, evaluator.weight_units.tolist()):
+    g = evaluator.graph
+    for a, b, w in zip(g.u, g.v, g.units):
         if w:
-            prior_weighted[e.v].append((e.u, w))
+            prior_weighted[b].append((a, w))
     sc_before: list[list[int]] = [[] for _ in range(m)]
     sn_before: list[list[int]] = [[] for _ in range(m)]
     for a, b in inst.cohabit:

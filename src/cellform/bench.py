@@ -174,16 +174,8 @@ def render_table(rows: list[BenchmarkRow]) -> str:
             row.method,
             "-" if row.pop is None else str(row.pop),
             "-" if row.gens is None else str(row.gens),
-            avg, best, cpu,
-            f"{row.feasible_rate.numerator}/{row.feasible_rate.denominator}"
-            if row.feasible_rate.denominator > 1
-            else str(row.feasible_rate.numerator),
+            avg, best, cpu, str(row.feasible_rate),
         ])
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body
-              else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(r[i].ljust(widths[i])
-                               for i in range(len(header))))
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    return "".join("  ".join(map(str.ljust, r, widths)) + "\n"
+                   for r in [header, ["-" * w for w in widths], *body])

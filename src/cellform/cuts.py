@@ -24,11 +24,7 @@ from .instance import vertex_groups
 
 def mask_from_bits(bits) -> int:
     """Pack an iterable of 0/1 flags (edge 0 first) into an int mask."""
-    mask = 0
-    for i, b in enumerate(bits):
-        if b:
-            mask |= 1 << i
-    return mask
+    return sum(1 << i for i, b in enumerate(bits) if b)
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,9 @@ def build_basis(g: FlowGraph) -> CutBasis:
     """
     m = g.machine_count
     incidence = [0] * m
-    for i, e in enumerate(g.edges):
-        incidence[e.u] |= 1 << i
-        incidence[e.v] |= 1 << i
+    for i, (a, b) in enumerate(zip(g.u, g.v)):
+        incidence[a] |= 1 << i
+        incidence[b] |= 1 << i
     cuts = tuple(Cut(incidence[v], 1 << v) for v in range(m - 1))
     return CutBasis(cuts, m, g.edge_count)
 
@@ -89,13 +85,9 @@ def cut_from_index(basis: CutBasis, n: int) -> Cut:
         raise ValueError(
             f"cut index {n} out of range 0..{basis.max_index}")
     mask = 0
-    rest = n
-    pos = 0
-    while rest:
-        if rest & 1:
-            mask ^= basis.cuts[pos].edge_mask
-        rest >>= 1
-        pos += 1
+    for pos, cut in enumerate(basis.cuts):
+        if n >> pos & 1:
+            mask ^= cut.edge_mask
     return Cut(mask, n)
 
 
@@ -147,6 +139,6 @@ def decode_partition(g: FlowGraph, edge_mask: int) -> Partition:
     For a mask that is a union of cuts, every masked edge ends up joining two
     different cells and every unmasked edge stays inside one.
     """
-    kept = [(e.u, e.v) for i, e in enumerate(g.edges)
+    kept = [(a, b) for i, (a, b) in enumerate(zip(g.u, g.v))
             if not (edge_mask >> i) & 1]
     return Partition(tuple(map(tuple, vertex_groups(g.machine_count, kept))))

@@ -32,7 +32,6 @@ CLI verbs that run them never load it, and EGA always does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,12 +122,11 @@ class PopulationEvaluator:
     its fitness config, with bound B = total flow (1 if that is zero),
     u = m + |SC| + |SN|.
 
-    Edge weights are scaled by the least common multiple of their
-    denominators to exact integer units, and B is summed in the same
-    units; ``to_fraction`` converts traffic and fitness units back. The
-    unit arrays are int64 when the largest fitness (u + 1) * B fits with
-    room to spare, and Python ints (object dtype) otherwise; the same code
-    runs on either.
+    B is summed in the graph's exact integer weight units (see
+    ``flowgraph``), and ``to_fraction`` converts traffic and fitness units
+    back. The unit arrays are int64 when the largest fitness (u + 1) * B
+    fits with room to spare, and Python ints (object dtype) otherwise; the
+    same code runs on either.
 
     Traffic is always measured on the decoded partition (edges whose
     endpoints land in different cells). For masks that are unions of cuts
@@ -157,7 +155,7 @@ class PopulationEvaluator:
     rows left open go to scipy's batch connected components (imported on
     every call), on one graph of (open rows) * m vertices that stacks them
     (vertex v of open row r is r * m + v), built as CSR straight from
-    their keep rows. This relies on ``graph.edges`` being in ascending
+    their keep rows. This relies on the graph's edges being in ascending
     (u, v) order, pinned by ``test_connected_canonical_and_weight_total_fuzz``
     in ``tests/test_flowgraph.py``: the kept edges of a row-major keep
     matrix then come out sorted by stacked source vertex, which is CSR row
@@ -168,26 +166,23 @@ class PopulationEvaluator:
 
     def __init__(self, inst: Instance):
         self.graph = g = build_graph(inst)
-        self.scale = scale = math.lcm(
-            *(e.weight.denominator for e in g.edges)) if g.edges else 1
-        units = [e.weight.numerator * (scale // e.weight.denominator)
-                 for e in g.edges]
+        self.scale = g.scale
         # B = total flow, or 1 when there is none
-        self.bound_units = sum(units) or scale
+        self.bound_units = sum(g.units) or g.scale
         self.cfg = cfg = FitnessConfig(
-            Fraction(self.bound_units, scale),
+            Fraction(self.bound_units, g.scale),
             inst.machine_count + len(inst.cohabit) + len(inst.separate))
         self.m = g.machine_count
-        self.edge_u = np.array([e.u for e in g.edges], dtype=np.int64)
-        self.edge_v = np.array([e.v for e in g.edges], dtype=np.int64)
+        self.edge_u = np.array(g.u, dtype=np.int64)
+        self.edge_v = np.array(g.v, dtype=np.int64)
         self.u = cfg.constraint_count
         fits_int64 = (self.u + 1) * self.bound_units < 2 ** 62
         self.units_dtype = np.int64 if fits_int64 else object
-        self.weight_units = np.array(units, dtype=self.units_dtype)
+        self.weight_units = np.array(g.units, dtype=self.units_dtype)
         self.max_size = inst.max_cell_size
         # each SC or SN pair is one flow-graph edge
-        self.sc_edges = np.flatnonzero([e.in_sc for e in g.edges])
-        self.sn_edges = np.flatnonzero([e.in_sn for e in g.edges])
+        self.sc_edges = np.flatnonzero(g.in_sc)
+        self.sn_edges = np.flatnonzero(g.in_sn)
         # uint64 words per part (parts are below 2^(m-1)), and the bits a
         # part may set in each of them
         self.part_words = w = (self.m - 2) // 64 + 1
@@ -198,7 +193,7 @@ class PopulationEvaluator:
         arc_dst = np.concatenate([self.edge_v, self.edge_u])
         order = np.argsort(arc_dst, kind="stable")
         self._arc_src = np.concatenate([self.edge_u, self.edge_v])[order]
-        self._arc_edge = np.tile(np.arange(len(g.edges)), 2)[order]
+        self._arc_edge = np.tile(np.arange(g.edge_count), 2)[order]
         self._arc_starts = np.searchsorted(arc_dst[order], np.arange(self.m))
         # stacked endpoints of every (row, edge) of the rows evaluate_keeps
         # sends to scipy, grown to the most it has sent at once

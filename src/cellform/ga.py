@@ -143,8 +143,13 @@ def init_population(size: int, capacity: int, draw) -> np.ndarray:
     population = draw(size)
     drawn = size
     while True:
-        order, _, new = sorted_rows(population)
-        population = population[np.sort(order[new])]
+        # each row as one raw-bytes item: np.unique's stable sort finds the
+        # first occurrences with one index array, where a lexsort would
+        # allocate a few KB per column
+        rows = np.ascontiguousarray(population).view(
+            f"V{population.itemsize * population.shape[1]}")
+        first = np.unique(rows.ravel(), return_index=True)[1]
+        population = population[np.sort(first)]
         if len(population) == size:
             return population
         if drawn == max_attempts:

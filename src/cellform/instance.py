@@ -64,6 +64,12 @@ MAX_MACHINES = 1024
 MAX_PARTS = 100_000
 MAX_ROUTING_LEN = 100
 
+# Largest decimal exponent of a volume, Python's default limit on the digits
+# int() converts: Fraction("1e-10000000") would first build 10**10000000,
+# for seconds, and every unit sum would then carry its 10-million-digit
+# denominator
+MAX_VOLUME_EXPONENT = 4300
+
 # Largest total flow (volume x routing steps, summed): roulette weights and
 # k-means run in float64
 MAX_FLOW = Fraction(sys.float_info.max)
@@ -180,6 +186,14 @@ class Instance:
 
 
 def _parse_volume(token: str, lineno: int) -> Fraction:
+    # checked before Fraction builds 10**exponent; with leading zeros gone,
+    # five digits already exceed the limit
+    _, marker, exponent = token.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")[:5]
+    if marker and digits.isdecimal() and int(digits) > MAX_VOLUME_EXPONENT:
+        raise InstanceError(
+            f"volume {token!r} has an exponent beyond "
+            f"{MAX_VOLUME_EXPONENT} in magnitude", lineno)
     try:
         vol = Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -199,6 +213,20 @@ def _parse_index(token: str, m: int, lineno: int) -> int:
         raise InstanceError(
             f"machine index {idx} out of range 1..{m}", lineno)
     return idx - 1
+
+
+def _parse_header(fields: list[str], seen: int | None, placeholder: str,
+                  name: str, lineno: int) -> int:
+    """The integer of a ``machines`` or ``max_cell_size`` line (keyword
+    ``fields[0]``); ``seen`` is the value of an earlier such line."""
+    if seen is not None:
+        raise InstanceError(f"duplicate {fields[0]} line", lineno)
+    if len(fields) != 2:
+        raise InstanceError(f"expected: {fields[0]} <{placeholder}>", lineno)
+    try:
+        return int(fields[1])
+    except ValueError:
+        raise InstanceError(f"bad {name} {fields[1]!r}", lineno) from None
 
 
 def parse_instance(text: str) -> Instance:
@@ -228,26 +256,12 @@ def parse_instance(text: str) -> Instance:
         fields = line.split()
         kw = fields[0]
         if kw == "machines":
-            if machine_count is not None:
-                raise InstanceError("duplicate machines line", lineno)
-            if len(fields) != 2:
-                raise InstanceError("expected: machines <count>", lineno)
-            try:
-                machine_count = int(fields[1])
-            except ValueError:
-                raise InstanceError(
-                    f"bad machine count {fields[1]!r}", lineno) from None
+            machine_count = _parse_header(fields, machine_count, "count",
+                                          "machine count", lineno)
             _check_machine_count(machine_count, lineno)
         elif kw == "max_cell_size":
-            if max_cell_size is not None:
-                raise InstanceError("duplicate max_cell_size line", lineno)
-            if len(fields) != 2:
-                raise InstanceError("expected: max_cell_size <N>", lineno)
-            try:
-                max_cell_size = int(fields[1])
-            except ValueError:
-                raise InstanceError(
-                    f"bad max cell size {fields[1]!r}", lineno) from None
+            max_cell_size = _parse_header(fields, max_cell_size, "N",
+                                          "max cell size", lineno)
             if max_cell_size < 1:
                 raise InstanceError(
                     f"max cell size must be at least 1, got {max_cell_size}",
@@ -306,10 +320,9 @@ def serialize_instance(inst: Instance) -> str:
     for part in inst.parts:
         routing = " ".join(str(i + 1) for i in part.routing)
         lines.append(f"part {part.volume} : {routing}")
-    for a, b in sorted(inst.cohabit):
-        lines.append(f"cohabit {a + 1} {b + 1}")
-    for a, b in sorted(inst.separate):
-        lines.append(f"separate {a + 1} {b + 1}")
+    for kw, pairs in (("cohabit", inst.cohabit),
+                      ("separate", inst.separate)):
+        lines += [f"{kw} {a + 1} {b + 1}" for a, b in sorted(pairs)]
     return "\n".join(lines) + "\n"
 
 

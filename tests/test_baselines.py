@@ -117,6 +117,32 @@ class TestRunMultikmeans:
         covered = sorted(v for cell in res.partition.cells for v in cell)
         assert covered == list(range(5))
 
+    def test_points_are_exact_weights_rounded_once(self, monkeypatch):
+        # units past 2^53 over a scale of 7: float64(units) / 7 rounds
+        # twice, which misses float(weight) on all five of these edges
+        rng = random.Random(8)
+        routings = [(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)]
+        inst = make_instance(4, 2, [
+            (Fraction(rng.getrandbits(62) | 1 << 61, 7), r)
+            for r in routings])
+        seen = []
+
+        def spy(points, k, rng):
+            seen.append(points.copy())
+            return _lloyd(points, k, rng)
+
+        monkeypatch.setattr(baselines, "_lloyd", spy)
+        run_multikmeans(inst)
+        g = build_graph(inst)
+        assert g.scale == 7 and min(g.units) > 2 ** 53
+        expected = np.zeros((4, 4))
+        for e in g.edges:
+            expected[e.u, e.v] = expected[e.v, e.u] = float(e.weight)
+        expected = np.ldexp(expected, -np.frexp(expected.max())[1])
+        assert seen and all(np.array_equal(p, expected) for p in seen)
+        rounded_twice = np.array(g.units, dtype=np.float64) / g.scale
+        assert (rounded_twice != [float(e.weight) for e in g.edges]).all()
+
     def test_restarts_validation(self, five_machine_instance):
         with pytest.raises(ValueError, match="restarts"):
             run_multikmeans(five_machine_instance, restarts=0)

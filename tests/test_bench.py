@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from cellform import (BenchmarkRow, GAParams, InstanceWarning,
+from cellform import (BenchmarkRow, FlowGraph, GAParams, InstanceWarning,
                       exhaustive_oracle, render_csv, render_table,
                       run_benchmark, run_ega, run_ga, run_multikmeans, solve)
+from cellform.bench import METHODS
 from helpers import make_instance
+
+F = Fraction
 
 SAMPLE_ROWS = [
     BenchmarkRow("scga", 10, 5, 2, Fraction(13, 2), Fraction(6), 0.12345,
@@ -135,6 +138,28 @@ class TestSolve:
         assert solve(inst, "multikmeans", 4, restarts=2)[0] == \
             run_multikmeans(inst, restarts=2, seed=4)
         assert solve(inst, "oracle")[0] == exhaustive_oracle(inst)
+
+    def test_no_method_builds_the_edge_view(self, monkeypatch):
+        # every solver reads the graph's integer units and endpoint tuples;
+        # FlowGraph.edges (one Edge and one Fraction per edge) is a view
+        # for dump-graph, the demos and the tests. Machines 7 and 8 are
+        # joined to the rest by a fictive edge only.
+        inst = make_instance(8, 3, [(F(5, 2), (1, 2, 3, 1)),
+                                    (F(1, 3), (3, 4, 5)), (2, (5, 6, 4)),
+                                    (7, (7, 8))],
+                             cohabit=[(1, 4)], separate=[(2, 3), (4, 6)])
+        ga = dict(population_size=16, generations=5)
+        expected = {method: solve(inst, method, 2, **ga)[0]
+                    for method in METHODS}
+
+        def refuse(graph):
+            raise AssertionError("FlowGraph.edges built on a solver path")
+
+        monkeypatch.setattr(FlowGraph, "edges", property(refuse))
+        for method in METHODS:
+            assert solve(inst, method, 2, **ga)[0] == expected[method]
+        assert any(ev is not None and ev.feasible
+                   for ev in expected.values())
 
     def test_unknown_method(self, five_machine_instance):
         with pytest.raises(ValueError, match="unknown method"):

@@ -94,6 +94,16 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "line 1" in err
 
+    @pytest.mark.parametrize("token", ["1e10000000", "1e-10000000"])
+    def test_volume_exponent_limit(self, tmp_path, capsys, token):
+        path = tmp_path / "exp.txt"
+        path.write_text(f"machines 3\nmax_cell_size 2\npart {token} : 1 2\n",
+                        encoding="utf-8")
+        for verb in ("solve", "dump-graph"):
+            assert run_cli([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"line 3: volume '{token}' has an exponent beyond" in err
+
     def test_oracle_guard(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text(serialize_instance(

@@ -13,9 +13,10 @@ from hypothesis import given, strategies as st
 from scipy.sparse import csgraph
 
 from cellform import (FitnessConfig, InstanceWarning, Partition,
-                      PopulationEvaluator, build_basis, cut_from_index,
-                      decode_chromosome, decode_partition, fitness,
-                      generate_instance, union_cuts, violation_breakdown)
+                      PopulationEvaluator, build_basis, build_graph,
+                      cut_from_index, decode_chromosome, decode_partition,
+                      fitness, generate_instance, union_cuts,
+                      violation_breakdown)
 from cellform import Instance, Part, mask_from_bits
 from helpers import make_instance, random_instance, reference_evaluation, \
     reference_label_evaluation, total_weight
@@ -450,6 +451,13 @@ class TestPopulationEvaluator:
             assert ev.weight_units.dtype == dtype
             assert ev.weight_units.tolist() == units
             assert all(type(w) is int for w in ev.weight_units.tolist())
+            # the graph owns the units: its scale and units are the
+            # Fraction view's, and a second build is an equal graph
+            assert g.scale == scale
+            assert list(g.units) == units
+            assert all(type(w) is int for w in g.units)
+            assert build_graph(inst) == g
+            assert hash(build_graph(inst)) == hash(g)
             dtypes.add(dtype)
         assert dtypes == {np.int64, object}
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
                       sort_chromosome, union_cuts)
 from cellform import ga
 from cellform.baselines import _EdgeEncoding, exhaustive_oracle, run_ega
-from cellform.ga import MAX_POPULATION
+from cellform.ga import _ALL_ONES, MAX_POPULATION
 from helpers import (instances, make_instance, reference_crossover_any,
                      reference_crossover_boundary, reference_init_population,
                      reference_mutate, reference_roulette_select)
@@ -280,6 +281,55 @@ class TestInitPopulation:
 
         pop = ga.init_population(2, enc.capacity(2), draw)
         assert rows_as_parts(enc, pop) == [(7, 5), (3, 1)]
+
+    def test_first_rows_match_a_lexsort(self):
+        # the distinct rows, in draw order, are the first occurrences a
+        # stable lexsort of the columns finds; uint64 words repeat from a
+        # small pool, with high bits set, and bool rows are short or wide
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n, w = rng.integers(1, 60, 2)
+            if trial % 2:
+                pool = rng.integers(0, _ALL_ONES, 4, dtype=np.uint64,
+                                    endpoint=True)
+                rows = pool[rng.integers(0, 4, (n, w))]
+            else:
+                rows = rng.integers(0, 2, (n, w % 6 + 1), dtype=bool)
+            order = np.lexsort(rows.T)
+            ranked = rows[order]
+            new = np.ones(n, dtype=bool)
+            new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+            expected = rows[np.sort(order[new])]
+            size = len(expected)
+            pop = ga.init_population(size, size, lambda k: rows)
+            assert pop.dtype == rows.dtype
+            assert np.array_equal(pop, expected)
+
+    def test_wide_rows_need_no_per_column_memory(self):
+        # 20 EGA rows at E = 131,923, the edge count of
+        # generate_instance(1024, 3000, 50, 100, seed=1); a lexsort of the
+        # columns took about 2.6 KB each, 347 MB in all. Three repeats in
+        # the first batch make init_population draw a second one.
+        rng = np.random.default_rng(8)
+        stream = rng.integers(0, 2, (23, 131_923), dtype=bool)
+        stream[[4, 9, 17]] = stream[[1, 1, 3]]
+        drawn = []
+
+        def draw(n):
+            start = sum(drawn)
+            drawn.append(n)
+            return stream[start:start + n]
+
+        tracemalloc.start()
+        try:
+            pop = ga.init_population(20, 1 << 20, draw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn == [20, 3]
+        assert np.array_equal(pop, np.delete(stream, [4, 9, 17], axis=0))
+        # the population and one copy are 2.6 MB each
+        assert peak < 32 * 2 ** 20
 
     def test_draw_exhaustion(self):
         with pytest.raises(RuntimeError, match="could not draw 2 distinct "

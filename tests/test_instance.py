@@ -1,6 +1,7 @@
 """Instance model: parsing, validation, serialization, random generation."""
 
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ from hypothesis import given
 
 from cellform import (Instance, InstanceError, InstanceWarning, Part,
                       generate_instance, parse_instance, serialize_instance)
+from cellform import instance as instance_module
 from cellform.instance import MAX_FLOW, MAX_MACHINES, MAX_PARTS, \
-    MAX_ROUTING_LEN, vertex_groups
+    MAX_ROUTING_LEN, MAX_VOLUME_EXPONENT, vertex_groups
 from helpers import instances, random_instance
 
 
@@ -40,6 +42,34 @@ class TestParse:
                 "part 3 : 1 2\npart 1/2 : 2 1\npart 0.5 : 1 2\n")
         volumes = [p.volume for p in parse_instance(text).parts]
         assert volumes == [Fraction(3), Fraction(1, 2), Fraction(1, 2)]
+
+    @pytest.mark.parametrize("token", ["1e10000000", "1e-10000000",
+                                       "1E4301", "2.5e-0004301",
+                                       "1e+1_0000_000"])
+    def test_volume_exponent_limit(self, token, monkeypatch):
+        # rejected before Fraction builds 10**exponent: 1e10000000 took
+        # seconds to refuse, and 1e-10000000 was accepted with a
+        # 10-million-digit denominator
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(instance_module, "Fraction", spy)
+        with pytest.raises(InstanceError, match=re.escape(
+                f"line 4: volume '{token}' has an exponent beyond "
+                f"{MAX_VOLUME_EXPONENT} in magnitude")):
+            parse_instance(f"machines 3\nmax_cell_size 2\n# shop\n"
+                           f"part {token} : 1 2\n")
+        assert (token,) not in built
+
+    def test_volume_exponent_at_limit_and_small_exponents_exact(self):
+        text = ("machines 2\nmax_cell_size 2\npart 1e-300 : 1 2\n"
+                "part 1e-4300 : 2 1\npart 1E+4300 : 1\npart 25e-3 : 1 2\n")
+        volumes = [p.volume for p in parse_instance(text).parts]
+        assert volumes == [Fraction(1, 10 ** 300), Fraction(1, 10 ** 4300),
+                           Fraction(10 ** 4300), Fraction(1, 40)]
 
     def test_zero_volume_allowed(self):
         inst = parse_instance("machines 2\nmax_cell_size 1\npart 0 : 1 2\n")
