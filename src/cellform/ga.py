@@ -143,9 +143,8 @@ def init_population(size: int, capacity: int, draw) -> np.ndarray:
     population = draw(size)
     drawn = size
     while True:
-        # each row as one raw-bytes item: np.unique's stable sort finds the
-        # first occurrences with one index array, where a lexsort would
-        # allocate a few KB per column
+        # each row as one raw-bytes item, so np.unique's stable sort finds
+        # the first occurrences with one index array whatever the row width
         rows = np.ascontiguousarray(population).view(
             f"V{population.itemsize * population.shape[1]}")
         first = np.unique(rows.ravel(), return_index=True)[1]

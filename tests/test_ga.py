@@ -16,7 +16,7 @@ from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
                       sort_chromosome, union_cuts)
 from cellform import ga
 from cellform.baselines import _EdgeEncoding, exhaustive_oracle, run_ega
-from cellform.ga import _ALL_ONES, MAX_POPULATION
+from cellform.ga import MAX_POPULATION
 from helpers import (instances, make_instance, reference_crossover_any,
                      reference_crossover_boundary, reference_init_population,
                      reference_mutate, reference_roulette_select)
@@ -290,8 +290,8 @@ class TestInitPopulation:
         for trial in range(300):
             n, w = rng.integers(1, 60, 2)
             if trial % 2:
-                pool = rng.integers(0, _ALL_ONES, 4, dtype=np.uint64,
-                                    endpoint=True)
+                pool = rng.integers(0, np.iinfo(np.uint64).max, 4,
+                                    dtype=np.uint64, endpoint=True)
                 rows = pool[rng.integers(0, 4, (n, w))]
             else:
                 rows = rng.integers(0, 2, (n, w % 6 + 1), dtype=bool)
