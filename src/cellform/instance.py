@@ -20,6 +20,13 @@ Instances are stored in a line-oriented text format::
 ``#`` starts a comment anywhere on a line. Volumes are exact non-negative
 rationals (``3``, ``1/2`` and ``0.5`` are all accepted). Machine indices are
 1-based in files and messages; in memory everything is 0-based.
+
+Each instance rule (the machine count, the max cell size, each part's volume
+and routing, each pair, no pair in both SC and SN) has one private checker.
+``Instance`` runs all of them on construction; ``parse_instance`` runs the
+same ones on each line it reads, so a file is refused at its first bad line
+with the message ``Instance`` gives for that item; ``generate_instance``
+runs the count checks on its arguments before it draws.
 """
 
 from __future__ import annotations
@@ -75,15 +82,6 @@ MAX_VOLUME_EXPONENT = 4300
 MAX_FLOW = Fraction(sys.float_info.max)
 
 
-def _check_machine_count(m: int, line: int | None = None):
-    if m < 2:
-        raise InstanceError(f"machine count must be at least 2, got {m}",
-                            line)
-    if m > MAX_MACHINES:
-        raise InstanceError(
-            f"machine count {m} exceeds the limit of {MAX_MACHINES}", line)
-
-
 def vertex_groups(n: int, pairs) -> list[list[int]]:
     """Connected groups of vertices 0..n-1 joined by the (a, b) pairs.
 
@@ -114,6 +112,54 @@ class Part:
     routing: tuple[int, ...]
 
 
+# One checker per instance rule, shared by Instance, parse_instance and
+# generate_instance; ``line`` is the source line for parse_instance's messages
+def _check_count(name: str, value: int, low: int, high: int | None = None,
+                 line: int | None = None):
+    if value < low:
+        raise InstanceError(f"{name} must be at least {low}, got {value}",
+                            line)
+    if high is not None and value > high:
+        raise InstanceError(f"{name} {value} exceeds the limit of {high}",
+                            line)
+
+
+def _check_part(k: int, part: Part, m: int, line: int | None = None):
+    """Part number ``k`` (1-based) of a shop of ``m`` machines."""
+    if part.volume < 0:
+        raise InstanceError(f"part {k} has negative volume {part.volume}; "
+                            f"volumes must be non-negative", line)
+    if not part.routing:
+        raise InstanceError(f"part {k} has an empty routing", line)
+    for idx in part.routing:
+        if not 0 <= idx < m:
+            raise InstanceError(f"part {k} routing references machine "
+                                f"{idx + 1}, valid range is 1..{m}", line)
+    for a, b in zip(part.routing, part.routing[1:]):
+        if a == b:
+            raise InstanceError(f"routing repeats machine {a + 1} "
+                                f"consecutively in part {k}", line)
+
+
+def _check_pair(name: str, pair: tuple[int, int], m: int,
+                line: int | None = None):
+    a, b = pair
+    if not (0 <= a < m and 0 <= b < m):
+        raise InstanceError(
+            f"{name} pair ({a + 1}, {b + 1}) out of range 1..{m}", line)
+    if a >= b:
+        raise InstanceError(f"{name} pair ({a + 1}, {b + 1}) is not a "
+                            f"normalized pair of two distinct machines", line)
+
+
+def _check_overlap(cohabit, separate, line: int | None = None):
+    overlap = cohabit & separate
+    if overlap:
+        a, b = min(overlap)
+        raise InstanceError(f"SC and SN overlap on pair ({a + 1}, {b + 1})",
+                            line)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A cell formation problem instance.
@@ -132,44 +178,18 @@ class Instance:
 
     def __post_init__(self):
         m = self.machine_count
-        _check_machine_count(m)
-        if self.max_cell_size < 1:
-            raise InstanceError(
-                f"max cell size must be at least 1, got {self.max_cell_size}")
-        for k, part in enumerate(self.parts):
-            if part.volume < 0:
-                raise InstanceError(
-                    f"part {k + 1} has negative volume {part.volume}")
-            if not part.routing:
-                raise InstanceError(f"part {k + 1} has an empty routing")
-            for idx in part.routing:
-                if not 0 <= idx < m:
-                    raise InstanceError(
-                        f"part {k + 1} routing references machine "
-                        f"{idx + 1}, valid range is 1..{m}")
-            for a, b in zip(part.routing, part.routing[1:]):
-                if a == b:
-                    raise InstanceError(
-                        f"part {k + 1} routing repeats machine {a + 1} "
-                        f"consecutively")
+        _check_count("machine count", m, 2, MAX_MACHINES)
+        _check_count("max cell size", self.max_cell_size, 1)
+        for k, part in enumerate(self.parts, 1):
+            _check_part(k, part, m)
         for name, pairs in (("cohabit", self.cohabit),
                             ("separate", self.separate)):
-            for a, b in pairs:
-                if not (0 <= a < m and 0 <= b < m):
-                    raise InstanceError(
-                        f"{name} pair ({a + 1}, {b + 1}) out of range 1..{m}")
-                if a >= b:
-                    raise InstanceError(
-                        f"{name} pair ({a + 1}, {b + 1}) is not a normalized "
-                        f"pair of distinct machines")
+            for pair in pairs:
+                _check_pair(name, pair, m)
         if sum((p.volume * (len(p.routing) - 1) for p in self.parts),
                Fraction(0)) > MAX_FLOW:
             raise InstanceError("total flow exceeds the float64 range")
-        overlap = self.cohabit & self.separate
-        if overlap:
-            a, b = min(overlap)
-            raise InstanceError(
-                f"SC and SN overlap on pair ({a + 1}, {b + 1})")
+        _check_overlap(self.cohabit, self.separate)
         self._warn_large_cohabit_groups()
 
     def _warn_large_cohabit_groups(self):
@@ -195,13 +215,9 @@ def _parse_volume(token: str, lineno: int) -> Fraction:
             f"volume {token!r} has an exponent beyond "
             f"{MAX_VOLUME_EXPONENT} in magnitude", lineno)
     try:
-        vol = Fraction(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise InstanceError(f"bad volume {token!r}", lineno) from None
-    if vol < 0:
-        raise InstanceError(f"volume must be non-negative, got {token}",
-                            lineno)
-    return vol
 
 
 def _parse_index(token: str, m: int, lineno: int) -> int:
@@ -233,9 +249,10 @@ def parse_instance(text: str) -> Instance:
     """Parse the text of an instance file.
 
     The ``machines`` and ``max_cell_size`` lines must precede any ``part``,
-    ``cohabit`` or ``separate`` line. Syntax problems raise
-    :class:`InstanceError` with the offending line number; semantic problems
-    name the violated invariant.
+    ``cohabit`` or ``separate`` line. The first bad line raises
+    :class:`InstanceError` with its line number; a broken instance rule
+    gives the message ``Instance`` gives for it. A missing header line and
+    the total-flow limit are checked once the whole text is read.
     """
     machine_count: int | None = None
     max_cell_size: int | None = None
@@ -258,45 +275,32 @@ def parse_instance(text: str) -> Instance:
         if kw == "machines":
             machine_count = _parse_header(fields, machine_count, "count",
                                           "machine count", lineno)
-            _check_machine_count(machine_count, lineno)
+            _check_count("machine count", machine_count, 2, MAX_MACHINES,
+                         lineno)
         elif kw == "max_cell_size":
             max_cell_size = _parse_header(fields, max_cell_size, "N",
                                           "max cell size", lineno)
-            if max_cell_size < 1:
-                raise InstanceError(
-                    f"max cell size must be at least 1, got {max_cell_size}",
-                    lineno)
+            _check_count("max cell size", max_cell_size, 1, line=lineno)
         elif kw == "part":
             m = require_header(lineno)
             if len(fields) < 4 or fields[2] != ":":
                 raise InstanceError(
                     "expected: part <volume> : <machine> [<machine> ...]",
                     lineno)
-            volume = _parse_volume(fields[1], lineno)
-            routing = tuple(_parse_index(t, m, lineno) for t in fields[3:])
-            for a, b in zip(routing, routing[1:]):
-                if a == b:
-                    raise InstanceError(
-                        f"routing repeats machine {a + 1} consecutively",
-                        lineno)
-            parts.append(Part(volume, routing))
+            parts.append(Part(_parse_volume(fields[1], lineno),
+                              tuple(_parse_index(t, m, lineno)
+                                    for t in fields[3:])))
+            _check_part(len(parts), parts[-1], m, lineno)
         elif kw in ("cohabit", "separate"):
             m = require_header(lineno)
             if len(fields) != 3:
                 raise InstanceError(f"expected: {kw} <machine> <machine>",
                                     lineno)
-            a = _parse_index(fields[1], m, lineno)
-            b = _parse_index(fields[2], m, lineno)
-            if a == b:
-                raise InstanceError(
-                    f"{kw} pair ({a + 1}, {b + 1}) must name two distinct "
-                    f"machines", lineno)
-            pair = (min(a, b), max(a, b))
+            pair = tuple(sorted(_parse_index(t, m, lineno)
+                                for t in fields[1:]))
+            _check_pair(kw, pair, m, lineno)
             other = separate if kw == "cohabit" else cohabit
-            if pair in other:
-                raise InstanceError(
-                    f"SC and SN overlap on pair ({pair[0] + 1}, "
-                    f"{pair[1] + 1})", lineno)
+            _check_overlap({pair}, other, lineno)
             (cohabit if kw == "cohabit" else separate).add(pair)
         else:
             raise InstanceError(f"unknown directive {kw!r}", lineno)
@@ -339,19 +343,9 @@ def generate_instance(machine_count: int, part_count: int,
     Part counts above MAX_PARTS and routing lengths above MAX_ROUTING_LEN
     raise InstanceError.
     """
-    _check_machine_count(machine_count)
-    if part_count < 1:
-        raise InstanceError(f"part count must be at least 1, got {part_count}")
-    if part_count > MAX_PARTS:
-        raise InstanceError(
-            f"part count {part_count} exceeds the limit of {MAX_PARTS}")
-    if max_routing_len < 2:
-        raise InstanceError(
-            f"max routing length must be at least 2, got {max_routing_len}")
-    if max_routing_len > MAX_ROUTING_LEN:
-        raise InstanceError(
-            f"max routing length {max_routing_len} exceeds the limit of "
-            f"{MAX_ROUTING_LEN}")
+    _check_count("machine count", machine_count, 2, MAX_MACHINES)
+    _check_count("part count", part_count, 1, MAX_PARTS)
+    _check_count("max routing length", max_routing_len, 2, MAX_ROUTING_LEN)
     rng = random.Random(seed)
     parts = []
     for _ in range(part_count):

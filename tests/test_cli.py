@@ -82,6 +82,11 @@ class TestUsageErrors:
         assert run_cli(["bench", five_machine_file, "--pop", ","]) == 1
 
 
+    def test_empty_bench_method_list(self, five_machine_file, capsys):
+        assert run_cli(["bench", five_machine_file, "--method", ","]) == 1
+        assert "empty method list" in capsys.readouterr().err
+
+
 class TestInputErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["solve", str(tmp_path / "nope.txt")]) == 2
@@ -93,6 +98,17 @@ class TestInputErrors:
         assert run_cli(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "line 1" in err
+
+    @pytest.mark.parametrize("text, line, expected", [
+        ("machines\n", 1, "expected: machines <count>"),
+        ("# shop\nmachines 3 4\n", 2, "expected: machines <count>"),
+        ("machines 3\nmax_cell_size\n", 2, "expected: max_cell_size <N>"),
+    ])
+    def test_header_arity(self, tmp_path, capsys, text, line, expected):
+        path = tmp_path / "header.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 2
+        assert f"error: line {line}: {expected}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["1e10000000", "1e-10000000"])
     def test_volume_exponent_limit(self, tmp_path, capsys, token):
@@ -402,6 +418,28 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "solve" in proc.stdout
+
+
+    def test_exit_codes_reach_the_shell(self, tmp_path):
+        # sys.exit(main()) in __main__ hands each code to the parent process
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        infeasible = tmp_path / "infeasible.txt"
+        infeasible.write_text("machines 3\nmax_cell_size 1\ncohabit 1 2\n",
+                              encoding="utf-8")
+        runs = [(["generate", "-m", "5", "-p", "3", "-N", "2"], 0,
+                 "machines 5"),
+                (["solve", str(tmp_path / "missing.txt")], 2, "error:"),
+                (["solve", str(infeasible), "--method", "oracle"], 3,
+                 "infeasible: the constraints admit no partition")]
+        for argv, code, out in runs:
+            proc = subprocess.run([sys.executable, "-m", "cellform", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            assert out in proc.stdout + proc.stderr
 
 
 class TestWithoutScipy:

@@ -104,6 +104,17 @@ class TestParse:
             parse_instance(
                 "machines 3\nmax_cell_size 2\nmax_cell_size 3\n")
 
+    @pytest.mark.parametrize("text, line, expected", [
+        ("machines\n", 1, "expected: machines <count>"),
+        ("# shop\nmachines 3 4\n", 2, "expected: machines <count>"),
+        ("machines 3\nmax_cell_size\n", 2, "expected: max_cell_size <N>"),
+    ])
+    def test_header_arity(self, text, line, expected):
+        with pytest.raises(InstanceError) as exc:
+            parse_instance(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {expected}"
+
     def test_bad_counts(self):
         with pytest.raises(InstanceError, match="bad machine count 'x'"):
             parse_instance("machines x\n")
@@ -238,6 +249,42 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Instance(4, 2, cohabit=frozenset({(0, 1), (2, 3)}))
+
+
+ONE_PART = Part(Fraction(1), (0, 1))
+
+
+class TestOneCheckPerRule:
+    """A file that breaks an instance rule is refused with the message
+    Instance(...) gives for the same data, behind the offending line."""
+
+    @pytest.mark.parametrize("text, line, args", [
+        ("machines 3\nmax_cell_size 2\npart 1 : 1 2\npart -1/2 : 2 3\n", 4,
+         dict(machine_count=3, max_cell_size=2,
+              parts=(ONE_PART, Part(Fraction(-1, 2), (1, 2))))),
+        ("machines 3\nmax_cell_size 2\npart 1 : 1 2\npart 2 : 3 1 1\n", 4,
+         dict(machine_count=3, max_cell_size=2,
+              parts=(ONE_PART, Part(Fraction(2), (2, 0, 0))))),
+        ("machines 3\nmax_cell_size 2\n# pairs\nseparate 2 2\n", 4,
+         dict(machine_count=3, max_cell_size=2,
+              separate=frozenset({(1, 1)}))),
+        ("machines 3\nmax_cell_size 2\ncohabit 1 3\nseparate 3 1\n", 4,
+         dict(machine_count=3, max_cell_size=2, cohabit=frozenset({(0, 2)}),
+              separate=frozenset({(0, 2)}))),
+        ("machines 3\nmax_cell_size 0\n", 2,
+         dict(machine_count=3, max_cell_size=0)),
+        ("# shop\nmachines 1\nmax_cell_size 2\n", 2,
+         dict(machine_count=1, max_cell_size=2)),
+    ], ids=["negative volume", "repeated machine", "self-pair",
+            "SC/SN overlap", "max cell size 0", "machine count 1"])
+    def test_parse_gives_the_instance_message(self, text, line, args):
+        with pytest.raises(InstanceError) as built:
+            Instance(**args)
+        with pytest.raises(InstanceError) as parsed:
+            parse_instance(text)
+        assert built.value.line is None
+        assert parsed.value.line == line
+        assert str(parsed.value) == f"line {line}: {built.value}"
 
 
 class TestSerialize:
