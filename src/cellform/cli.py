@@ -71,7 +71,8 @@ def _method_list(text: str) -> list[str]:
 
 
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig drops the byte-order mark some editors begin a file with
+    return parse_instance(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _print_solution(ev: Evaluation, inst: Instance, wall: float):

@@ -19,10 +19,11 @@ populations in exact integer weight units, and turns any row of a batch
 into the exact ``Evaluation`` a solver reports. The exhaustive oracle sums
 the same units.
 
-Cut chromosomes and cell labels both describe vertex classes (equal cut
-signatures, equal labels), and each cell lies inside one class, so their
-cells are decoded only on rows where a class has more than N members, one
-row at a time by the union-find that ``result`` uses. Arbitrary edge masks
+A cut chromosome is scored as the cell labels its cut signatures are:
+both describe vertex classes, and one class path builds the keep matrix of
+either. Each cell lies inside one class, so cells are decoded only on rows
+where a class has more than N members, one row at a time by the union-find
+that ``result`` uses. Arbitrary edge masks
 (EGA) go through ``evaluate_keeps``: a bit-packed sweep from machine 0
 settles every row that is one cell, and scipy's batch connected components
 runs on the other rows only. scipy is imported on every ``evaluate_keeps``
@@ -136,14 +137,16 @@ class PopulationEvaluator:
     Chromosome parts are interpreted against the cut basis of
     ``build_basis`` (the highest vertex excluded, bit v of a part selects
     the cut isolating vertex v). The signature of vertex v is the K-bit
-    string whose bit j is bit v of part j, held in ceil(K / 64) words (of
-    the narrowest unsigned type that fits K bits when K <= 64); an edge
-    survives the union of cuts exactly when its endpoints have equal
-    signatures. So every cell lies inside one signature class, and an SC
-    or SN pair (always a flow-graph edge) shares a cell exactly when its
-    edge is kept. The same holds for the label classes of
-    ``evaluate_labels``. Both decode cells only on the rows where more than
-    N vertices share a label or a first signature word, to count their
+    string whose bit j is bit v of part j, held in S = ceil(K / 64) words
+    of the narrowest unsigned type of at least 16 bits that holds
+    min(K, 64) bits; an edge survives the union of cuts exactly when its
+    endpoints have equal signatures. So signatures are vertex labels:
+    ``evaluate_parts`` builds the (S, pop, m) signature words and
+    ``evaluate_labels`` passes its labels as one word, and ``_classes``
+    alone keeps the edges inside a class. Every cell then lies inside one
+    class, and an SC or SN pair (always a flow-graph edge) shares a cell
+    exactly when its edge is kept. Cells are decoded only on the rows
+    where more than N vertices share a first word, to count their
     oversize cells, one row at a time with the union-find of
     ``instance.vertex_groups`` (cells ordered by lowest member, as in
     ``decode_partition``) that ``result`` also decodes its row with.
@@ -294,31 +297,20 @@ class PopulationEvaluator:
             raise ValueError(
                 f"chromosome parts must be in 0..2^{self.m - 1} - 1")
         pop, k = len(words), words.shape[1] // w
-        # bits[i, j, v]: bit v of part j of individual i
+        # bits[i, j, v]: bit v of part j of individual i, for the m machines
         bits = np.unpackbits(words.view(np.uint8).reshape(pop, k, 8 * w),
-                             axis=2, bitorder="little")
-        # sig[s, i, v]: bits 64s.. of vertex v's signature in individual i,
-        # a sum of distinct powers of two in the narrowest unsigned type
-        # holding min(K, 64) bits, which makes the einsum and the gathers
-        # below several times cheaper than in uint64; the spare last column
-        # holds vertex m - 1 when m - 1 = 64 * part_words
-        sig_type = np.min_scalar_type((1 << min(k, 64)) - 1)
-        sig = np.zeros(((k + 63) // 64, pop, 64 * w + 1), dtype=sig_type)
-        for s in range(len(sig)):
+                             axis=2, count=self.m, bitorder="little")
+        # keys[s, i, v]: bits 64s.. of vertex v's signature in individual
+        # i, a sum of distinct powers of two in the narrowest unsigned type
+        # of at least 16 bits that holds min(K, 64) bits (numpy sorts uint8
+        # rows several times slower than uint16 ones)
+        sig_type = np.min_scalar_type(max((1 << min(k, 64)) - 1, 0xFFFF))
+        keys = np.empty(((k + 63) // 64, pop, self.m), dtype=sig_type)
+        for s in range(len(keys)):
             block = bits[:, 64 * s:64 * s + 64]
             np.einsum("ijv,j->iv", block,
-                      _POW2[:block.shape[1]].astype(sig_type),
-                      out=sig[s, :, :-1])
-        # gathering vertex-major rows per edge endpoint costs a fraction of
-        # gathering the same columns
-        by_vertex = sig.transpose(0, 2, 1).copy()
-        keep = by_vertex[0][self.edge_u] == by_vertex[0][self.edge_v]
-        for word in by_vertex[1:]:
-            keep &= word[self.edge_u] == word[self.edge_v]
-        keep = np.ascontiguousarray(keep.T)
-        # equal signatures have equal first words, and numpy sorts short
-        # uint64 rows several times faster than uint8 ones
-        return self._classes(keep, sig[0][:, :self.m].astype(np.uint64))
+                      _POW2[:block.shape[1]].astype(sig_type), out=keys[s])
+        return self._classes(keys)
 
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
         """Evaluate masks given as a (pop, E) boolean keep matrix.
@@ -420,18 +412,24 @@ class PopulationEvaluator:
         if labels.ndim != 2 or not len(labels) or labels.shape[1] != self.m:
             raise ValueError(f"label matrix must be (pop >= 1, {self.m}), "
                              f"got {labels.shape}")
-        return self._classes(
-            labels[:, self.edge_u] == labels[:, self.edge_v], labels)
+        return self._classes(labels[None])
 
-    def _classes(self, keep: np.ndarray, key: np.ndarray) -> EvalBatch:
-        """Batch for a keep matrix that removes an edge only between two
-        vertex classes (unequal cut signatures, unequal labels), given a
-        (pop, m) key that is equal within a class. Every cell then lies
-        inside one class, so the removed edges are the crossing ones, and
-        only a row where more than N vertices share a key (a run of N + 1
-        once sorted) can hold an oversize cell: those rows alone are
-        decoded, one at a time."""
-        key = np.sort(key, axis=1)
+    def _classes(self, keys: np.ndarray) -> EvalBatch:
+        """Batch for vertex classes given as (S, pop, m) keys: two vertices
+        of a row are in one class when all S of their keys are equal (cut
+        signatures in S words, or one word of labels). An edge is kept
+        exactly inside a class, so every cell lies inside one class and
+        the removed edges are the crossing ones. Only a row where more than
+        N vertices share ``keys[0]`` (a run of N + 1 once sorted) can hold
+        an oversize cell: those rows alone are decoded, one at a time."""
+        # gathering vertex-major rows per edge endpoint costs a fraction of
+        # gathering the same columns
+        by_vertex = keys.transpose(0, 2, 1).copy()
+        keep = by_vertex[0][self.edge_u] == by_vertex[0][self.edge_v]
+        for word in by_vertex[1:]:
+            keep &= word[self.edge_u] == word[self.edge_v]
+        keep = np.ascontiguousarray(keep.T)
+        key = np.sort(keys[0], axis=1)
         cap = self.max_size
         flagged = np.flatnonzero((key[:, cap:] == key[:, :-cap]).any(axis=1))
         oversize = np.zeros(len(keep), dtype=np.int64)

@@ -120,14 +120,14 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng([int(seed < 0), abs(seed)])
 
 
-def sorted_rows(rows: np.ndarray):
-    """A stable lexicographic order of the rows (last column first), the
-    rows in that order, and whether each differs from the one before."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    return order, ranked, new
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row identity of a 2-D array: the index of the first occurrence of
+    every distinct row, in the byte order of the rows, and the position of
+    each row's bytes in that order. Each row is one raw-bytes item, so one
+    stable ``np.unique`` sort serves any row width."""
+    rows = np.ascontiguousarray(rows)
+    items = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    return np.unique(items, return_index=True, return_inverse=True)[1:]
 
 
 def init_population(size: int, capacity: int, draw) -> np.ndarray:
@@ -143,12 +143,7 @@ def init_population(size: int, capacity: int, draw) -> np.ndarray:
     population = draw(size)
     drawn = size
     while True:
-        # each row as one raw-bytes item, so np.unique's stable sort finds
-        # the first occurrences with one index array whatever the row width
-        rows = np.ascontiguousarray(population).view(
-            f"V{population.itemsize * population.shape[1]}")
-        first = np.unique(rows.ravel(), return_index=True)[1]
-        population = population[np.sort(first)]
+        population = population[np.sort(distinct_rows(population)[0])]
         if len(population) == size:
             return population
         if drawn == max_attempts:
@@ -282,18 +277,19 @@ class _SortedCutEncoding(_CutEncoding):
     def canonical(self, population: np.ndarray) -> np.ndarray:
         """``sort_chromosome`` of every row, on keys that order as the parts
         do: a one-word part is its own key (ranking it would cost several
-        times the rest of the sort), wider ones are ranked among the
-        population's distinct parts."""
+        times the rest of the sort). Wider parts are ranked by
+        ``distinct_rows`` on their big-endian words, most significant
+        first, whose byte order is their numeric order; key = rank + 1,
+        and key 0 maps to the zero part."""
         pop, w = len(population), self.words
         if w == 1:
             return _sort_keys(population)
-        order, ranked, new = sorted_rows(population.reshape(-1, w))
-        rank_sorted = np.cumsum(new)  # from 1; 0 maps to the zero part
-        keys = np.empty_like(rank_sorted)
-        keys[order] = rank_sorted
-        values = np.zeros((rank_sorted[-1] + 1, w), dtype=np.uint64)
-        values[rank_sorted] = ranked
-        return values[_sort_keys(keys.reshape(pop, self.k))].reshape(pop, -1)
+        parts = population.reshape(-1, w)
+        first, rank = distinct_rows(parts[:, ::-1].astype(">u8"))
+        values = np.zeros((len(first) + 1, w), dtype=np.uint64)
+        values[1:] = parts[first]
+        keys = _sort_keys(rank.reshape(pop, self.k) + 1)
+        return values[keys].reshape(pop, -1)
 
 
 def _sort_keys(keys: np.ndarray) -> np.ndarray:

@@ -110,6 +110,34 @@ class TestInputErrors:
         assert run_cli(["solve", str(path)]) == 2
         assert f"error: line {line}: {expected}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--pop", "10", "--gens", "5", "--seed", "1"],
+        ["bench", "--method", "scga", "--pop", "10", "--gens", "5",
+         "--timing", "none"],
+        ["dump-graph"],
+    ])
+    @pytest.mark.parametrize("text", ["", "machines two\n"])
+    def test_byte_order_mark(self, five_machine_file, tmp_path, capsys,
+                             argv, text):
+        # a UTF-8 file that begins with a byte-order mark reads as the same
+        # file without it, valid or not
+        plain = Path(five_machine_file)
+        if text:
+            plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / "marked.txt"
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"),
+                          encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        runs = []
+        for path in (plain, marked):
+            code = run_cli([argv[0], str(path)] + argv[1:])
+            out, err = capsys.readouterr()
+            out = [line for line in out.splitlines()
+                   if not line.startswith("wall_time_s:")]
+            runs.append((code, out, err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (2 if text else 0)
+
     @pytest.mark.parametrize("token", ["1e10000000", "1e-10000000"])
     def test_volume_exponent_limit(self, tmp_path, capsys, token):
         path = tmp_path / "exp.txt"

@@ -14,7 +14,7 @@ from scipy.sparse import csgraph
 
 from cellform import (FitnessConfig, InstanceWarning, Partition,
                       PopulationEvaluator, build_basis, build_graph,
-                      cut_from_index, decode_chromosome, decode_partition,
+                      compute_k, cut_from_index, decode_chromosome, decode_partition,
                       fitness, generate_instance, union_cuts,
                       violation_breakdown)
 from cellform import Instance, Part, mask_from_bits
@@ -276,6 +276,51 @@ def random_label_matrix(rng, m, rows):
                      for i in range(rows)])
 
 
+def signature_labels(population, m):
+    """Per-row dense ranks of each machine's signature, the tuple of its
+    bits in the parts (bit v of part j for machine v)."""
+    rows = []
+    for parts in population:
+        signatures = [tuple(p >> v & 1 for p in parts) for v in range(m)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        rows.append([rank[sig] for sig in signatures])
+    return np.array(rows)
+
+
+class TestPartsAreSignatureLabels:
+    """evaluate_parts gives the batch evaluate_labels gives for the labels
+    its signatures are, on every array of the batch."""
+
+    @pytest.mark.parametrize("m, max_cell_size", [
+        (5, None), (50, None), (96, None),
+        (130, 2),  # K = 65 > 64: two signature words
+    ])
+    def test_equal_batches(self, m, max_cell_size):
+        rng = random.Random(m)
+        for _ in range(6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InstanceWarning)
+                inst = random_instance(
+                    rng, m, max_parts=2 * m,
+                    max_cell_size=max_cell_size or rng.randint(1, m))
+            ev = PopulationEvaluator(inst)
+            k = compute_k(m, inst.max_cell_size)
+            # dense rows split the machines finely; sparse ones leave large
+            # classes, and a row whose only nonzero part is the last one is
+            # told apart only by the last signature word
+            population = random_parts_population(rng, k, 1 << (m - 1), 10)
+            population += random_parts_population(rng, k, 1 << (m - 1), 20,
+                                                  density=1.5 / k)
+            population += [(0,) * (k - 1) + (rng.randrange(1, 1 << (m - 1)),)
+                           for _ in range(3)]
+            parts = ev.evaluate_parts(ev.pack_parts(population))
+            labels = ev.evaluate_labels(signature_labels(population, m))
+            for name in ("traffic_units", "violations", "fitness_units",
+                         "keep"):
+                a, b = getattr(parts, name), getattr(labels, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 class TestPopulationEvaluator:
     def _check_parts_against_scalar(self, inst, rng, size=40, k=None,
                                     density=1.0):
@@ -328,9 +373,10 @@ class TestPopulationEvaluator:
 
     @pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 33, 64, 65])
     def test_parts_match_scalar_at_signature_widths(self, k):
-        # signatures take the narrowest unsigned type holding K bits; a row
-        # whose only nonzero part is the last one sets the top bit of the
-        # signature, which a type one bit too narrow would drop
+        # signatures take the narrowest unsigned type of at least 16 bits
+        # holding K bits; a row whose only nonzero part is the last one sets
+        # the top bit of the signature, which a type one bit too narrow
+        # would drop
         rng = random.Random(k)
         inst = generate_instance(k, 2 * k, 1, seed=k)
         population = random_parts_population(rng, k, 1 << (k - 1), 6, 0.3)

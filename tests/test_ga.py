@@ -519,8 +519,9 @@ def cut_encoding(m: int, k: int, sorted_form: bool = False):
     return enc
 
 
-# m = 5 and 50 hold a part in one word, m = 96 in two (W = 2)
-WIDTHS = [5, 50, 96]
+# m = 5 and 50 hold a part in one word, m = 96 in two (W = 2) and m = 130
+# in three, whose high and low words order parts differently
+WIDTHS = [5, 50, 96, 130]
 
 
 class TestVectorOperatorsMatchReferences:
