@@ -52,10 +52,9 @@ def solve(inst: Instance, method: str, seed: int = 0, restarts: int = 1,
     if ga_params or method in GA_METHODS:
         params = GAParams(variant="cga" if method == "cga" else "scga",
                           seed=seed, **ga_params)
-    if method in ("cga", "scga"):
-        ev = run_ga(inst, params).best_evaluation
-    elif method == "ega":
-        ev = run_ega(inst, params).best_evaluation
+    if method in GA_METHODS:
+        run = run_ega if method == "ega" else run_ga
+        ev = run(inst, params).best_evaluation
     elif method == "multikmeans":
         ev = run_multikmeans(inst, restarts=restarts, seed=seed)
     else:

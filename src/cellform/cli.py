@@ -36,13 +36,10 @@ def _parse_tuning(text: str) -> float | None:
         return None
     if text.startswith("power:"):
         try:
-            gamma = float(text.split(":", 1)[1])
+            return float(text.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad power tuning {text!r}") from None
-        if not gamma > 0:
-            raise argparse.ArgumentTypeError("gamma must be positive")
-        return gamma
     raise argparse.ArgumentTypeError(
         f"tuning must be 'identity' or 'power:<gamma>', got {text!r}")
 

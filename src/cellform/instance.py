@@ -22,11 +22,13 @@ rationals (``3``, ``1/2`` and ``0.5`` are all accepted). Machine indices are
 1-based in files and messages; in memory everything is 0-based.
 
 Each instance rule (the machine count, the max cell size, each part's volume
-and routing, each pair, no pair in both SC and SN) has one private checker.
-``Instance`` runs all of them on construction; ``parse_instance`` runs the
-same ones on each line it reads, so a file is refused at its first bad line
-with the message ``Instance`` gives for that item; ``generate_instance``
-runs the count checks on its arguments before it draws.
+and routing, each pair with its machine range, no pair in both SC and SN)
+has one private checker, and only the checkers decide a rule. ``Instance``
+runs all of them on construction. ``parse_instance`` only parses: it turns
+each line into numbers and runs the same checkers on them, so a file is
+refused at its first bad line with the message ``Instance`` gives for that
+item. ``generate_instance`` runs the count checks on its arguments before
+it draws.
 """
 
 from __future__ import annotations
@@ -71,10 +73,17 @@ MAX_MACHINES = 1024
 MAX_PARTS = 100_000
 MAX_ROUTING_LEN = 100
 
-# Largest decimal exponent of a volume, Python's default limit on the digits
-# int() converts: Fraction("1e-10000000") would first build 10**10000000,
-# for seconds, and every unit sum would then carry its 10-million-digit
-# denominator
+# Python writes no int of more than 4300 digits as text, so every exact
+# number the program prints stays below 10**4300: _check_part holds each
+# volume's numerator and denominator below MAX_EXACT, and build_graph holds
+# the volumes' common denominator below MAX_SCALE, so a traffic, whose
+# numerator is at most MAX_FLOW < 10**309 times it, stays below MAX_EXACT
+MAX_EXACT = 10 ** 4300
+MAX_SCALE = 10 ** 3991
+
+# Largest decimal exponent of a volume token, a cost guard checked before
+# Fraction builds 10**exponent (Fraction("1e-10000000") took seconds); up
+# to it the volume is built, and _check_part holds it below MAX_EXACT
 MAX_VOLUME_EXPONENT = 4300
 
 # Largest total flow (volume x routing steps, summed): roulette weights and
@@ -126,6 +135,9 @@ def _check_count(name: str, value: int, low: int, high: int | None = None,
 
 def _check_part(k: int, part: Part, m: int, line: int | None = None):
     """Part number ``k`` (1-based) of a shop of ``m`` machines."""
+    if max(abs(part.volume.numerator), part.volume.denominator) >= MAX_EXACT:
+        raise InstanceError(f"part {k} volume has a numerator or denominator "
+                            f"of more than 4300 digits", line)
     if part.volume < 0:
         raise InstanceError(f"part {k} has negative volume {part.volume}; "
                             f"volumes must be non-negative", line)
@@ -220,15 +232,11 @@ def _parse_volume(token: str, lineno: int) -> Fraction:
         raise InstanceError(f"bad volume {token!r}", lineno) from None
 
 
-def _parse_index(token: str, m: int, lineno: int) -> int:
+def _parse_index(token: str, lineno: int) -> int:
     try:
-        idx = int(token)
+        return int(token) - 1
     except ValueError:
         raise InstanceError(f"bad machine index {token!r}", lineno) from None
-    if not 1 <= idx <= m:
-        raise InstanceError(
-            f"machine index {idx} out of range 1..{m}", lineno)
-    return idx - 1
 
 
 def _parse_header(fields: list[str], seen: int | None, placeholder: str,
@@ -288,7 +296,7 @@ def parse_instance(text: str) -> Instance:
                     "expected: part <volume> : <machine> [<machine> ...]",
                     lineno)
             parts.append(Part(_parse_volume(fields[1], lineno),
-                              tuple(_parse_index(t, m, lineno)
+                              tuple(_parse_index(t, lineno)
                                     for t in fields[3:])))
             _check_part(len(parts), parts[-1], m, lineno)
         elif kw in ("cohabit", "separate"):
@@ -296,8 +304,7 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 3:
                 raise InstanceError(f"expected: {kw} <machine> <machine>",
                                     lineno)
-            pair = tuple(sorted(_parse_index(t, m, lineno)
-                                for t in fields[1:]))
+            pair = tuple(sorted(_parse_index(t, lineno) for t in fields[1:]))
             _check_pair(kw, pair, m, lineno)
             other = separate if kw == "cohabit" else cohabit
             _check_overlap({pair}, other, lineno)

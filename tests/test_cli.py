@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 
 from cellform import InstanceWarning, generate_instance, serialize_instance
 from cellform import ga
-from cellform.bench import METHODS
+from cellform.bench import METHODS, run_benchmark, solve
 from cellform.cli import main
-from cellform.instance import MAX_MACHINES, MAX_PARTS, MAX_ROUTING_LEN
+from cellform.instance import MAX_FLOW, MAX_MACHINES, MAX_PARTS, \
+    MAX_ROUTING_LEN, MAX_SCALE, Instance, Part
 from helpers import make_instance
 
 FIVE_MACHINE_ROUTINGS = [(1, p) for p in
@@ -71,11 +73,19 @@ class TestUsageErrors:
         assert run_cli(["solve", five_machine_file,
                         "--tuning", "power:zero"]) == 1
         assert run_cli(["solve", five_machine_file,
-                        "--tuning", "power:-1"]) == 1
+                        "--tuning", "power:-1"]) == 2
         assert run_cli(["solve", five_machine_file,
-                        "--tuning", "power:nan"]) == 1
+                        "--tuning", "power:nan"]) == 2
         assert run_cli(["solve", five_machine_file,
                         "--tuning", "linear"]) == 1
+
+    @pytest.mark.parametrize("verb", ["solve", "bench"])
+    @pytest.mark.parametrize("tuning", ["power:zero", "linear"])
+    def test_tuning_syntax_is_a_usage_error(self, five_machine_file, capsys,
+                                            verb, tuning):
+        assert run_cli([verb, five_machine_file, "--tuning", tuning]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and repr(tuning) in err
 
     def test_bad_int_list(self, five_machine_file, capsys):
         assert run_cli(["bench", five_machine_file, "--pop", "10,x"]) == 1
@@ -148,6 +158,41 @@ class TestInputErrors:
             err = capsys.readouterr().err
             assert f"line 3: volume '{token}' has an exponent beyond" in err
 
+    @pytest.mark.parametrize("parts", [
+        "part 1e-4300 : 1 2\n",
+        "part 1234567890e4295 : 1\n",
+        f"part 1/{10 ** 2200 + 1} : 1 2\npart 1/{10 ** 2200 + 3} : 1 3\n"
+        "part 1 : 2 3\n",
+    ], ids=["volume", "volume without flow", "common denominator"])
+    def test_exact_number_beyond_text_limit(self, tmp_path, capsys, parts):
+        # Python writes no int of more than 4300 digits as text: a file
+        # whose volumes or traffic would need one is invalid input, refused
+        # before anything is printed
+        path = tmp_path / "digits.txt"
+        path.write_text("machines 3\nmax_cell_size 2\n" + parts,
+                        encoding="utf-8")
+        for argv in (["solve"], ["solve", "--method", "oracle"],
+                     ["dump-graph"]):
+            assert run_cli([argv[0], str(path)] + argv[1:]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and "digits" in err
+
+    def test_exact_number_at_text_limit(self, tmp_path, capsys):
+        # the largest volume numerator a traffic can carry over the
+        # largest accepted common denominator prints in full
+        below = MAX_SCALE - 1
+        volume = Fraction(int(MAX_FLOW) * below - 1, below)
+        path = tmp_path / "digits.txt"
+        path.write_text(serialize_instance(
+            Instance(2, 1, (Part(volume, (0, 1)),))), encoding="utf-8")
+        assert run_cli(["dump-graph", str(path)]) == 0
+        assert capsys.readouterr().out == f"1 2 {volume}\n"
+        for method in ("scga", "oracle"):
+            assert run_cli(["solve", str(path), "--method", method, "--pop",
+                            "2", "--gens", "2"]) == 0
+            assert f"\ntraffic: {volume}\n" in capsys.readouterr().out
+
     def test_oracle_guard(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text(serialize_instance(
@@ -174,6 +219,37 @@ class TestInputErrors:
             assert run_cli([verb, five_machine_file, "--pop", "100000000",
                             "--gens", "1"]) == 2
             assert "exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["solve", "bench"])
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--pop", "1", dict(population_size=1)),
+        ("--gens", "-1", dict(generations=-1)),
+        ("--pc", "2", dict(crossover_rate=2.0)),
+        ("--pm", "-0.5", dict(mutation_rate=-0.5)),
+        ("--reps", "0", dict(restarts=0)),
+        ("--tuning", "power:0", dict(gamma=0.0)),
+        ("--tuning", "power:-1", dict(gamma=-1.0)),
+        ("--tuning", "power:nan", dict(gamma=float("nan"))),
+    ], ids=["pop 1", "gens -1", "pc 2", "pm -0.5", "reps 0", "power:0",
+            "power:-1", "power:nan"])
+    def test_out_of_range_flag_gives_the_library_message(
+            self, five_machine_file, five_machine_instance, capsys, verb,
+            flag, value, setting):
+        # the CLI only parses a GA flag; the library decides its range
+        settings = dict(population_size=100, generations=100, restarts=20,
+                        crossover_rate=0.7, mutation_rate=0.03, gamma=None)
+        settings.update(setting)
+        with pytest.raises(ValueError) as library:
+            if verb == "solve":
+                solve(five_machine_instance, "scga", **settings)
+            else:
+                run_benchmark(five_machine_instance, ["cga", "scga", "ega"],
+                              [settings.pop("population_size")],
+                              [settings.pop("generations")],
+                              replications=settings.pop("restarts"),
+                              base_seed=0, **settings)
+        assert run_cli([verb, five_machine_file, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {library.value}\n")
 
     @pytest.mark.parametrize("method", ["multikmeans", "oracle"])
     def test_ga_flags_checked_for_every_method(self, five_machine_file,

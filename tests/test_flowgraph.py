@@ -4,8 +4,12 @@ import random
 import warnings
 from fractions import Fraction
 
-from cellform import (Instance, InstanceWarning, Part, build_graph,
-                      compute_traffic)
+import pytest
+
+from cellform import (Instance, InstanceError, InstanceWarning, Part,
+                      build_graph, compute_traffic, parse_instance,
+                      serialize_instance)
+from cellform.instance import MAX_SCALE
 from helpers import dense_traffic, make_instance, random_instance, \
     total_weight
 
@@ -130,6 +134,22 @@ class TestBuildGraph:
         assert [(e.u, e.v) for e in g.edges] == [(0, 1), (0, 2)]
         assert all(e.fictive for e in g.edges)
         assert total_weight(g) == 0
+
+    def test_scale_limit(self):
+        # the volumes' common denominator stays below MAX_SCALE, also when
+        # each volume alone is within the limit, so that every traffic,
+        # up to MAX_FLOW over it, prints
+        below = Instance(2, 1, (Part(Fraction(1, MAX_SCALE - 1), (0, 1)),))
+        assert build_graph(below).scale == MAX_SCALE - 1
+        # MAX_SCALE itself, and two coprime 2001-digit denominators
+        for parts in ((Part(Fraction(1, MAX_SCALE), (0, 1)),),
+                      (Part(Fraction(1, 10 ** 2000 + 1), (0, 1)),
+                       Part(Fraction(1, 10 ** 2000 + 3), (1, 2)))):
+            inst = Instance(3, 1, parts)
+            assert parse_instance(serialize_instance(inst)) == inst
+            with pytest.raises(InstanceError, match="^the volumes' common "
+                               "denominator has more than 3991 digits$"):
+                build_graph(inst)
 
 
 class TestGraphProperties:

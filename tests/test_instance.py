@@ -11,8 +11,8 @@ from hypothesis import given
 from cellform import (Instance, InstanceError, InstanceWarning, Part,
                       generate_instance, parse_instance, serialize_instance)
 from cellform import instance as instance_module
-from cellform.instance import MAX_FLOW, MAX_MACHINES, MAX_PARTS, \
-    MAX_ROUTING_LEN, MAX_VOLUME_EXPONENT, vertex_groups
+from cellform.instance import MAX_EXACT, MAX_FLOW, MAX_MACHINES, \
+    MAX_PARTS, MAX_ROUTING_LEN, MAX_VOLUME_EXPONENT, vertex_groups
 from helpers import instances, random_instance
 
 
@@ -65,11 +65,31 @@ class TestParse:
         assert (token,) not in built
 
     def test_volume_exponent_at_limit_and_small_exponents_exact(self):
+        # 10**4299 is the largest power of ten with at most 4300 digits
         text = ("machines 2\nmax_cell_size 2\npart 1e-300 : 1 2\n"
-                "part 1e-4300 : 2 1\npart 1E+4300 : 1\npart 25e-3 : 1 2\n")
+                "part 1e-4299 : 2 1\npart 1E+4299 : 1\npart 25e-3 : 1 2\n")
         volumes = [p.volume for p in parse_instance(text).parts]
-        assert volumes == [Fraction(1, 10 ** 300), Fraction(1, 10 ** 4300),
-                           Fraction(10 ** 4300), Fraction(1, 40)]
+        assert volumes == [Fraction(1, 10 ** 300), Fraction(1, 10 ** 4299),
+                           Fraction(10 ** 4299), Fraction(1, 40)]
+
+    @pytest.mark.parametrize("volume", [
+        Fraction(MAX_EXACT - 1), Fraction(1, MAX_EXACT - 1),
+        Fraction(MAX_EXACT - 2, MAX_EXACT - 1), Fraction(1, 10 ** 4299)])
+    def test_volume_terms_at_limit_round_trip(self, volume):
+        # Python writes ints of up to 4300 digits as text, so a volume
+        # whose numerator and denominator stay below MAX_EXACT serializes;
+        # a one-machine routing carries no flow, so the total flow fits
+        inst = Instance(2, 1, (Part(volume, (0,)), ONE_PART))
+        assert parse_instance(serialize_instance(inst)) == inst
+
+    @pytest.mark.parametrize("volume", [
+        Fraction(MAX_EXACT), Fraction(1, MAX_EXACT),
+        Fraction(-MAX_EXACT, 3), Fraction(1234567890 * 10 ** 4295)])
+    def test_volume_terms_beyond_limit(self, volume):
+        with pytest.raises(InstanceError, match=re.escape(
+                "part 2 volume has a numerator or denominator of more than "
+                "4300 digits")):
+            Instance(2, 1, (ONE_PART, Part(volume, (0,))))
 
     def test_zero_volume_allowed(self):
         inst = parse_instance("machines 2\nmax_cell_size 1\npart 0 : 1 2\n")
@@ -145,8 +165,9 @@ class TestParse:
             parse_instance("machines 3\nmax_cell_size 2\npart -1 : 1 2\n")
 
     def test_bad_machine_index(self):
-        with pytest.raises(InstanceError,
-                           match=r"line 3: machine index 7 out of range 1..3"):
+        with pytest.raises(InstanceError, match=re.escape(
+                "line 3: part 1 routing references machine 7, valid range "
+                "is 1..3")):
             parse_instance("machines 3\nmax_cell_size 2\npart 1 : 1 7\n")
         with pytest.raises(InstanceError, match="bad machine index 'q'"):
             parse_instance("machines 3\nmax_cell_size 2\npart 1 : q 2\n")
@@ -275,8 +296,21 @@ class TestOneCheckPerRule:
          dict(machine_count=3, max_cell_size=0)),
         ("# shop\nmachines 1\nmax_cell_size 2\n", 2,
          dict(machine_count=1, max_cell_size=2)),
+        ("machines 3\nmax_cell_size 2\npart 1 : 1 2\npart 1 : 1 7\n", 4,
+         dict(machine_count=3, max_cell_size=2,
+              parts=(ONE_PART, Part(Fraction(1), (0, 6))))),
+        ("machines 3\nmax_cell_size 2\ncohabit 4 1\n", 3,
+         dict(machine_count=3, max_cell_size=2, cohabit=frozenset({(0, 3)}))),
+        ("machines 3\nmax_cell_size 2\npart -2 : 0 2\n", 3,
+         dict(machine_count=3, max_cell_size=2,
+              parts=(Part(Fraction(-2), (-1, 1)),))),
+        ("machines 3\nmax_cell_size 2\npart 1 : 1 2\npart 1e-4300 : 2 9\n",
+         4, dict(machine_count=3, max_cell_size=2,
+                 parts=(ONE_PART, Part(Fraction(1, 10 ** 4300), (1, 8))))),
     ], ids=["negative volume", "repeated machine", "self-pair",
-            "SC/SN overlap", "max cell size 0", "machine count 1"])
+            "SC/SN overlap", "max cell size 0", "machine count 1",
+            "part machine out of range", "cohabit machine out of range",
+            "negative volume and machine 0", "volume digits and range"])
     def test_parse_gives_the_instance_message(self, text, line, args):
         with pytest.raises(InstanceError) as built:
             Instance(**args)
