@@ -23,12 +23,9 @@ A cut chromosome is scored as the cell labels its cut signatures are:
 both describe vertex classes, and one class path builds the keep matrix of
 either. Each cell lies inside one class, so cells are decoded only on rows
 where a class has more than N members, one row at a time by the union-find
-that ``result`` uses. Arbitrary edge masks
-(EGA) go through ``evaluate_keeps``: a bit-packed sweep from machine 0
-settles every row that is one cell, and scipy's batch connected components
-runs on the other rows only. scipy is imported on every ``evaluate_keeps``
-call and nowhere else, so the cut GA, multi-k-means, the oracle and the
-CLI verbs that run them never load it, and EGA always does.
+that ``result`` uses. Arbitrary edge masks (EGA) go through
+``evaluate_keeps``: bit-packed sweeps over all rows at once peel off one
+cell per row per sweep. The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -151,20 +148,19 @@ class PopulationEvaluator:
     ``instance.vertex_groups`` (cells ordered by lowest member, as in
     ``decode_partition``) that ``result`` also decodes its row with.
 
-    Only ``evaluate_keeps`` takes arbitrary masks. It first sweeps all
-    rows at once, 64 to a uint64 word, out from machine 0 over the kept
-    edges (``_one_cell``); a row in which every machine is reached is one
-    cell, which crosses no edge and is oversize exactly when m > N. The
-    rows left open go to scipy's batch connected components (imported on
-    every call), on one graph of (open rows) * m vertices that stacks them
-    (vertex v of open row r is r * m + v), built as CSR straight from
-    their keep rows. This relies on the graph's edges being in ascending
-    (u, v) order, pinned by ``test_connected_canonical_and_weight_total_fuzz``
-    in ``tests/test_flowgraph.py``: the kept edges of a row-major keep
-    matrix then come out sorted by stacked source vertex, which is CSR row
-    order, with no sort. Their endpoints are gathered from a table of two
-    int32 per (row, edge), 8 * rows * E bytes for the most open rows of
-    one call so far.
+    Only ``evaluate_keeps`` takes arbitrary masks, and it peels their
+    cells off all rows at once, 64 rows to a uint64 word. A machine that
+    keeps no edge is a cell of its own. Then each round seeds every row at
+    its lowest unsettled machine and sweeps out from it over the kept
+    edges until nothing changes, so in each row's bit lane the sweep
+    reaches exactly that machine's cell; the round marks the edges with
+    both endpoints in the cell as not crossing, counts the cell as
+    oversize where it has more than N machines, and settles it. Which
+    edges cross and how many cells are oversize is all ``_score`` reads,
+    so the cells never need names. A sweep makes one pass over the 2E
+    arcs per kept edge on the longest shortest path out of a seed, and a
+    batch takes one round per cell of two or more machines in its most
+    divided row, so masks that keep a few percent of the edges cost most.
     """
 
     def __init__(self, inst: Instance):
@@ -198,9 +194,6 @@ class PopulationEvaluator:
         self._arc_src = np.concatenate([self.edge_u, self.edge_v])[order]
         self._arc_edge = np.tile(np.arange(g.edge_count), 2)[order]
         self._arc_starts = np.searchsorted(arc_dst[order], np.arange(self.m))
-        # stacked endpoints of every (row, edge) of the rows evaluate_keeps
-        # sends to scipy, grown to the most it has sent at once
-        self._ends = np.empty((2, 0), dtype=np.int32)
 
     # ----- exact conversions and selection ------------------------------
 
@@ -323,55 +316,6 @@ class PopulationEvaluator:
                 or keep.shape[1] != len(self.edge_u):
             raise ValueError(f"keep matrix must be (pop >= 1, "
                              f"{len(self.edge_u)}), got {keep.shape}")
-        # imported here: scipy is over half the start-up time and memory of
-        # a run that scores no arbitrary mask. It is imported on every call,
-        # so whether EGA runs without it does not hang on the masks drawn.
-        from scipy import sparse
-        from scipy.sparse import csgraph
-        # a row whose kept edges reach every machine from machine 0 is one
-        # cell: it crosses no edge and is oversize exactly when m > N
-        crossing = np.zeros(keep.shape, dtype=bool)
-        oversize = np.full(len(keep), int(self.m > self.max_size))
-        rows = np.flatnonzero(~self._one_cell(keep))
-        if not len(rows):
-            return self._score(keep, crossing, oversize)
-        keep_open = keep[rows]
-        pop = len(rows)
-        n = pop * self.m
-        if self._ends.shape[1] < keep_open.size:
-            # entry r*E + e: edge e's endpoints in row r, whose vertices are
-            # r*m .. r*m + m - 1 of the stacked graph (n < 2^31)
-            ends = np.array([self.edge_u, self.edge_v], dtype=np.int32)
-            offsets = np.arange(0, n, self.m, dtype=np.int32)
-            self._ends = (ends[:, None, :] + offsets[:, None]).reshape(2, -1)
-        # edges sorted by (u, v) and rows stacked in order: the kept edges
-        # come out sorted by stacked source vertex, which is CSR row order
-        src, dst = np.take(self._ends, np.flatnonzero(keep_open), axis=1)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        # float64 data is what connected_components works on, uncopied
-        graph = sparse.csr_matrix((np.ones(len(dst)), dst, indptr),
-                                  shape=(n, n))
-        ncomp, flat = csgraph.connected_components(graph, directed=False)
-        comp_sizes = np.bincount(flat, minlength=ncomp)
-        owner = np.empty(ncomp, dtype=np.int64)
-        owner[flat] = np.repeat(np.arange(pop, dtype=np.int64), self.m)
-        oversize[rows] = np.bincount(owner[comp_sizes > self.max_size],
-                                     minlength=pop)
-        labels = flat.reshape(pop, self.m)
-        crossing[rows] = labels[:, self.edge_u] != labels[:, self.edge_v]
-        return self._score(keep, crossing, oversize)
-
-    def _one_cell(self, keep: np.ndarray) -> np.ndarray:
-        """Whether each row of a keep matrix leaves the graph one cell.
-
-        The rows are packed 64 to a uint64 word, so ``kept[a]`` holds the
-        rows that keep the edge of arc a and ``reach[v]`` the rows in which
-        vertex v is known to be joined to vertex 0. Each round ORs into
-        every vertex the rows in which a neighbour is reached over a kept
-        edge, until nothing changes (at most m - 1 rounds); a row is one
-        cell when every vertex is reached in it.
-        """
         pop = len(keep)
         words = (pop + 63) // 64
         padded = np.zeros((64 * words, keep.shape[1]), dtype=np.uint8)
@@ -380,24 +324,44 @@ class PopulationEvaluator:
         # powers of two is about twice as fast as np.packbits across rows
         packed = np.einsum("ijk,j->ik", padded.reshape(8 * words, 8, -1),
                            _POW2[:8].astype(np.uint8))
+        # kept[a]: the rows that keep the edge of arc a, as bits
         kept = np.ascontiguousarray(packed.T).view("<u8")[self._arc_edge]
-        reach = np.zeros((self.m, words), dtype="<u8")
-        # a row in which some vertex keeps no edge is not one cell, so the
-        # sweep starts from the other rows only
-        reach[0] = np.bitwise_and.reduce(
-            np.bitwise_or.reduceat(kept, self._arc_starts))
+        # a machine that keeps no edge is a cell of its own, never oversize
+        # (N >= 1); so is every machine of the padding rows
+        settled = ~np.bitwise_or.reduceat(kept, self._arc_starts)
+        inside = np.zeros((len(self.edge_u), words), dtype="<u8")
+        oversize = np.zeros(64 * words, dtype=np.int64)
         arcs = np.empty_like(kept)
         while True:
-            # np.take into a buffer is about 3x faster than reach[arc_src]
-            np.take(reach, self._arc_src, axis=0, out=arcs)
-            arcs &= kept
-            grown = np.bitwise_or.reduceat(arcs, self._arc_starts)
-            grown |= reach
-            if np.array_equal(grown, reach):
+            # seen[v]: the rows with an unsettled machine among 0..v, so
+            # reach starts each row at its lowest unsettled machine
+            seen = np.bitwise_or.accumulate(~settled)
+            if not seen[-1].any():
                 break
-            reach = grown
-        done = np.bitwise_and.reduce(reach).view(np.uint8)
-        return np.unpackbits(done, count=pop, bitorder="little").view(bool)
+            reach = seen.copy()
+            reach[1:] ^= seen[:-1]
+            # grown over kept arcs until nothing changes, reach[v] holds
+            # the rows in which v is in the seed's cell
+            while True:
+                # np.take into a buffer is about 3x faster than
+                # reach[arc_src]
+                np.take(reach, self._arc_src, axis=0, out=arcs)
+                arcs &= kept
+                grown = np.bitwise_or.reduceat(arcs, self._arc_starts)
+                grown |= reach
+                if np.array_equal(grown, reach):
+                    break
+                reach = grown
+            inside |= np.take(reach, self.edge_u, axis=0) \
+                & np.take(reach, self.edge_v, axis=0)
+            members = np.unpackbits(reach.view(np.uint8), axis=1,
+                                    bitorder="little")
+            oversize += members.sum(axis=0, dtype=np.int32) > self.max_size
+            settled |= reach
+        # an edge crosses unless one cell holds both its ends
+        crossing = np.unpackbits((~inside).view(np.uint8), axis=1,
+                                 count=pop, bitorder="little").T.view(bool)
+        return self._score(keep, crossing, oversize[:pop])
 
     def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
         """Evaluate a (pop, m) matrix of per-machine cell labels.

@@ -34,6 +34,7 @@ it draws.
 from __future__ import annotations
 
 import random
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -81,9 +82,10 @@ MAX_ROUTING_LEN = 100
 MAX_EXACT = 10 ** 4300
 MAX_SCALE = 10 ** 3991
 
-# Largest decimal exponent of a volume token, a cost guard checked before
-# Fraction builds 10**exponent (Fraction("1e-10000000") took seconds); up
-# to it the volume is built, and _check_part holds it below MAX_EXACT
+# Largest decimal exponent of a volume token's leading nonzero digit, its
+# order of magnitude: a cost guard checked before Fraction builds
+# 10**exponent (Fraction("1e-10000000") took seconds); up to it the volume
+# is built, and _check_part holds it below MAX_EXACT
 MAX_VOLUME_EXPONENT = 4300
 
 # Largest total flow (volume x routing steps, summed): roulette weights and
@@ -218,16 +220,27 @@ class Instance:
 
 
 def _parse_volume(token: str, lineno: int) -> Fraction:
-    # checked before Fraction builds 10**exponent; with leading zeros gone,
-    # five digits already exceed the limit
-    _, marker, exponent = token.lower().partition("e")
-    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")[:5]
-    if marker and digits.isdecimal() and int(digits) > MAX_VOLUME_EXPONENT:
-        raise InstanceError(
-            f"volume {token!r} has an exponent beyond "
-            f"{MAX_VOLUME_EXPONENT} in magnitude", lineno)
+    # checked before Fraction builds 10**exponent, on the exponent of the
+    # leading nonzero digit: the written one plus less than len(token) in
+    # magnitude, so a written exponent of more than len(str(len(token))) + 4
+    # digits is beyond the limit whatever the mantissa
+    mantissa, marker, exponent = text = token.lower().partition("e")
+    whole, _, fraction = mantissa.lstrip("+-").replace("_", "").partition(".")
+    significant = (whole + fraction).lstrip("0")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal():
+        if not significant:
+            # 0 at any exponent: Fraction reads the token's form with every
+            # exponent digit 0
+            text = mantissa, marker, re.sub(r"\d", "0", exponent)
+        elif len(digits) > len(str(len(token))) + 4 or abs(
+                (-int(digits) if exponent.startswith("-") else int(digits))
+                + len(significant) - len(fraction) - 1) > MAX_VOLUME_EXPONENT:
+            raise InstanceError(
+                f"volume {token!r} has an exponent beyond "
+                f"{MAX_VOLUME_EXPONENT} in magnitude", lineno)
     try:
-        return Fraction(token)
+        return Fraction("".join(text))
     except (ValueError, ZeroDivisionError):
         raise InstanceError(f"bad volume {token!r}", lineno) from None
 

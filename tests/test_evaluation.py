@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.sparse import csgraph
 
 from cellform import (FitnessConfig, InstanceWarning, Partition,
                       PopulationEvaluator, build_basis, build_graph,
@@ -541,21 +540,6 @@ def largest_class(parts, m, words=None):
     return max(Counter(sigs).values())
 
 
-@pytest.fixture
-def components_calls(monkeypatch):
-    """The stacked vertex count of every scipy connected-components call
-    made while active (evaluate_parts and evaluate_labels must make none)."""
-    calls = []
-    original = csgraph.connected_components
-
-    def spy(graph, **kwargs):
-        calls.append(graph.shape[0])
-        return original(graph, **kwargs)
-
-    monkeypatch.setattr(csgraph, "connected_components", spy)
-    return calls
-
-
 def spy_decodes(monkeypatch, ev):
     """The keep rows ``ev``'s per-row decode gets, as tuples, in call order."""
     rows = []
@@ -572,8 +556,8 @@ def spy_decodes(monkeypatch, ev):
 class TestComponentsOnlyForFlaggedRows:
     """evaluate_parts and evaluate_labels decode cells only on the rows
     where more than N vertices share a first signature word or a label,
-    one row at a time through the per-row decode ``result`` uses, and never
-    call scipy; every row's result still equals the scalar reference."""
+    one row at a time through the per-row decode ``result`` uses; every
+    row's result still equals the scalar reference."""
 
     @staticmethod
     def decoded_rows(monkeypatch, inst, population, flagged):
@@ -586,8 +570,7 @@ class TestComponentsOnlyForFlaggedRows:
         assert rows == [tuple(batch.keep[i].tolist()) for i in flagged]
         return rows
 
-    def test_no_rows_when_classes_fit(self, monkeypatch,
-                                      components_calls):
+    def test_no_rows_when_classes_fit(self, monkeypatch):
         rng = random.Random(47)
         inst = random_instance(rng, 8, max_cell_size=2)
         population = [ch for ch in random_parts_population(rng, 6, 1 << 7, 60)
@@ -595,10 +578,9 @@ class TestComponentsOnlyForFlaggedRows:
         assert len(population) >= 10
         assert self.decoded_rows(monkeypatch, inst, population, []) == []
         check_parts_against_scalar(inst, population)
-        assert components_calls == []
 
     @pytest.mark.parametrize("n, k", [(1, 8), (2, 5)])
-    def test_only_flagged_rows(self, monkeypatch, components_calls, n, k):
+    def test_only_flagged_rows(self, monkeypatch, n, k):
         # sparse parts: some rows have a class larger than N, some do not
         rng = random.Random(48 + n)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=n)
@@ -609,10 +591,8 @@ class TestComponentsOnlyForFlaggedRows:
         assert len(self.decoded_rows(
             monkeypatch, inst, population, flagged)) == len(flagged)
         check_parts_against_scalar(inst, population)
-        assert components_calls == []
 
-    def test_first_word_collision_is_flagged_and_exact(
-            self, monkeypatch, components_calls):
+    def test_first_word_collision_is_flagged_and_exact(self, monkeypatch):
         # K = 70 at m = 70, N = 1. Row 0: parts 0..62 isolate vertices
         # 0..62 and parts 64..69 vertices 63..68, so every signature is
         # distinct but vertices 63..69 share the first word 0. Row 1 gives
@@ -631,10 +611,9 @@ class TestComponentsOnlyForFlaggedRows:
         assert largest_class(distinct, 70, words=1) == 1
         assert len(self.decoded_rows(monkeypatch, inst, population, [0])) == 1
         check_parts_against_scalar(inst, population)
-        assert components_calls == []
 
 
-    def test_only_flagged_label_rows(self, monkeypatch, components_calls):
+    def test_only_flagged_label_rows(self, monkeypatch):
         # rows of 1..10 labels on 10 machines, N = 3: a row is decoded only
         # when more than 3 machines share a label
         rng = random.Random(52)
@@ -650,22 +629,16 @@ class TestComponentsOnlyForFlaggedRows:
         for i, row in enumerate(labels):
             assert ev.result(batch, i) == reference_label_evaluation(
                 inst, row, ev.cfg)
-        assert components_calls == []
 
 
 class TestEndpointTable:
-    """One evaluator serves batches of any size from one grow-only table of
-    stacked edge endpoints, which only ``evaluate_keeps`` sizes, for the
-    rows its sweep leaves open (those of more than one cell): 200 keep
-    rows, 350 rows, then cut chromosomes and label rows, whose flagged rows
-    are decoded one at a time without the table or scipy. Every row, read
-    back through ``result``, equals the scalar reference, scipy sees
-    exactly the open rows, and the table never outgrows the most open rows
-    of one ``evaluate_keeps`` batch."""
+    """One evaluator serves batches of any size and kind in turn: 200 keep
+    rows, 350 keep rows, then cut chromosomes and label rows, whose
+    flagged rows are decoded one at a time. Every row, read back through
+    ``result``, equals the scalar reference."""
 
     @pytest.mark.parametrize("m, n, k", [(10, 2, 3), (80, 6, 8)])
-    def test_batches_of_changing_size(self, monkeypatch, components_calls,
-                                      m, n, k):
+    def test_batches_of_changing_size(self, monkeypatch, m, n, k):
         rng = random.Random(m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InstanceWarning)
@@ -673,10 +646,6 @@ class TestEndpointTable:
         ev = PopulationEvaluator(inst)
         g, cfg = ev.graph, ev.cfg
         ecount = g.edge_count
-        rows = components_calls
-
-        def check_table():
-            assert 0 < ev._ends.shape[1] <= max(rows) // m * ecount
 
         open_rows = []
         for size in (200, 350):
@@ -688,7 +657,6 @@ class TestEndpointTable:
             batch = ev.evaluate_keeps(np.array(
                 [[not (mask >> i) & 1 for i in range(ecount)]
                  for mask in masks]))
-            check_table()
             open_rows.append(0)
             for i, mask in enumerate(masks):
                 p = decode_partition(g, mask)
@@ -698,13 +666,9 @@ class TestEndpointTable:
                 assert ev.to_fraction(batch.traffic_units[i]) == \
                     scalar.traffic
                 assert batch.violations[i] == scalar.violations
-                check_table()
-        # the second batch leaves more rows open, so the table grows
+        # both batches mix rows of one cell and rows of more
         assert 0 < open_rows[0] < open_rows[1] < 350
-        assert [r // m for r in rows] == open_rows
-        assert ev._ends.shape[1] == open_rows[1] * ecount
 
-        rows.clear()
         population = random_parts_population(rng, k, 1 << (m - 1), 120, 0.5)
         flagged = [i for i, ch in enumerate(population)
                    if largest_class(ch, m, words=1) > n]
@@ -723,8 +687,6 @@ class TestEndpointTable:
         for i, row in enumerate(labels):
             assert ev.result(batch, i) == reference_label_evaluation(
                 inst, row, cfg)
-        assert rows == []
-        assert ev._ends.shape[1] == open_rows[1] * ecount
 
 
 # an m = 2 shop whose one cell is oversize (N = 1), a shop whose flow graph
@@ -740,13 +702,17 @@ SWEEP_SHOPS = {
 }
 
 
+def peel_rounds(partition):
+    """Sweeps evaluate_keeps spends on a row: one per cell of two or more
+    machines (a machine that keeps no edge is settled without one)."""
+    return sum(len(cell) > 1 for cell in partition.cells)
+
+
 class TestOneCellSweep:
-    """evaluate_keeps settles the rows that are one cell by its bit-packed
-    sweep from machine 0 and sends scipy only the others. Across word
-    boundaries (pop 1, 63, 64, 65, 129) and keep densities from none to
-    all, every row equals the reference evaluation of its decoded
-    partition, and scipy's one call sees exactly (rows of more than one
-    cell) * m vertices, or is not made at all."""
+    """evaluate_keeps peels the cells of all rows at once, one sweep per
+    cell of two or more machines. Across word boundaries (pop 1, 63, 64,
+    65, 129) and keep densities from none to all, every row equals the
+    reference evaluation of its decoded partition."""
 
     @staticmethod
     def batch(shop, pop, density):
@@ -761,8 +727,7 @@ class TestOneCellSweep:
     @pytest.mark.parametrize("density", [0, 0.2, 0.5, 0.9, 1])
     @pytest.mark.parametrize("pop", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("shop", sorted(SWEEP_SHOPS))
-    def test_rows_match_reference(self, components_calls, shop, pop,
-                                  density):
+    def test_rows_match_reference(self, shop, pop, density):
         inst, ev, batch, partitions = self.batch(shop, pop, density)
         for i, p in enumerate(partitions):
             ref = reference_evaluation(inst, p, ev.cfg)
@@ -770,23 +735,55 @@ class TestOneCellSweep:
             assert ev.to_fraction(batch.traffic_units[i]) == ref.traffic
             assert batch.violations[i] == ref.violations
             assert ev.to_fraction(batch.fitness_units[i]) == ref.fitness
-        left_open = sum(len(p.cells) > 1 for p in partitions)
-        assert components_calls == ([left_open * ev.m] if left_open else [])
-        if density == 1:
-            assert components_calls == []
 
     @pytest.mark.parametrize("shop", sorted(SWEEP_SHOPS))
-    def test_each_word_mixes_both_kinds(self, components_calls, shop):
+    def test_each_word_mixes_both_kinds(self, shop):
         # at 90% kept, each of the first two 64-row words holds rows the
-        # sweep finishes and rows it leaves to scipy
-        inst, ev, _, partitions = self.batch(shop, 129, 0.9)
+        # first sweep finishes and rows that need more sweeps; the m = 2
+        # shop has no room for two cells of two machines, so there a word
+        # mixes rows of one cell and rows settled without a sweep
+        inst, ev, batch, partitions = self.batch(shop, 129, 0.9)
         assert (inst.machine_count, inst.max_cell_size) == {
             "m2": (2, 1), "fictive": (8, 2), "roomy": (12, 12)}[shop]
         assert any(e.fictive for e in ev.graph.edges) == (shop != "m2")
-        one_cell = [len(p.cells) == 1 for p in partitions]
-        for word in (one_cell[:64], one_cell[64:128]):
-            assert 0 < sum(word) < 64
-        assert components_calls == [one_cell.count(False) * ev.m]
+        rounds = [peel_rounds(p) for p in partitions]
+        for word in (rounds[:64], rounds[64:128]):
+            if shop == "m2":
+                assert set(word) == {0, 1}
+            else:
+                assert min(word) <= 1 < max(word)
+        for i, p in enumerate(partitions):
+            assert ev.result(batch, i) == reference_evaluation(
+                inst, p, ev.cfg)
+
+
+class TestManySweeps:
+    """Sparse masks leave many small cells, so evaluate_keeps runs many
+    sweeps: at m = 130 with 2% to 20% of the edges kept, three words of
+    rows (pop 129), SC and SN pairs, and rows in which machine 0 keeps no
+    edge, every row equals the reference evaluation of its partition."""
+
+    @pytest.mark.parametrize("density", [0.02, 0.05, 0.1, 0.2])
+    def test_rows_match_reference(self, density):
+        parts = random_instance(random.Random(130), 130, max_parts=260,
+                                constraints=False).parts
+        inst = Instance(130, 6, parts, frozenset({(0, 7), (60, 61)}),
+                        frozenset({(1, 2), (100, 129)}))
+        ev = PopulationEvaluator(inst)
+        rng = np.random.default_rng(round(100 * density))
+        keep = rng.random((129, ev.graph.edge_count)) < density
+        at_zero = (ev.edge_u == 0) | (ev.edge_v == 0)
+        assert not keep[:, at_zero].any(axis=1).all()
+        batch = ev.evaluate_keeps(keep)
+        partitions = [decode_partition(ev.graph, mask_from_bits(~row))
+                      for row in keep]
+        assert max(map(peel_rounds, partitions)) >= 2
+        for i, p in enumerate(partitions):
+            ref = reference_evaluation(inst, p, ev.cfg)
+            assert ev.result(batch, i) == ref
+            assert ev.to_fraction(batch.traffic_units[i]) == ref.traffic
+            assert batch.violations[i] == ref.violations
+            assert ev.to_fraction(batch.fitness_units[i]) == ref.fitness
 
 
 @functools.lru_cache(maxsize=None)

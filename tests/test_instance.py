@@ -72,6 +72,20 @@ class TestParse:
         assert volumes == [Fraction(1, 10 ** 300), Fraction(1, 10 ** 4299),
                            Fraction(10 ** 4299), Fraction(1, 40)]
 
+    @pytest.mark.parametrize("token, routing, volume", [
+        ("0e5000", "1 2", Fraction(0)),
+        ("0.001e4301", "1", Fraction(10 ** 4298)),
+        ("1000e-4302", "1 2", Fraction(1, 10 ** 4299)),
+        ("0.0e-1_0000_000", "1 2", Fraction(0))])
+    def test_volume_exponent_of_leading_digit(self, token, routing, volume):
+        # the guard reads the value's order of magnitude, not the written
+        # exponent: Instance(...) accepts each of these volumes (a
+        # one-machine routing carries no flow, so 10**4298 fits)
+        inst = parse_instance(f"machines 3\nmax_cell_size 2\n"
+                              f"part {token} : {routing}\n")
+        steps = tuple(int(i) - 1 for i in routing.split())
+        assert inst == Instance(3, 2, (Part(volume, steps),))
+
     @pytest.mark.parametrize("volume", [
         Fraction(MAX_EXACT - 1), Fraction(1, MAX_EXACT - 1),
         Fraction(MAX_EXACT - 2, MAX_EXACT - 1), Fraction(1, 10 ** 4299)])
