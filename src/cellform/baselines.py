@@ -140,10 +140,10 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     first one met, restarts outer and k ascending, among those with the
     least traffic), or None when every clustering violates a constraint
     (UF). Clusterings are scored as cell labels
-    (``PopulationEvaluator.evaluate_labels``, which loads no scipy), so a
-    cluster that is disconnected in the flow graph counts as its connected
-    pieces. Each restart's clusterings are scored as one batch as soon as
-    they are drawn, and only the best row so far is kept, so memory does
+    (``PopulationEvaluator.evaluate_labels``), so a cluster that is
+    disconnected in the flow graph counts as its connected pieces. Each
+    restart's clusterings are scored as one batch as soon as they are
+    drawn, and only the best row so far is kept, so memory does
     not grow with ``restarts``. Every draw comes from ``ga.make_rng(seed)``,
     as in the GAs, so a negative seed has its own stream.
     """
@@ -183,7 +183,7 @@ def exhaustive_oracle(inst: Instance) -> Evaluation | None:
     pruned (this never removes a feasible partition), as are branches whose
     accumulated traffic already exceeds the best found. Returns None when no
     feasible partition exists. Guarded to m <= 12. The optimum's labels are
-    scored by ``PopulationEvaluator.evaluate_labels``, which loads no scipy.
+    scored by ``PopulationEvaluator.evaluate_labels``.
     """
     m = inst.machine_count
     if m > _ORACLE_GUARD:

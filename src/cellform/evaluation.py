@@ -160,7 +160,11 @@ class PopulationEvaluator:
     so the cells never need names. A sweep makes one pass over the 2E
     arcs per kept edge on the longest shortest path out of a seed, and a
     batch takes one round per cell of two or more machines in its most
-    divided row, so masks that keep a few percent of the edges cost most.
+    divided row. How many such cells a row has depends on the kept share
+    times the flow graph's degree: EGA's half-kept masks leave a few on
+    graphs of average degree 4 or more, but a dozen or more on near-tree
+    graphs of degree about 2, and masks that keep a few percent of a
+    dense graph's edges leave the most.
     """
 
     def __init__(self, inst: Instance):

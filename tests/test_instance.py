@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -76,7 +77,11 @@ class TestParse:
         ("0e5000", "1 2", Fraction(0)),
         ("0.001e4301", "1", Fraction(10 ** 4298)),
         ("1000e-4302", "1 2", Fraction(1, 10 ** 4299)),
-        ("0.0e-1_0000_000", "1 2", Fraction(0))])
+        # Fraction reads underscores in a number from Python 3.11 on
+        pytest.param("0.0e-1_0000_000", "1 2", Fraction(0),
+                     marks=pytest.mark.skipif(sys.version_info < (3, 11),
+                                              reason="Fraction('1_0') needs "
+                                                     "Python 3.11"))])
     def test_volume_exponent_of_leading_digit(self, token, routing, volume):
         # the guard reads the value's order of magnitude, not the written
         # exponent: Instance(...) accepts each of these volumes (a
