@@ -21,11 +21,13 @@ the same units.
 
 A cut chromosome is scored as the cell labels its cut signatures are:
 both describe vertex classes, and one class path builds the keep matrix of
-either. Each cell lies inside one class, so cells are decoded only on rows
-where a class has more than N members, one row at a time by the union-find
-that ``result`` uses. Arbitrary edge masks (EGA) go through
-``evaluate_keeps``: bit-packed sweeps over all rows at once peel off one
-cell per row per sweep. The package needs numpy only.
+either. Each cell lies inside one class, so only rows where a class has
+more than N members can hold an oversize cell. One peel counts oversize
+cells: bit-packed sweeps over all rows of a batch at once peel off one cell
+per row per round. It takes those flagged cut and label rows, and every
+row of arbitrary edge masks (EGA, through ``evaluate_keeps``). Only
+``result`` names cells, for the one row it reports. The package needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -142,29 +144,31 @@ class PopulationEvaluator:
     ``evaluate_labels`` passes its labels as one word, and ``_classes``
     alone keeps the edges inside a class. Every cell then lies inside one
     class, and an SC or SN pair (always a flow-graph edge) shares a cell
-    exactly when its edge is kept. Cells are decoded only on the rows
-    where more than N vertices share a first word, to count their
-    oversize cells, one row at a time with the union-find of
-    ``instance.vertex_groups`` (cells ordered by lowest member, as in
-    ``decode_partition``) that ``result`` also decodes its row with.
+    exactly when its edge is kept. Only the rows where more than N
+    vertices share a first word can hold an oversize cell, and ``_peel``
+    counts the oversize cells of those rows alone, all in one batch.
 
-    Only ``evaluate_keeps`` takes arbitrary masks, and it peels their
-    cells off all rows at once, 64 rows to a uint64 word. A machine that
-    keeps no edge is a cell of its own. Then each round seeds every row at
-    its lowest unsettled machine and sweeps out from it over the kept
-    edges until nothing changes, so in each row's bit lane the sweep
-    reaches exactly that machine's cell; the round marks the edges with
-    both endpoints in the cell as not crossing, counts the cell as
-    oversize where it has more than N machines, and settles it. Which
-    edges cross and how many cells are oversize is all ``_score`` reads,
-    so the cells never need names. A sweep makes one pass over the 2E
-    arcs per kept edge on the longest shortest path out of a seed, and a
-    batch takes one round per cell of two or more machines in its most
-    divided row. How many such cells a row has depends on the kept share
-    times the flow graph's degree: EGA's half-kept masks leave a few on
-    graphs of average degree 4 or more, but a dozen or more on near-tree
-    graphs of degree about 2, and masks that keep a few percent of a
-    dense graph's edges leave the most.
+    ``evaluate_keeps`` takes arbitrary masks and passes every row to the
+    same ``_peel``, which also reports the edges inside cells. Whatever
+    its rows, the peel works on all of them at once, 64 rows to a uint64
+    word. A machine that keeps no edge is a cell of its own. Then each
+    round seeds every row at its lowest unsettled machine and sweeps out
+    from it over the kept edges until nothing changes, so in each row's
+    bit lane the sweep reaches exactly that machine's cell; the round
+    marks the edges with both endpoints in the cell as not crossing,
+    counts the cell as oversize where it has more than N machines, and
+    settles it. Which edges cross and how many cells are oversize is all
+    ``_score`` reads, so the cells never need names; only ``result`` names
+    them, decoding its one row with the union-find of
+    ``instance.vertex_groups`` (cells ordered by lowest member, as in
+    ``decode_partition``). A sweep makes one pass over the 2E arcs per
+    kept edge on the longest shortest path out of a seed, and a batch
+    takes one round per cell of two or more machines in its most divided
+    row. How many such cells a row has depends on the kept share times the
+    flow graph's degree: EGA's half-kept masks leave a few on graphs of
+    average degree 4 or more, but a dozen or more on near-tree graphs of
+    degree about 2, and masks that keep a few percent of a dense graph's
+    edges leave the most.
     """
 
     def __init__(self, inst: Instance):
@@ -209,16 +213,12 @@ class PopulationEvaluator:
         """Exact Evaluation of row ``i`` of a batch."""
         traffic = self.to_fraction(batch.traffic_units[i])
         violations = int(batch.violations[i])
-        cells = self._decode(batch.keep[i])
+        kept = np.flatnonzero(batch.keep[i])
+        cells = vertex_groups(self.m, zip(self.edge_u[kept].tolist(),
+                                          self.edge_v[kept].tolist()))
         return Evaluation(Partition(tuple(map(tuple, cells))), traffic,
                           violations, violations == 0,
                           fitness(traffic, violations, self.cfg))
-
-    def _decode(self, keep: np.ndarray) -> list[list[int]]:
-        """Cells of the graph one keep row leaves (``vertex_groups``)."""
-        kept = np.flatnonzero(keep)
-        return vertex_groups(self.m, zip(self.edge_u[kept].tolist(),
-                                         self.edge_v[kept].tolist()))
 
     def selection_weights(self, fitness_units: np.ndarray,
                           gamma: float | None) -> np.ndarray:
@@ -320,6 +320,17 @@ class PopulationEvaluator:
                 or keep.shape[1] != len(self.edge_u):
             raise ValueError(f"keep matrix must be (pop >= 1, "
                              f"{len(self.edge_u)}), got {keep.shape}")
+        inside, oversize = self._peel(keep)
+        # an edge crosses unless one cell holds both its ends
+        crossing = np.unpackbits(~inside.view(np.uint8), axis=1,
+                                 count=len(keep), bitorder="little")
+        return self._score(keep, crossing.T.view(bool), oversize)
+
+    def _peel(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(inside, oversize) of a (pop >= 1, E) bool keep matrix: bit i of
+        ``inside[e]`` (uint64 words, 64 rows each) is set when one cell of
+        row i holds both ends of edge e, and ``oversize[i]`` counts the
+        cells of row i with more than N machines."""
         pop = len(keep)
         words = (pop + 63) // 64
         padded = np.zeros((64 * words, keep.shape[1]), dtype=np.uint8)
@@ -362,10 +373,7 @@ class PopulationEvaluator:
                                     bitorder="little")
             oversize += members.sum(axis=0, dtype=np.int32) > self.max_size
             settled |= reach
-        # an edge crosses unless one cell holds both its ends
-        crossing = np.unpackbits((~inside).view(np.uint8), axis=1,
-                                 count=pop, bitorder="little").T.view(bool)
-        return self._score(keep, crossing, oversize[:pop])
+        return inside, oversize[:pop]
 
     def evaluate_labels(self, labels: np.ndarray) -> EvalBatch:
         """Evaluate a (pop, m) matrix of per-machine cell labels.
@@ -389,7 +397,8 @@ class PopulationEvaluator:
         exactly inside a class, so every cell lies inside one class and
         the removed edges are the crossing ones. Only a row where more than
         N vertices share ``keys[0]`` (a run of N + 1 once sorted) can hold
-        an oversize cell: those rows alone are decoded, one at a time."""
+        an oversize cell: those rows alone go through the peel, in one
+        batch, which counts their oversize cells."""
         # gathering vertex-major rows per edge endpoint costs a fraction of
         # gathering the same columns
         by_vertex = keys.transpose(0, 2, 1).copy()
@@ -401,9 +410,8 @@ class PopulationEvaluator:
         cap = self.max_size
         flagged = np.flatnonzero((key[:, cap:] == key[:, :-cap]).any(axis=1))
         oversize = np.zeros(len(keep), dtype=np.int64)
-        for row in flagged:
-            oversize[row] = sum(len(cell) > cap
-                                for cell in self._decode(keep[row]))
+        if len(flagged):
+            oversize[flagged] = self._peel(keep[flagged])[1]
         return self._score(keep, ~keep, oversize)
 
     def _score(self, keep: np.ndarray, crossing: np.ndarray,

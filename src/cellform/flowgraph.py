@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .instance import MAX_SCALE, Instance, InstanceError, vertex_groups
+from .instance import Instance, vertex_groups
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,8 @@ def build_graph(inst: Instance) -> FlowGraph:
     ascending by (u, v).
     """
     # traffic in units of 1 / scale, scale = lcm of the volume denominators
+    # (below MAX_SCALE, which Instance checks)
     scale = math.lcm(*(part.volume.denominator for part in inst.parts))
-    if scale >= MAX_SCALE:
-        raise InstanceError("the volumes' common denominator has more than "
-                            "3991 digits")
     units: dict[tuple[int, int], int] = {}
     for part in inst.parts:
         step = part.volume.numerator * (scale // part.volume.denominator)

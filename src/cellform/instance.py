@@ -22,17 +22,18 @@ rationals (``3``, ``1/2`` and ``0.5`` are all accepted). Machine indices are
 1-based in files and messages; in memory everything is 0-based.
 
 Each instance rule (the machine count, the max cell size, each part's volume
-and routing, each pair with its machine range, no pair in both SC and SN)
-has one private checker, and only the checkers decide a rule. ``Instance``
-runs all of them on construction. ``parse_instance`` only parses: it turns
-each line into numbers and runs the same checkers on them, so a file is
-refused at its first bad line with the message ``Instance`` gives for that
-item. ``generate_instance`` runs the count checks on its arguments before
-it draws.
+and routing, the volumes' common denominator, each pair with its machine
+range, no pair in both SC and SN) has one private checker, and only the
+checkers decide a rule. ``Instance`` runs all of them on construction.
+``parse_instance`` only parses: it turns each line into numbers and runs
+the same checkers on them, so a file is refused at its first bad line with
+the message ``Instance`` gives for that item. ``generate_instance`` runs
+the count checks on its arguments before it draws.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import sys
@@ -76,7 +77,7 @@ MAX_ROUTING_LEN = 100
 
 # Python writes no int of more than 4300 digits as text, so every exact
 # number the program prints stays below 10**4300: _check_part holds each
-# volume's numerator and denominator below MAX_EXACT, and build_graph holds
+# volume's numerator and denominator below MAX_EXACT, and _check_scale holds
 # the volumes' common denominator below MAX_SCALE, so a traffic, whose
 # numerator is at most MAX_FLOW < 10**309 times it, stays below MAX_EXACT
 MAX_EXACT = 10 ** 4300
@@ -155,6 +156,16 @@ def _check_part(k: int, part: Part, m: int, line: int | None = None):
                                 f"consecutively in part {k}", line)
 
 
+def _check_scale(scale: int, part: Part, line: int | None = None) -> int:
+    """The running lcm ``scale`` of the earlier parts' volume denominators,
+    taken on to ``part``'s."""
+    scale = math.lcm(scale, part.volume.denominator)
+    if scale >= MAX_SCALE:
+        raise InstanceError("the volumes' common denominator has more than "
+                            "3991 digits", line)
+    return scale
+
+
 def _check_pair(name: str, pair: tuple[int, int], m: int,
                 line: int | None = None):
     a, b = pair
@@ -194,14 +205,18 @@ class Instance:
         m = self.machine_count
         _check_count("machine count", m, 2, MAX_MACHINES)
         _check_count("max cell size", self.max_cell_size, 1)
+        scale = 1
         for k, part in enumerate(self.parts, 1):
             _check_part(k, part, m)
+            scale = _check_scale(scale, part)
         for name, pairs in (("cohabit", self.cohabit),
                             ("separate", self.separate)):
             for pair in pairs:
                 _check_pair(name, pair, m)
-        if sum((p.volume * (len(p.routing) - 1) for p in self.parts),
-               Fraction(0)) > MAX_FLOW:
+        # total flow in integer units of 1 / scale
+        if sum(p.volume.numerator * (scale // p.volume.denominator)
+               * (len(p.routing) - 1) for p in self.parts) \
+                > MAX_FLOW * scale:
             raise InstanceError("total flow exceeds the float64 range")
         _check_overlap(self.cohabit, self.separate)
         self._warn_large_cohabit_groups()
@@ -242,6 +257,13 @@ def _parse_volume(token: str, lineno: int) -> Fraction:
     try:
         return Fraction("".join(text))
     except (ValueError, ZeroDivisionError):
+        # Fraction reads the digits on each side of the point with int(),
+        # which Python limits to 4300 digits
+        if (whole + fraction).isdecimal() \
+                and max(len(whole), len(fraction)) > 4300:
+            raise InstanceError(
+                f"volume {token!r} has more than 4300 digits on one side "
+                f"of its point", lineno) from None
         raise InstanceError(f"bad volume {token!r}", lineno) from None
 
 
@@ -280,6 +302,7 @@ def parse_instance(text: str) -> Instance:
     parts: list[Part] = []
     cohabit: set[tuple[int, int]] = set()
     separate: set[tuple[int, int]] = set()
+    scale = 1
 
     def require_header(lineno: int) -> int:
         if machine_count is None or max_cell_size is None:
@@ -312,6 +335,7 @@ def parse_instance(text: str) -> Instance:
                               tuple(_parse_index(t, lineno)
                                     for t in fields[3:])))
             _check_part(len(parts), parts[-1], m, lineno)
+            scale = _check_scale(scale, parts[-1], lineno)
         elif kw in ("cohabit", "separate"):
             m = require_header(lineno)
             if len(fields) != 3:

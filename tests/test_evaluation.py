@@ -540,35 +540,45 @@ def largest_class(parts, m, words=None):
     return max(Counter(sigs).values())
 
 
-def spy_decodes(monkeypatch, ev):
-    """The keep rows ``ev``'s per-row decode gets, as tuples, in call order."""
-    rows = []
-    original = ev._decode
+def spy_peels(monkeypatch, ev):
+    """The keep matrices ``ev``'s peel gets, each as a list of row tuples,
+    in call order."""
+    calls = []
+    original = ev._peel
 
     def spy(keep):
-        rows.append(tuple(keep.tolist()))
+        calls.append([tuple(row) for row in keep.tolist()])
         return original(keep)
 
-    monkeypatch.setattr(ev, "_decode", spy)
+    monkeypatch.setattr(ev, "_peel", spy)
+    return calls
+
+
+def check_peeled(calls, batch, flagged):
+    """Check that the peel ran once on exactly the keep rows of the
+    ``flagged`` rows of a batch, in order, and not at all when no row is
+    flagged; return those rows."""
+    rows = [tuple(batch.keep[i].tolist()) for i in flagged]
+    assert calls == ([rows] if rows else [])
     return rows
 
 
 class TestComponentsOnlyForFlaggedRows:
-    """evaluate_parts and evaluate_labels decode cells only on the rows
-    where more than N vertices share a first signature word or a label,
-    one row at a time through the per-row decode ``result`` uses; every
-    row's result still equals the scalar reference."""
+    """evaluate_parts and evaluate_labels count oversize cells only on the
+    rows where more than N vertices share a first signature word or a
+    label: the peel gets exactly those keep rows, in one call, and is not
+    called when no row is flagged; every row's result still equals the
+    scalar reference."""
 
     @staticmethod
-    def decoded_rows(monkeypatch, inst, population, flagged):
-        """Check that evaluate_parts decodes exactly the keep rows of the
+    def peeled_rows(monkeypatch, inst, population, flagged):
+        """Check that evaluate_parts peels exactly the keep rows of the
         ``flagged`` individuals, in order, and return those rows."""
         ev = PopulationEvaluator(inst)
         with monkeypatch.context() as patch:
-            rows = spy_decodes(patch, ev)
+            calls = spy_peels(patch, ev)
             batch = ev.evaluate_parts(ev.pack_parts(population))
-        assert rows == [tuple(batch.keep[i].tolist()) for i in flagged]
-        return rows
+        return check_peeled(calls, batch, flagged)
 
     def test_no_rows_when_classes_fit(self, monkeypatch):
         rng = random.Random(47)
@@ -576,7 +586,7 @@ class TestComponentsOnlyForFlaggedRows:
         population = [ch for ch in random_parts_population(rng, 6, 1 << 7, 60)
                       if largest_class(ch, 8) <= 2]
         assert len(population) >= 10
-        assert self.decoded_rows(monkeypatch, inst, population, []) == []
+        assert self.peeled_rows(monkeypatch, inst, population, []) == []
         check_parts_against_scalar(inst, population)
 
     @pytest.mark.parametrize("n, k", [(1, 8), (2, 5)])
@@ -588,7 +598,7 @@ class TestComponentsOnlyForFlaggedRows:
         flagged = [i for i, ch in enumerate(population)
                    if largest_class(ch, 10) > n]
         assert 0 < len(flagged) < len(population)
-        assert len(self.decoded_rows(
+        assert len(self.peeled_rows(
             monkeypatch, inst, population, flagged)) == len(flagged)
         check_parts_against_scalar(inst, population)
 
@@ -609,12 +619,12 @@ class TestComponentsOnlyForFlaggedRows:
         assert largest_class(collide, 70) == 1
         assert largest_class(collide, 70, words=1) == 7
         assert largest_class(distinct, 70, words=1) == 1
-        assert len(self.decoded_rows(monkeypatch, inst, population, [0])) == 1
+        assert len(self.peeled_rows(monkeypatch, inst, population, [0])) == 1
         check_parts_against_scalar(inst, population)
 
 
     def test_only_flagged_label_rows(self, monkeypatch):
-        # rows of 1..10 labels on 10 machines, N = 3: a row is decoded only
+        # rows of 1..10 labels on 10 machines, N = 3: a row is peeled only
         # when more than 3 machines share a label
         rng = random.Random(52)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=3)
@@ -623,9 +633,9 @@ class TestComponentsOnlyForFlaggedRows:
                    if max(Counter(row.tolist()).values()) > 3]
         assert 0 < len(flagged) < len(labels)
         ev = PopulationEvaluator(inst)
-        rows = spy_decodes(monkeypatch, ev)
+        calls = spy_peels(monkeypatch, ev)
         batch = ev.evaluate_labels(labels)
-        assert rows == [tuple(batch.keep[i].tolist()) for i in flagged]
+        check_peeled(calls, batch, flagged)
         for i, row in enumerate(labels):
             assert ev.result(batch, i) == reference_label_evaluation(
                 inst, row, ev.cfg)
@@ -634,8 +644,8 @@ class TestComponentsOnlyForFlaggedRows:
 class TestEndpointTable:
     """One evaluator serves batches of any size and kind in turn: 200 keep
     rows, 350 keep rows, then cut chromosomes and label rows, whose
-    flagged rows are decoded one at a time. Every row, read back through
-    ``result``, equals the scalar reference."""
+    flagged rows go through the same peel in one call. Every row, read
+    back through ``result``, equals the scalar reference."""
 
     @pytest.mark.parametrize("m, n, k", [(10, 2, 3), (80, 6, 8)])
     def test_batches_of_changing_size(self, monkeypatch, m, n, k):
@@ -674,9 +684,9 @@ class TestEndpointTable:
                    if largest_class(ch, m, words=1) > n]
         assert 0 < len(flagged) < len(population)
         with monkeypatch.context() as patch:
-            decoded = spy_decodes(patch, ev)
+            calls = spy_peels(patch, ev)
             batch = ev.evaluate_parts(ev.pack_parts(population))
-        assert decoded == [tuple(batch.keep[i].tolist()) for i in flagged]
+        check_peeled(calls, batch, flagged)
         basis = build_basis(g)
         for i, parts in enumerate(population):
             assert ev.result(batch, i) == reference_evaluation(
@@ -758,17 +768,32 @@ class TestOneCellSweep:
 
 
 class TestManySweeps:
-    """Sparse masks leave many small cells, so evaluate_keeps runs many
-    sweeps: at m = 130 with 2% to 20% of the edges kept, three words of
-    rows (pop 129), SC and SN pairs, and rows in which machine 0 keeps no
-    edge, every row equals the reference evaluation of its partition."""
+    """Sparse masks leave many small cells, so the peel runs many rounds:
+    at m = 130 with 2% to 20% of the edges kept, three words of rows
+    (pop 129), SC and SN pairs, and rows in which machine 0 keeps no edge,
+    every row equals the reference evaluation of its partition. So do the
+    flagged rows of label batches on a near-tree shop and of sparse
+    K = 70 (two signature words) part batches at m = 130, which go through
+    the same peel."""
+
+    @staticmethod
+    def shop():
+        parts = random_instance(random.Random(130), 130, max_parts=260,
+                                constraints=False).parts
+        return Instance(130, 6, parts, frozenset({(0, 7), (60, 61)}),
+                        frozenset({(1, 2), (100, 129)}))
+
+    @staticmethod
+    def check(ev, batch, refs):
+        for i, ref in enumerate(refs):
+            assert ev.result(batch, i) == ref
+            assert ev.to_fraction(batch.traffic_units[i]) == ref.traffic
+            assert batch.violations[i] == ref.violations
+            assert ev.to_fraction(batch.fitness_units[i]) == ref.fitness
 
     @pytest.mark.parametrize("density", [0.02, 0.05, 0.1, 0.2])
     def test_rows_match_reference(self, density):
-        parts = random_instance(random.Random(130), 130, max_parts=260,
-                                constraints=False).parts
-        inst = Instance(130, 6, parts, frozenset({(0, 7), (60, 61)}),
-                        frozenset({(1, 2), (100, 129)}))
+        inst = self.shop()
         ev = PopulationEvaluator(inst)
         rng = np.random.default_rng(round(100 * density))
         keep = rng.random((129, ev.graph.edge_count)) < density
@@ -778,12 +803,44 @@ class TestManySweeps:
         partitions = [decode_partition(ev.graph, mask_from_bits(~row))
                       for row in keep]
         assert max(map(peel_rounds, partitions)) >= 2
-        for i, p in enumerate(partitions):
-            ref = reference_evaluation(inst, p, ev.cfg)
-            assert ev.result(batch, i) == ref
-            assert ev.to_fraction(batch.traffic_units[i]) == ref.traffic
-            assert batch.violations[i] == ref.violations
-            assert ev.to_fraction(batch.fitness_units[i]) == ref.fitness
+        self.check(ev, batch, [reference_evaluation(inst, p, ev.cfg)
+                               for p in partitions])
+
+    def test_near_tree_label_rows(self):
+        # E = 101 on 96 machines, a third of the edges fictive. Row i < 120
+        # draws from i + 1 labels, so rows of few labels leave many cells;
+        # the last nine rows, classes of 1 to 3 machines, are not flagged
+        inst = generate_instance(96, 48, 3, 3)
+        ev = PopulationEvaluator(inst)
+        labels = np.concatenate([
+            random_label_matrix(random.Random(96), 96, 120),
+            [np.arange(96) // (1 + i % 3) for i in range(9)]])
+        refs = [reference_label_evaluation(inst, row, ev.cfg)
+                for row in labels]
+        flagged = [i for i, row in enumerate(labels)
+                   if max(Counter(row.tolist()).values()) > 3]
+        assert 64 < len(flagged) < len(labels)
+        assert max(peel_rounds(refs[i].partition) for i in flagged) >= 10
+        assert {ref.violations > 0 for ref in refs} == {False, True}
+        self.check(ev, ev.evaluate_labels(labels), refs)
+
+    @pytest.mark.parametrize("density", [0.02, 0.04])
+    def test_sparse_wide_part_rows(self, density):
+        # K = 70 parts of which a few are nonzero leave a few large
+        # signature classes, whose kept edges split into many cells
+        inst = self.shop()
+        ev = PopulationEvaluator(inst)
+        g = ev.graph
+        basis = build_basis(g)
+        population = random_parts_population(random.Random(70), 70,
+                                             1 << 129, 40, density)
+        refs = [reference_evaluation(
+            inst, decode_chromosome(parts, basis, g), ev.cfg)
+            for parts in population]
+        assert sum(largest_class(ch, 130, words=1) > 6
+                   for ch in population) >= 30
+        assert max(peel_rounds(ref.partition) for ref in refs) >= 15
+        self.check(ev, ev.evaluate_parts(ev.pack_parts(population)), refs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -141,15 +141,21 @@ class TestBuildGraph:
         # up to MAX_FLOW over it, prints
         below = Instance(2, 1, (Part(Fraction(1, MAX_SCALE - 1), (0, 1)),))
         assert build_graph(below).scale == MAX_SCALE - 1
-        # MAX_SCALE itself, and two coprime 2001-digit denominators
+        assert parse_instance(serialize_instance(below)) == below
+        # MAX_SCALE itself, and two coprime 2001-digit denominators: refused
+        # by Instance(...), and by parse_instance at the part's line
+        message = "the volumes' common denominator has more than 3991 digits"
         for parts in ((Part(Fraction(1, MAX_SCALE), (0, 1)),),
                       (Part(Fraction(1, 10 ** 2000 + 1), (0, 1)),
                        Part(Fraction(1, 10 ** 2000 + 3), (1, 2)))):
-            inst = Instance(3, 1, parts)
-            assert parse_instance(serialize_instance(inst)) == inst
-            with pytest.raises(InstanceError, match="^the volumes' common "
-                               "denominator has more than 3991 digits$"):
-                build_graph(inst)
+            with pytest.raises(InstanceError, match=f"^{message}$"):
+                Instance(3, 1, parts)
+            text = "machines 3\nmax_cell_size 1\n" + "".join(
+                f"part {p.volume} : {p.routing[0] + 1} {p.routing[1] + 1}\n"
+                for p in parts)
+            with pytest.raises(InstanceError, match=f"^line {2 + len(parts)}: "
+                               f"{message}$"):
+                parse_instance(text)
 
 
 class TestGraphProperties:

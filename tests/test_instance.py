@@ -13,7 +13,8 @@ from cellform import (Instance, InstanceError, InstanceWarning, Part,
                       generate_instance, parse_instance, serialize_instance)
 from cellform import instance as instance_module
 from cellform.instance import MAX_EXACT, MAX_FLOW, MAX_MACHINES, \
-    MAX_PARTS, MAX_ROUTING_LEN, MAX_VOLUME_EXPONENT, vertex_groups
+    MAX_PARTS, MAX_ROUTING_LEN, MAX_SCALE, MAX_VOLUME_EXPONENT, \
+    vertex_groups
 from helpers import instances, random_instance
 
 
@@ -66,12 +67,18 @@ class TestParse:
         assert (token,) not in built
 
     def test_volume_exponent_at_limit_and_small_exponents_exact(self):
-        # 10**4299 is the largest power of ten with at most 4300 digits
+        # 10**4299 is the largest power of ten with at most 4300 digits.
+        # 1e-4299 passes the exponent guard; its denominator then breaks
+        # the common-denominator rule, as in Instance(...)
         text = ("machines 2\nmax_cell_size 2\npart 1e-300 : 1 2\n"
-                "part 1e-4299 : 2 1\npart 1E+4299 : 1\npart 25e-3 : 1 2\n")
+                "part 1E+4299 : 1\npart 25e-3 : 1 2\n")
         volumes = [p.volume for p in parse_instance(text).parts]
-        assert volumes == [Fraction(1, 10 ** 300), Fraction(1, 10 ** 4299),
-                           Fraction(10 ** 4299), Fraction(1, 40)]
+        assert volumes == [Fraction(1, 10 ** 300), Fraction(10 ** 4299),
+                           Fraction(1, 40)]
+        with pytest.raises(InstanceError, match=re.escape(
+                "line 6: the volumes' common denominator has more than 3991 "
+                "digits")):
+            parse_instance(text + "part 1e-4299 : 2 1\n")
 
     @pytest.mark.parametrize("token, routing, volume", [
         ("0e5000", "1 2", Fraction(0)),
@@ -84,19 +91,27 @@ class TestParse:
                                                      "Python 3.11"))])
     def test_volume_exponent_of_leading_digit(self, token, routing, volume):
         # the guard reads the value's order of magnitude, not the written
-        # exponent: Instance(...) accepts each of these volumes (a
-        # one-machine routing carries no flow, so 10**4298 fits)
-        inst = parse_instance(f"machines 3\nmax_cell_size 2\n"
-                              f"part {token} : {routing}\n")
+        # exponent, so the file gives what Instance(...) gives for each of
+        # these volumes (a one-machine routing carries no flow, so 10**4298
+        # fits; 1/10**4299 breaks the common-denominator rule in both)
+        text = f"machines 3\nmax_cell_size 2\npart {token} : {routing}\n"
         steps = tuple(int(i) - 1 for i in routing.split())
-        assert inst == Instance(3, 2, (Part(volume, steps),))
+        try:
+            inst = Instance(3, 2, (Part(volume, steps),))
+        except InstanceError as refused:
+            with pytest.raises(InstanceError,
+                               match=f"^line 3: {re.escape(str(refused))}$"):
+                parse_instance(text)
+        else:
+            assert parse_instance(text) == inst
 
     @pytest.mark.parametrize("volume", [
-        Fraction(MAX_EXACT - 1), Fraction(1, MAX_EXACT - 1),
-        Fraction(MAX_EXACT - 2, MAX_EXACT - 1), Fraction(1, 10 ** 4299)])
+        Fraction(MAX_EXACT - 1), Fraction(1, MAX_SCALE - 1),
+        Fraction(MAX_EXACT - 2, MAX_SCALE - 1), Fraction(1, 10 ** 3990)])
     def test_volume_terms_at_limit_round_trip(self, volume):
         # Python writes ints of up to 4300 digits as text, so a volume
-        # whose numerator and denominator stay below MAX_EXACT serializes;
+        # whose numerator stays below MAX_EXACT, and whose denominator
+        # stays below the common-denominator limit MAX_SCALE, serializes;
         # a one-machine routing carries no flow, so the total flow fits
         inst = Instance(2, 1, (Part(volume, (0,)), ONE_PART))
         assert parse_instance(serialize_instance(inst)) == inst
@@ -109,6 +124,28 @@ class TestParse:
                 "part 2 volume has a numerator or denominator of more than "
                 "4300 digits")):
             Instance(2, 1, (ONE_PART, Part(volume, (0,))))
+
+    def test_volume_mantissa_limit(self):
+        # Python reads no int of more than 4300 digits from text, so
+        # Fraction cannot read this token of value 1
+        token = "0." + "0" * 5000 + "1e5001"
+        with pytest.raises(InstanceError, match=re.escape(
+                f"line 3: volume '{token}' has more than 4300 digits on one "
+                f"side of its point")):
+            parse_instance(f"machines 3\nmax_cell_size 2\npart {token} : 1\n")
+
+    def test_common_denominator_refused_at_its_part(self):
+        # 160 parts 1/<3990-digit odd number>, a 640 KB file: each
+        # denominator is below MAX_SCALE, but the lcm of the first two has
+        # about 7980 digits, so the file is refused at the second part,
+        # before any flow is summed
+        text = "machines 3\nmax_cell_size 2\n" + "".join(
+            f"part 1/{10 ** 3989 + 2 * k + 1} : 1 2\n" for k in range(160))
+        assert len(text) > 640_000
+        with pytest.raises(InstanceError, match=re.escape(
+                "line 4: the volumes' common denominator has more than 3991 "
+                "digits")):
+            parse_instance(text)
 
     def test_zero_volume_allowed(self):
         inst = parse_instance("machines 2\nmax_cell_size 1\npart 0 : 1 2\n")
