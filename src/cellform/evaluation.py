@@ -9,9 +9,11 @@ where B bounds Z (the sum of all flows, or 1 if that is zero), u is the
 constraint count m + |SC| + |SN| and v the number of violated constraints
 (oversize cells, split cohabitation pairs, united separation pairs). Any
 solution violating fewer constraints then outranks every solution violating
-more, and among equal violation counts lower traffic wins. Y itself is
-always kept exact; a GA's roulette weights are (Y / Y_max)^gamma (gamma = 1
-unless set), which preserves order and cannot overflow.
+more, and among equal violation counts lower traffic wins. An oversize cell
+holds two or more machines, so at most m / 2 are, v < u and Y >= B > 0.
+Y itself is always kept exact; ``ga.roulette_select`` weighs a GA's rows by
+(Y / Y_max)^gamma (gamma = 1 unless set), which preserves order and cannot
+overflow.
 
 ``PopulationEvaluator(inst)`` is the one evaluator every solver runs on. It
 builds the instance's flow graph and fitness config itself, scores whole
@@ -70,7 +72,7 @@ def violation_breakdown(partition: Partition,
 def fitness(traffic: Fraction, violations: int,
             cfg: FitnessConfig) -> Fraction:
     """Penalized fitness Y, exact whatever the gamma (gamma shapes only the
-    roulette weights, see ``PopulationEvaluator.selection_weights``)."""
+    roulette weights, see ``ga.roulette_select``)."""
     if violations > cfg.constraint_count:
         raise ValueError(
             f"internal inconsistency: {violations} violations exceed the "
@@ -203,7 +205,7 @@ class PopulationEvaluator:
         self._arc_edge = np.tile(np.arange(g.edge_count), 2)[order]
         self._arc_starts = np.searchsorted(arc_dst[order], np.arange(self.m))
 
-    # ----- exact conversions and selection ------------------------------
+    # ----- exact conversions --------------------------------------------
 
     def to_fraction(self, units) -> Fraction:
         """Exact value of a traffic or fitness amount given in units."""
@@ -219,18 +221,6 @@ class PopulationEvaluator:
         return Evaluation(Partition(tuple(map(tuple, cells))), traffic,
                           violations, violations == 0,
                           fitness(traffic, violations, self.cfg))
-
-    def selection_weights(self, fitness_units: np.ndarray,
-                          gamma: float | None) -> np.ndarray:
-        """Float roulette weights (Y / Y_max)^gamma, with gamma = 1 when
-        ``GAParams.gamma`` is None: within [0, 1], in Y's order, and finite
-        whatever the size of Y, since each ratio is taken from the exact
-        units (roulette is blind to the common scale)."""
-        top = fitness_units.max()
-        if not top:
-            return np.zeros(len(fitness_units))
-        ratio = np.asarray(fitness_units / top, dtype=np.float64)
-        return ratio if gamma is None else ratio ** gamma
 
     # ----- part words ---------------------------------------------------
 

@@ -156,13 +156,16 @@ def init_population(size: int, capacity: int, draw) -> np.ndarray:
         drawn += more
 
 
-def roulette_select(weights: np.ndarray, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Indices of ``count`` draws with replacement, in proportion to the
-    non-negative weights, or uniform when they are all zero."""
+def roulette_select(fitness_units: np.ndarray, gamma: float | None,
+                    count: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of ``count`` draws with replacement, each in proportion to
+    the weight (Y / Y_max)^gamma of its row, gamma = 1 when None. The
+    weights keep Y's order and stay finite whatever the size of Y, since
+    each ratio is taken from the exact fitness units (roulette is blind to
+    their common scale); Y_max > 0 as every Y is at least B."""
+    ratio = np.asarray(fitness_units / fitness_units.max(), dtype=np.float64)
+    weights = ratio if gamma is None else ratio ** gamma
     cumulative = np.cumsum(weights)
-    if not cumulative[-1] > 0:
-        cumulative = np.arange(1.0, len(weights) + 1)
     picks = np.searchsorted(cumulative, rng.random(count) * cumulative[-1],
                             side="right")
     return np.minimum(picks, len(weights) - 1)
@@ -309,8 +312,9 @@ def evolve(encoding: type[Encoding], inst: Instance,
     individuals, mutate a mutation_rate share (one gene each), put everyone
     in canonical form, evaluate, and reinsert the elite, with its whole
     batch row, over the worst individual. best_history holds the exact Y of
-    the best individual so far after each generation. Same seed, same
-    best_history.
+    the best individual so far after each generation; the one reported is
+    the first row, in generation and row order, whose Y beats every earlier
+    Y. Same seed, same best_history.
     """
     t0 = time.perf_counter()
     enc = encoding(inst)
@@ -321,24 +325,19 @@ def evolve(encoding: type[Encoding], inst: Instance,
     population = init_population(
         size, enc.capacity(size), lambda n: enc.canonical(enc.draw(rng, n)))
     batch = enc.evaluate(population)
-    best_idx = int(batch.fitness_units.argmax())
-    best_units = batch.fitness_units[best_idx]
-    best = population[best_idx]
+    top = int(batch.fitness_units.argmax())
+    best = population[top]
 
-    n_mate = round(params.crossover_rate * size)
-    if n_mate % 2:
-        n_mate -= 1
+    n_mate = round(params.crossover_rate * size) // 2 * 2
     n_mutate = round(params.mutation_rate * size)
     history = []
 
     for _ in range(params.generations):
-        elite_idx = int(batch.fitness_units.argmax())
-        elite = population[elite_idx]
-        elite_row = [a[elite_idx] for a in vars(batch).values()]
+        elite = population[top]
+        elite_row = [a[top] for a in vars(batch).values()]
 
-        weights = evaluator.selection_weights(batch.fitness_units,
-                                              params.gamma)
-        parents = population[roulette_select(weights, n_mate, rng)]
+        parents = population[roulette_select(batch.fitness_units,
+                                             params.gamma, n_mate, rng)]
         nxt = np.empty_like(population)
         nxt[0:n_mate:2], nxt[1:n_mate:2] = enc.crossover(
             parents[0::2], parents[1::2], rng)
@@ -353,11 +352,11 @@ def evolve(encoding: type[Encoding], inst: Instance,
         for a, value in zip(vars(batch).values(), elite_row):
             a[worst] = value
 
-        gen_best = int(batch.fitness_units.argmax())
-        if batch.fitness_units[gen_best] > best_units:
-            best_units = batch.fitness_units[gen_best]
-            best = population[gen_best]
-        history.append(evaluator.to_fraction(best_units))
+        # the elite, now at worst, holds the best Y so far
+        top = int(batch.fitness_units.argmax())
+        if batch.fitness_units[top] > batch.fitness_units[worst]:
+            best = population[top]
+        history.append(evaluator.to_fraction(batch.fitness_units[top]))
 
     best_eval = evaluator.result(enc.evaluate(best[None, :]), 0)
     return GAResult(enc.public(best), best_eval, history,

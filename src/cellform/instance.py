@@ -257,13 +257,15 @@ def _parse_volume(token: str, lineno: int) -> Fraction:
     try:
         return Fraction("".join(text))
     except (ValueError, ZeroDivisionError):
-        # Fraction reads the digits on each side of the point with int(),
-        # which Python limits to 4300 digits
-        if (whole + fraction).isdecimal() \
-                and max(len(whole), len(fraction)) > 4300:
+        # Fraction reads the digits on each side of the point, or of an a/b
+        # token's slash, with int(), which Python limits to 4300 digits
+        num, _, den = mantissa.lstrip("+-").replace("_", "").partition("/")
+        sides, mark = ((num, den), "slash") if num and den and not marker \
+            else ((whole, fraction), "point")
+        if "".join(sides).isdecimal() and max(map(len, sides)) > 4300:
             raise InstanceError(
                 f"volume {token!r} has more than 4300 digits on one side "
-                f"of its point", lineno) from None
+                f"of its {mark}", lineno) from None
         raise InstanceError(f"bad volume {token!r}", lineno) from None
 
 

@@ -379,3 +379,24 @@ def reference_mutate(ch: tuple, bits: int, rng: random.Random) -> tuple:
     [0, 2^bits - 1]."""
     idx = rng.randrange(len(ch))
     return ch[:idx] + (rng.randrange(1 << bits),) + ch[idx + 1:]
+
+
+class ScriptedGenerator:
+    """Plays back fixed arrays for the numpy Generator calls of the vector
+    operators, checking each against the bounds it was asked for."""
+
+    def __init__(self, integers=(), random=()):
+        self._integers = [np.asarray(v) for v in integers]
+        self._random = [np.asarray(v, dtype=float) for v in random]
+
+    def integers(self, low, high, size, dtype=np.int64, endpoint=False):
+        out = self._integers.pop(0).astype(dtype)
+        assert out.shape == np.empty(size).shape
+        assert (out >= low).all()
+        assert ((out <= high) if endpoint else (out < high)).all()
+        return out
+
+    def random(self, size):
+        out = self._random.pop(0)
+        assert out.shape == (size,)
+        return out

@@ -16,9 +16,10 @@ from cellform import (FitnessConfig, InstanceWarning, Partition,
                       compute_k, cut_from_index, decode_chromosome, decode_partition,
                       fitness, generate_instance, union_cuts,
                       violation_breakdown)
-from cellform import Instance, Part, mask_from_bits
-from helpers import make_instance, random_instance, reference_evaluation, \
-    reference_label_evaluation, total_weight
+from cellform import Instance, Part, ga, mask_from_bits
+from helpers import ScriptedGenerator, instances, make_instance, \
+    random_instance, reference_evaluation, reference_label_evaluation, \
+    total_weight
 
 F = Fraction
 
@@ -29,6 +30,22 @@ def evaluate_mask(inst, mask):
     keep = np.array([[not (mask >> i) & 1
                       for i in range(ev.graph.edge_count)]])
     return ev.result(ev.evaluate_keeps(keep), 0)
+
+
+def roulette_picks(units, gamma, draws) -> np.ndarray:
+    """Rows ``ga.roulette_select`` picks for the given draws in [0, 1).
+    Any float overflow or invalid operation in the weights raises."""
+    with np.errstate(all="raise"):
+        return ga.roulette_select(np.asarray(units), gamma, len(draws),
+                                  ScriptedGenerator(random=[draws]))
+
+
+def roulette_counts(units, gamma, draws=1 << 22) -> np.ndarray:
+    """How often each row is picked over ``draws`` evenly spaced draws:
+    ``draws`` times its share of the summed weights, to within one pick,
+    and never when its weight is 0."""
+    picks = roulette_picks(units, gamma, np.arange(draws) / draws)
+    return np.bincount(picks, minlength=len(units))
 
 
 def evaluate_cells(inst, partition):
@@ -143,14 +160,13 @@ class TestFitnessFormula:
                    for _ in range(60)]
         ys = [fitness(z, v, ev.cfg) for z, v in samples]
         units = np.array([int(y * ev.scale) for y in ys], dtype=np.int64)
-        w_ident = ev.selection_weights(units, None)
-        w_power = ev.selection_weights(units, 2.5)
-        assert w_power.dtype == np.float64
+        counts_ident = roulette_counts(units, None)
+        counts_power = roulette_counts(units, 2.5)
         for i, a in enumerate(ys):
             for j, b in enumerate(ys):
                 if a > b:
-                    assert w_ident[i] > w_ident[j]
-                    assert w_power[i] > w_power[j]
+                    assert counts_ident[i] > counts_ident[j] + 1
+                    assert counts_power[i] > counts_power[j] + 1
 
     def test_power_tuning_fitness_is_exact_y(self):
         # Y never sees gamma: float(Y) ** 200 once overflowed here, as
@@ -205,6 +221,70 @@ class TestEvaluate:
         ev = evaluate_mask(five_machine_instance, 0)
         assert ev.violations == 1  # one cell of five > max size 2
         assert not ev.feasible
+
+
+def matching_keep(ev, rng) -> np.ndarray:
+    """Keep row of a maximal matching of the flow graph's edges, in random
+    order: with N = 1, one oversize cell per kept edge, up to m / 2."""
+    keep = np.zeros(ev.graph.edge_count, dtype=bool)
+    used = set()
+    for i in rng.sample(range(len(keep)), len(keep)):
+        a, b = int(ev.edge_u[i]), int(ev.edge_v[i])
+        if a not in used and b not in used:
+            keep[i] = True
+            used |= {a, b}
+    return keep
+
+
+def check_fitness_at_least_bound(inst, seed):
+    """Y >= B on random parts, keep and label rows: a cell of more than
+    N >= 1 machines holds two or more, so at most m / 2 cells are oversize,
+    v <= m / 2 + |SC| + |SN| < u and Y = (B - Z) + (u - v) * B >= B.
+    ``ga.roulette_select`` divides by the largest Y with no zero guard."""
+    rng = random.Random(seed)
+    ev = PopulationEvaluator(inst)
+    m, e = inst.machine_count, ev.graph.edge_count
+    k = compute_k(m, inst.max_cell_size)
+    parts = [[rng.getrandbits(m - 1) for _ in range(k)] for _ in range(12)]
+    parts += [[0] * k, [(1 << (m - 1)) - 1] * k]
+    keeps = [np.array([rng.random() < share for _ in range(e)])
+             for share in (0.0, 0.2, 0.5, 0.8, 1.0)]
+    keeps += [matching_keep(ev, rng) for _ in range(4)]
+    for keep in keeps[-4:]:
+        # split every SC pair, unite every SN pair
+        keep[ev.sc_edges], keep[ev.sn_edges] = False, True
+    labels = [[rng.randrange(top) for _ in range(m)]
+              for top in (1, 2, m // 2 or 1, m) for _ in range(3)]
+    labels.append([v // 2 for v in range(m)])
+    for batch in (ev.evaluate_parts(ev.pack_parts(parts)),
+                  ev.evaluate_keeps(np.array(keeps)),
+                  ev.evaluate_labels(np.array(labels))):
+        assert (batch.fitness_units >= ev.bound_units).all()
+    return ev
+
+
+class TestFitnessAtLeastBound:
+    @given(instances(), st.integers(0, 2 ** 32))
+    def test_random_shops(self, inst, seed):
+        check_fitness_at_least_bound(inst, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_machine_cells_with_pairs(self, seed):
+        # N = 1: every kept edge of a matching is an oversize cell, and the
+        # SC pairs can only be split
+        with pytest.warns(InstanceWarning):
+            inst = make_instance(
+                8, 1, [(3, (1, 2, 3, 4, 5, 6, 7, 8)), (1, (8, 1, 5))],
+                cohabit=[(1, 2), (3, 4)], separate=[(5, 6), (7, 8)])
+        check_fitness_at_least_bound(inst, seed)
+
+    @pytest.mark.parametrize("inst", [
+        Instance(5, 1, ()),
+        make_instance(5, 2, [(0, (1, 2, 3))], cohabit=[(1, 3)],
+                      separate=[(2, 4)])], ids=["no parts", "zero volume"])
+    def test_shop_without_flow(self, inst):
+        ev = check_fitness_at_least_bound(inst, 0)
+        assert ev.bound_units == ev.scale and ev.cfg.bound == 1
 
 
 @st.composite
@@ -506,29 +586,29 @@ class TestPopulationEvaluator:
             dtypes.add(dtype)
         assert dtypes == {np.int64, object}
 
-    def test_selection_weights_proportional(self, five_machine_instance):
-        ev = PopulationEvaluator(five_machine_instance)
+    def test_selection_weights_proportional(self):
         units = np.array([8, 16, 24], dtype=np.int64)
-        w = ev.selection_weights(units, None)
-        assert w[1] / w[0] == pytest.approx(2.0)
-        assert w[2] / w[0] == pytest.approx(3.0)
+        counts = roulette_counts(units, None)
+        assert counts[1] / counts[0] == pytest.approx(2.0, rel=1e-4)
+        assert counts[2] / counts[0] == pytest.approx(3.0, rel=1e-4)
 
-    def test_selection_weights_power(self, five_machine_instance):
-        ev = PopulationEvaluator(five_machine_instance)
+    def test_selection_weights_power(self):
         units = np.array([8, 16], dtype=np.int64)
-        w = ev.selection_weights(units, 2.0)
-        assert w[1] / w[0] == pytest.approx(4.0)
-        assert w[1] == 1.0
+        counts = roulette_counts(units, 2.0)
+        assert counts[1] / counts[0] == pytest.approx(4.0, rel=1e-4)
 
-    def test_selection_weights_power_never_overflows(self,
-                                                     five_machine_instance):
-        ev = PopulationEvaluator(five_machine_instance)
-        units = np.array([10 ** 6, 2 * 10 ** 6, 0], dtype=np.int64)
-        w = ev.selection_weights(units, 200.0)
-        assert np.isfinite(w).all()
-        assert w[1] == 1.0 and 0 < w[0] < w[1] and w[2] == 0
-        zeros = np.zeros(3, dtype=np.int64)
-        assert (ev.selection_weights(zeros, 200.0) == 0).all()
+    def test_selection_weights_power_never_overflows(self):
+        # weights 2^-200 (6.2e-61), 1 and 0, all finite: only draws below
+        # the first weight's share pick the first row, and none the last;
+        # object units beyond float range give the same ratios
+        draws = 1 << 20
+        for units in (np.array([10 ** 6, 2 * 10 ** 6, 0], dtype=np.int64),
+                      np.array([10 ** 400, 2 * 10 ** 400, 0], dtype=object)):
+            assert roulette_picks(units, 200.0, [0.0, 1e-70, 1e-50, 0.5,
+                                                 0.999]).tolist() == \
+                [0, 0, 1, 1, 1]
+            assert roulette_counts(units, 200.0, draws).tolist() == \
+                [1, draws - 1, 0]
 
 
 def largest_class(parts, m, words=None):

@@ -17,9 +17,10 @@ from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
 from cellform import ga
 from cellform.baselines import _EdgeEncoding, exhaustive_oracle, run_ega
 from cellform.ga import MAX_POPULATION
-from helpers import (instances, make_instance, reference_crossover_any,
-                     reference_crossover_boundary, reference_init_population,
-                     reference_mutate, reference_roulette_select)
+from helpers import (ScriptedGenerator, instances, make_instance,
+                     reference_crossover_any, reference_crossover_boundary,
+                     reference_init_population, reference_mutate,
+                     reference_roulette_select)
 
 
 class ScriptedRng:
@@ -483,27 +484,6 @@ class TestMutate:
         assert chi2 < 37.7
 
 
-class ScriptedGenerator:
-    """Plays back fixed arrays for the numpy Generator calls of the vector
-    operators, checking each against the bounds it was asked for."""
-
-    def __init__(self, integers=(), random=()):
-        self._integers = [np.asarray(v) for v in integers]
-        self._random = [np.asarray(v, dtype=float) for v in random]
-
-    def integers(self, low, high, size, dtype=np.int64, endpoint=False):
-        out = self._integers.pop(0).astype(dtype)
-        assert out.shape == np.empty(size).shape
-        assert (out >= low).all()
-        assert ((out <= high) if endpoint else (out < high)).all()
-        return out
-
-    def random(self, size):
-        out = self._random.pop(0)
-        assert out.shape == (size,)
-        return out
-
-
 def pack(enc, chains) -> np.ndarray:
     """Tuples of Python int parts as the encoding's word rows."""
     raw = b"".join(p.to_bytes(8 * enc.words, "little")
@@ -624,26 +604,22 @@ class TestVectorOperatorsMatchReferences:
             [sort_chromosome(ch) for ch in chains]
 
     def test_roulette_matches_reference(self):
-        weights = [0.0, 1.0, 3.0, 0.5, 0.0, 2.0]
+        # the reference draws on the weights (Y / Y_max)^gamma; 1 / 6.5
+        # lands on the boundary of rows 1 and 2 when gamma is None
+        units = np.array([0, 2, 6, 1, 0, 4], dtype=np.int64)
         draws = [0.0, 0.1, 0.15, 0.5, 0.7, 0.93, 0.999, 1 / 6.5]
-        picks = ga.roulette_select(np.array(weights), len(draws),
-                                   ScriptedGenerator(random=[draws]))
-        assert picks.tolist() == reference_roulette_select(
-            list(range(len(weights))), weights, len(draws),
-            ScriptedRng(random_values=draws))
-
-    def test_roulette_all_zero_matches_reference(self):
-        draws = [0.0, 0.2499, 0.25, 0.5, 0.74, 0.75, 0.9999]
-        picks = ga.roulette_select(np.zeros(4), len(draws),
-                                   ScriptedGenerator(random=[draws]))
-        assert picks.tolist() == [int(r * 4) for r in draws]
+        for gamma in (None, 2.5):
+            weights = [(u / 6) ** (gamma or 1) for u in units.tolist()]
+            picks = ga.roulette_select(units, gamma, len(draws),
+                                       ScriptedGenerator(random=[draws]))
+            assert picks.tolist() == reference_roulette_select(
+                list(range(len(units))), weights, len(draws),
+                ScriptedRng(random_values=draws))
 
     def test_roulette_proportions(self):
         rng = ga.make_rng(12)
-        picks = ga.roulette_select(np.array([1.0, 3.0]), 100_000, rng)
+        picks = ga.roulette_select(np.array([1, 3]), None, 100_000, rng)
         assert abs(picks.mean() - 0.75) < 0.01
-        picks = ga.roulette_select(np.zeros(2), 40_000, rng)
-        assert abs(picks.mean() - 0.5) < 0.02
 
     @pytest.mark.parametrize("size", [1, 5, 40])
     def test_init_population_matches_reference(self, size):
@@ -795,3 +771,48 @@ class TestEliteReinsertion:
             reinserted += any(not np.array_equal(a, b) for a, b in
                               zip(vars(batch).values(), as_returned))
         assert reinserted > 0
+
+
+class _CappedCutEncoding(ga._CutEncoding):
+    """CGA whose fitness stops at (u + 1) * B - 3B / 4, so that every
+    feasible row with traffic at most 3B / 4 ties; it records each
+    population and batch it evaluates."""
+
+    calls = []
+
+    def evaluate(self, population):
+        batch = super().evaluate(population)
+        ev = self.evaluator
+        cap = (ev.u + 1) * ev.bound_units - 3 * ev.bound_units // 4
+        batch.fitness_units = np.minimum(batch.fitness_units, cap)
+        self.calls.append((population, batch))
+        return batch
+
+
+class TestReportedRow:
+    """evolve reports the first row, in generation and row order, whose Y
+    beats every earlier Y: a later row of equal Y does not replace it."""
+
+    def test_first_of_equal_rows(self, monkeypatch):
+        monkeypatch.setattr(_CappedCutEncoding, "calls", [])
+        inst = generate_instance(9, 27, 3, 8, seed=11)
+        res = ga.evolve(_CappedCutEncoding, inst, GAParams(30, 25, seed=1))
+        enc = _CappedCutEncoding(inst)
+        # the first population and one per generation, as the elite
+        # reinsertion left them; the last call evaluates the reported row
+        calls = _CappedCutEncoding.calls[:-1]
+        assert len(calls) == 26
+        top, history = None, []
+        for population, batch in calls:
+            for row, y in zip(population, batch.fitness_units):
+                if top is None or y > top:
+                    top, expected = y, enc.public(row)
+            history.append(enc.evaluator.to_fraction(top))
+        assert res.best_chromosome == expected
+        assert res.best_history == history[1:]
+        # ties at the top: several rows of the last batch share its Y, and
+        # the first of them is not the reported row
+        population, batch = calls[-1]
+        assert (batch.fitness_units == top).sum() > 1
+        assert enc.public(population[batch.fitness_units.argmax()]) != \
+            expected

@@ -134,6 +134,28 @@ class TestParse:
                 f"side of its point")):
             parse_instance(f"machines 3\nmax_cell_size 2\npart {token} : 1\n")
 
+    @pytest.mark.parametrize("form", ["{}/3", "3/{}"])
+    def test_volume_slash_limit(self, form):
+        # Fraction reads each side of an a/b token with int(): 4300 digits
+        # parse, 4301 are refused with a message naming the limit
+        text = "machines 3\nmax_cell_size 2\npart {} : 1\n"
+        inst = parse_instance(text.format(form.format("0" * 4299 + "3")))
+        assert inst.parts[0].volume == 1
+        token = form.format("0" * 4300 + "3")
+        with pytest.raises(InstanceError, match=re.escape(
+                f"line 3: volume '{token}' has more than 4300 digits on one "
+                f"side of its slash")):
+            parse_instance(text.format(token))
+
+    @pytest.mark.parametrize("token", [
+        "/" + "3" * 4301, "3" * 4301 + "/", "1/2/" + "3" * 4301,
+        "1./" + "3" * 4301], ids=["no numerator", "no denominator",
+                                  "two slashes", "point and slash"])
+    def test_malformed_long_slash_token_is_bad_volume(self, token):
+        with pytest.raises(InstanceError, match=re.escape(
+                f"line 3: bad volume '{token}'")):
+            parse_instance(f"machines 3\nmax_cell_size 2\npart {token} : 1\n")
+
     def test_common_denominator_refused_at_its_part(self):
         # 160 parts 1/<3990-digit odd number>, a 640 KB file: each
         # denominator is below MAX_SCALE, but the lcm of the first two has
