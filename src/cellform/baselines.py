@@ -7,7 +7,8 @@
   partition, so values are comparable across methods even when a mask
   marks edges that do not actually separate anything.
 * run_multikmeans: Lloyd's k-means on the traffic-matrix rows for every
-  k in [ceil(m/N), m-1], keeping the best feasible clustering.
+  k in [ceil(m/N), m-1], keeping the best feasible clustering; the Lloyd
+  loop runs in kernel form on a Gram matrix built once per call.
 * exhaustive_oracle: exact minimum-traffic feasible partition by
   enumerating restricted-growth strings (guarded to m <= 12).
 """
@@ -64,71 +65,90 @@ def run_ega(inst: Instance, params: GAParams) -> GAResult:
     return evolve(_EdgeEncoding, inst, params)
 
 
-def _sq_distances(points: np.ndarray, sq_norms: np.ndarray,
-                  centroids: np.ndarray) -> np.ndarray:
-    """(m, k) squared distances screened as |x|^2 - 2 x.c + |c|^2."""
-    return sq_norms[:, None] - 2.0 * (points @ centroids.T) \
-        + (centroids ** 2).sum(axis=1)
-
-
 def _nearest(d2: np.ndarray, points: np.ndarray, sq_norms: np.ndarray,
-             centroids: np.ndarray) -> np.ndarray:
+             c_norms: np.ndarray, centroids) -> np.ndarray:
     """Nearest centroid per point, as the direct sum of (x - c)^2 picks it.
 
-    ``d2`` holds the screened distances. A row whose best centroids lie
-    within rounding error of each other is settled on exact differences
-    (first index on ties); its candidates always include its exact
-    nearest centroid.
+    ``d2`` holds the screened distances |c|^2 - 2 x.c, which leave out
+    each row's |x|^2. A row whose best centroids lie within rounding error
+    of each other is settled on exact differences against
+    ``centroids(candidates)`` (first index on ties); its candidates always
+    include its exact nearest centroid.
     """
+    assign = d2.argmin(axis=1)
     # far above the rounding error of either form for any practical m
-    slack = 1e-9 * (sq_norms + (centroids ** 2).sum(axis=1).max())
-    close = d2 <= (d2.min(axis=1) + slack)[:, None]
-    assign = close.argmax(axis=1)
+    slack = 1e-9 * (sq_norms + c_norms.max())
+    close = d2 <= (d2[np.arange(len(d2)), assign] + slack)[:, None]
     for row in np.flatnonzero(close.sum(axis=1) > 1):
         tied = np.flatnonzero(close[row])
-        exact = ((points[row] - centroids[tied]) ** 2).sum(axis=1)
+        exact = ((points[row] - centroids(tied)) ** 2).sum(axis=1)
         assign[row] = tied[exact.argmin()]
     return assign
 
 
-def _lloyd(points: np.ndarray, k: int,
-           rng: np.random.Generator) -> np.ndarray:
-    """Euclidean k-means to an assignment fixpoint (cap 100 iterations).
+def _lloyd(points: np.ndarray, gram: np.ndarray, sq_norms: np.ndarray,
+           k: int, rng: np.random.Generator) -> np.ndarray:
+    """Euclidean k-means to an assignment fixpoint (cap 100 iterations), in
+    kernel form over ``gram`` = points . points^T and ``sq_norms`` = |x|^2.
 
     Centroids start on k distinct rows drawn by ``rng.choice``; an empty
     cluster is re-seeded on the row farthest from its assigned centroid.
-    Memory is O(m * k), and every choice is the one exact differences
-    (x - c)^2 would make.
+    The loop multiplies no matrices: x . c_j is the mean of x's Gram
+    entries with the members of cluster j, and |c_j|^2 the members' mean
+    of x . c_j. Explicit centroids are built, bit-identical to per-cluster
+    means, only when a row is settled on exact differences or a cluster is
+    re-seeded. Memory is O(m * k) beyond ``gram``, and every choice is the
+    one exact differences (x - c)^2 would make.
     """
     m = len(points)
-    sq_norms = (points ** 2).sum(axis=1)
-    columns = np.arange(m)
-    centroids = points[rng.choice(m, k, replace=False)]
-    assign = None
+    seeds = rng.choice(m, k, replace=False)
+    # x . c_j, |c_j|^2 and c_j; a stale c_j is its members' mean, unbuilt
+    cross, c_norms, centroids = gram[:, seeds], sq_norms[seeds], \
+        points[seeds]
+    stale = np.zeros(k, dtype=bool)
+    rows = np.arange(m)
+    bins = rows[:, None] * k
+    assign = counts = None
+
+    def built(clusters: np.ndarray) -> np.ndarray:
+        if stale.any():
+            # bincount adds each cluster's rows in index order, as mean()
+            # does, so the centroids are bit-identical to per-cluster means
+            sums = np.bincount((assign[:, None] * m + rows).ravel(),
+                               weights=points.ravel(),
+                               minlength=k * m).reshape(k, m)
+            centroids[stale] = sums[stale] / counts[stale, None]
+            stale[:] = False
+        return centroids[clusters]
+
     for _ in range(100):
-        d2 = _sq_distances(points, sq_norms, centroids)
-        new_assign = _nearest(d2, points, sq_norms, centroids)
+        d2 = c_norms - 2.0 * cross
+        new_assign = _nearest(d2, points, sq_norms, c_norms, built)
         for _ in range(k):
-            counts = np.bincount(new_assign, minlength=k)
-            empty = np.flatnonzero(counts == 0)
+            empty = np.flatnonzero(np.bincount(new_assign, minlength=k) == 0)
             if not len(empty):
                 break
-            dist = ((points - centroids[new_assign]) ** 2).sum(axis=1)
-            centroids[empty[0]] = points[int(dist.argmax())]
-            d2[:, empty[0]] = _sq_distances(
-                points, sq_norms, centroids[empty[0]][None, :])[:, 0]
-            new_assign = _nearest(d2, points, sq_norms, centroids)
+            dist = ((points - built(new_assign)) ** 2).sum(axis=1)
+            j, far = empty[0], int(dist.argmax())
+            centroids[j], cross[:, j], c_norms[j] = \
+                points[far], gram[:, far], sq_norms[far]
+            d2[:, j] = c_norms[j] - 2.0 * cross[:, j]
+            new_assign = _nearest(d2, points, sq_norms, c_norms, built)
         if assign is not None and (new_assign == assign).all():
             break
-        assign = new_assign
-        # bincount adds each cluster's rows in index order, as mean() does,
-        # so the centroids are bit-identical to per-cluster means
-        sums = np.bincount((assign[:, None] * m + columns).ravel(),
-                           weights=points.ravel(),
-                           minlength=k * m).reshape(k, m)
-        counts = np.bincount(assign, minlength=k)
+        # a cluster left unfilled keeps its centroid: re-seeding, which
+        # ran, built every stale one
+        assign, counts = new_assign, np.bincount(new_assign, minlength=k)
         filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
+        # each cluster's Gram entries are summed in its members' index order
+        sums = np.bincount((bins + assign).ravel(),
+                           weights=gram.ravel(),
+                           minlength=m * k).reshape(m, k)
+        cross[:, filled] = sums[:, filled] / counts[filled]
+        c_norms[filled] = np.bincount(
+            assign, weights=cross[rows, assign],
+            minlength=k)[filled] / counts[filled]
+        stale |= filled
     return assign
 
 
@@ -144,8 +164,10 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     disconnected in the flow graph counts as its connected pieces. Each
     restart's clusterings are scored as one batch as soon as they are
     drawn, and only the best row so far is kept, so memory does
-    not grow with ``restarts``. Every draw comes from ``ga.make_rng(seed)``,
-    as in the GAs, so a negative seed has its own stream.
+    not grow with ``restarts``. The Gram matrix of the traffic rows is the
+    call's one matrix product: it is built once and every k and restart
+    runs ``_lloyd`` on it. Every draw comes from ``ga.make_rng(seed)``, as
+    in the GAs, so a negative seed has its own stream.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -162,11 +184,14 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     # scaled by a power of two, exactly, so no clustering changes and no
     # squared flow overflows
     points = np.ldexp(points, -np.frexp(points.max())[1])
+    gram = points @ points.T
+    sq_norms = (points ** 2).sum(axis=1)
     rng = make_rng(seed)
     best = None
     for _ in range(restarts):
-        batch = evaluator.evaluate_labels(
-            np.array([_lloyd(points, k, rng) for k in ks], dtype=np.int64))
+        batch = evaluator.evaluate_labels(np.array(
+            [_lloyd(points, gram, sq_norms, k, rng) for k in ks],
+            dtype=np.int64))
         feasible = np.flatnonzero(batch.violations == 0)
         if len(feasible):
             i = feasible[np.argmin(batch.traffic_units[feasible])]

@@ -238,12 +238,13 @@ def _parse_volume(token: str, lineno: int) -> Fraction:
     # checked before Fraction builds 10**exponent, on the exponent of the
     # leading nonzero digit: the written one plus less than len(token) in
     # magnitude, so a written exponent of more than len(str(len(token))) + 4
-    # digits is beyond the limit whatever the mantissa
+    # digits is beyond the limit whatever the mantissa; an a/b token with
+    # an exponent is no volume, and Fraction refuses it as such
     mantissa, marker, exponent = text = token.lower().partition("e")
     whole, _, fraction = mantissa.lstrip("+-").replace("_", "").partition(".")
     significant = (whole + fraction).lstrip("0")
     digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    if marker and digits.isdecimal():
+    if marker and digits.isdecimal() and "/" not in mantissa:
         if not significant:
             # 0 at any exponent: Fraction reads the token's form with every
             # exponent digit 0

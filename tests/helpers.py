@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import warnings
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -225,14 +226,18 @@ def dense_traffic(inst: Instance) -> np.ndarray:
     return points
 
 
-def reference_lloyd(points: np.ndarray, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def reference_lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
+                    events: Counter | None = None) -> np.ndarray:
     """Reference for ``_lloyd``: exact differences in an (m, k, m) tensor
     and a per-cluster mean() loop.
 
     Same draws, same re-seeding rule and same stopping rule as the
-    library's ``_lloyd``; only the arithmetic layout differs.
+    library's ``_lloyd``; only the arithmetic layout differs. ``events``,
+    when given, counts the rows whose nearest centroids tie exactly
+    (``"tie"``), the empty clusters re-seeded (``"reseed"``) and the
+    clusters left without members at a centroid update (``"unfilled"``).
     """
+    events = Counter() if events is None else events
     m = len(points)
     centroids = points[rng.choice(m, k, replace=False)]
     assign = None
@@ -240,10 +245,13 @@ def reference_lloyd(points: np.ndarray, k: int,
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         for _ in range(k):
+            events["tie"] += int(
+                ((d2 == d2.min(axis=1)[:, None]).sum(axis=1) > 1).sum())
             counts = np.bincount(new_assign, minlength=k)
             empty = np.flatnonzero(counts == 0)
             if not len(empty):
                 break
+            events["reseed"] += 1
             farthest = int(d2[np.arange(m), new_assign].argmax())
             centroids[empty[0]] = points[farthest]
             d2[:, empty[0]] = ((points - centroids[empty[0]]) ** 2).sum(axis=1)
@@ -255,6 +263,8 @@ def reference_lloyd(points: np.ndarray, k: int,
             members = points[assign == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
+            else:
+                events["unfilled"] += 1
     return assign
 
 
@@ -313,19 +323,18 @@ def reference_init_population(size: int, capacity: int, draw) -> list:
 
 def reference_roulette_select(population, fitnesses, count: int,
                               rng: random.Random) -> list:
-    """Fitness-proportional sampling with replacement.
+    """Fitness-proportional sampling with replacement, one rng.random() per
+    draw.
 
-    Fitnesses must be non-negative; if they are all zero the draw falls back
-    to uniform. One rng.random() is consumed per draw either way.
+    Fitnesses must be positive, as every fitness Y >= B > 0 that
+    ``ga.roulette_select`` draws on is.
     """
     weights = [float(f) for f in fitnesses]
     if len(weights) != len(population):
         raise ValueError("one fitness per individual required")
-    if any(w < 0 for w in weights):
-        raise ValueError("fitnesses must be non-negative")
+    if any(w <= 0 for w in weights):
+        raise ValueError("fitnesses must be positive")
     n = len(population)
-    if not any(weights):
-        weights = [1.0] * n
     total = sum(weights)
     cumulative = list(accumulate(weights))
     chosen = []

@@ -4,6 +4,7 @@ import copy
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -127,19 +128,23 @@ class TestRunMultikmeans:
             for r in routings])
         seen = []
 
-        def spy(points, k, rng):
-            seen.append(points.copy())
-            return _lloyd(points, k, rng)
+        def spy(points, gram, sq_norms, k, rng):
+            seen.append((points.copy(), gram))
+            return _lloyd(points, gram, sq_norms, k, rng)
 
         monkeypatch.setattr(baselines, "_lloyd", spy)
-        run_multikmeans(inst)
+        run_multikmeans(inst, restarts=2)
+        # one Gram matrix serves every k and restart of the call
+        assert len({id(gram) for _, gram in seen}) == 1
         g = build_graph(inst)
         assert g.scale == 7 and min(g.units) > 2 ** 53
         expected = np.zeros((4, 4))
         for e in g.edges:
             expected[e.u, e.v] = expected[e.v, e.u] = float(e.weight)
         expected = np.ldexp(expected, -np.frexp(expected.max())[1])
-        assert seen and all(np.array_equal(p, expected) for p in seen)
+        assert len(seen) == 4 and all(np.array_equal(p, expected)
+                                      for p, _ in seen)
+        assert np.array_equal(seen[0][1], expected @ expected.T)
         rounded_twice = np.array(g.units, dtype=np.float64) / g.scale
         assert (rounded_twice != [float(e.weight) for e in g.edges]).all()
 
@@ -164,10 +169,10 @@ class TestRunMultikmeans:
         inst = generate_instance(20, 40, 5, seed=2)
         firsts = {}
 
-        def spy(points, k, rng):
+        def spy(points, gram, sq_norms, k, rng):
             firsts.setdefault(seed, copy.deepcopy(rng).choice(
                 len(points), k, replace=False))
-            return _lloyd(points, k, rng)
+            return _lloyd(points, gram, sq_norms, k, rng)
 
         monkeypatch.setattr(baselines, "_lloyd", spy)
         for seed in (5, -5):
@@ -180,7 +185,7 @@ class TestRunMultikmeans:
         inst = make_instance(4, 2, [(1, (1, 2, 3, 4, 1))])
         draws = iter([[0, 0, 1, 1], [0, 1, 2, 2], [0, 1, 1, 0], [0, 1, 2, 2]])
         monkeypatch.setattr(baselines, "_lloyd",
-                            lambda points, k, rng: np.array(next(draws)))
+                            lambda *args: np.array(next(draws)))
         res = run_multikmeans(inst, restarts=2)
         assert (res.partition.cells, res.traffic) == (((0, 1), (2, 3)), 2)
 
@@ -224,22 +229,28 @@ class TestKmeansMatchesReference:
 
     def test_lloyd_assignments_identical(self):
         saw_oversize = saw_disconnected = False
+        events = Counter()
         for seed, inst in enumerate(_kmeans_shops()):
             m = inst.machine_count
             g = build_graph(inst)
             points = dense_traffic(inst)
+            gram, sq_norms = points @ points.T, (points ** 2).sum(axis=1)
             ours, ref = make_rng(seed), make_rng(seed)
             for k in range(compute_k(m, inst.max_cell_size), m):
-                assign = _lloyd(points, k, ours)
-                assert np.array_equal(assign,
-                                      reference_lloyd(points, k, ref))
+                assign = _lloyd(points, gram, sq_norms, k, ours)
+                assert np.array_equal(
+                    assign, reference_lloyd(points, k, ref, events))
                 saw_oversize |= bool(
                     (np.bincount(assign) > inst.max_cell_size).any())
                 clusters = partition_from_labels(assign)
                 pieces = decode_partition(g, boundary_mask(g, clusters))
                 saw_disconnected |= pieces.cell_count > clusters.cell_count
-        # the shops exercise both cases the decoded scoring must handle
+        # the shops exercise both cases the decoded scoring must handle,
+        # and every branch of the kernel-form loop: rows settled on exact
+        # differences between tied centroids, re-seeded empty clusters and
+        # a cluster that keeps its centroid through an update
         assert saw_oversize and saw_disconnected
+        assert events["tie"] and events["reseed"] and events["unfilled"]
 
     def test_results_identical(self):
         shops = _kmeans_shops()
@@ -249,6 +260,66 @@ class TestKmeansMatchesReference:
             restarts = 1 + seed % 2
             assert run_multikmeans(inst, restarts, seed) == \
                 reference_multikmeans(inst, restarts, seed)
+
+
+    def test_lloyd_on_small_grids(self):
+        # square point sets on a few integer levels, with zeros: duplicate
+        # points, exact ties and empty clusters at every k up to m. The
+        # Gram matrix is also perturbed by a relative 1e-12, far above
+        # any BLAS rounding, and must not move a single assignment
+        rng = np.random.default_rng(5)
+        events = Counter()
+        with np.errstate(all="raise"):
+            for trial in range(3000):
+                m = int(rng.integers(3, 25))
+                points = rng.integers(0, rng.integers(2, 5), (m, m)) * (
+                    rng.random((m, m)) < rng.random())
+                points = points.astype(float)
+                gram, sq_norms = points @ points.T, (points ** 2).sum(axis=1)
+                noisy = gram * (1 + 1e-12 * rng.standard_normal((m, m)))
+                k = int(rng.integers(1, m + 1))
+                expected = reference_lloyd(points, k, make_rng(trial), events)
+                for g in (gram, noisy):
+                    assert np.array_equal(
+                        _lloyd(points, g, sq_norms, k, make_rng(trial)),
+                        expected)
+        assert events["tie"] and events["reseed"] and events["unfilled"]
+
+    def test_lloyd_loop_multiplies_no_matrices(self):
+        # every matrix product of the loop would pass through one of its
+        # array arguments; none does
+        products = []
+
+        class Watched(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(ufunc)
+                args = [a.view(np.ndarray) if isinstance(a, Watched) else a
+                        for a in args]
+                out = kwargs.get("out")
+                if out:
+                    kwargs["out"] = tuple(
+                        o.view(np.ndarray) if isinstance(o, Watched) else o
+                        for o in out)
+                return getattr(ufunc, method)(*args, **kwargs)
+
+            def __array_function__(self, func, types, args, kwargs):
+                if func in (np.dot, np.vdot, np.inner, np.tensordot,
+                            np.einsum, np.matmul):
+                    products.append(func)
+                return super().__array_function__(func, types, args, kwargs)
+
+        inst = _kmeans_shops()[2]
+        points = dense_traffic(inst)
+        gram, sq_norms = points @ points.T, (points ** 2).sum(axis=1)
+        m = inst.machine_count
+        for k in range(compute_k(m, inst.max_cell_size), m):
+            assign = _lloyd(points.view(Watched), gram.view(Watched),
+                            sq_norms.view(Watched), k, make_rng(k))
+            assert np.array_equal(
+                np.asarray(assign), _lloyd(points, gram, sq_norms, k,
+                                           make_rng(k)))
+        assert not products
 
 
 class TestExhaustiveOracle:

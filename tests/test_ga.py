@@ -356,22 +356,16 @@ class TestRouletteSelect:
         share_b = draws.count("b") / len(draws)
         assert abs(share_b - 0.75) < 0.01
 
-    def test_all_zero_uniform_fallback(self):
-        rng = random.Random(13)
-        draws = reference_roulette_select(["a", "b"], (0, 0), 40_000, rng)
-        share = draws.count("a") / len(draws)
-        assert abs(share - 0.5) < 0.02
-
-    def test_all_zero_scripted_draws(self):
-        # all-zero weights count as equal ones: draw r picks int(r * n)
-        pop = ["a", "b", "c", "d"]
-        draws = [0.0, 0.2499, 0.25, 0.5, 0.74, 0.75, 0.9999]
-        assert reference_roulette_select(pop, (0, 0, 0, 0), len(draws),
-                               ScriptedRng(random_values=draws)) == \
-            [pop[int(r * 4)] for r in draws]
+    @pytest.mark.parametrize("fitnesses", [(0, 0), (0, 3), (2, -1)])
+    def test_non_positive_fitness_refused(self, fitnesses):
+        # every Y is at least B > 0, so no draw has a zero or negative
+        # weight to fall back from
+        with pytest.raises(ValueError, match="must be positive"):
+            reference_roulette_select(["a", "b"], fitnesses, 1,
+                                      random.Random(0))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="positive"):
             reference_roulette_select(["a"], (-1,), 1, random.Random(0))
         with pytest.raises(ValueError, match="one fitness per individual"):
             reference_roulette_select(["a", "b"], (1,), 1, random.Random(0))
@@ -604,12 +598,12 @@ class TestVectorOperatorsMatchReferences:
             [sort_chromosome(ch) for ch in chains]
 
     def test_roulette_matches_reference(self):
-        # the reference draws on the weights (Y / Y_max)^gamma; 1 / 6.5
+        # the reference draws on the weights (Y / Y_max)^gamma; 0.25
         # lands on the boundary of rows 1 and 2 when gamma is None
-        units = np.array([0, 2, 6, 1, 0, 4], dtype=np.int64)
-        draws = [0.0, 0.1, 0.15, 0.5, 0.7, 0.93, 0.999, 1 / 6.5]
+        units = np.array([1, 3, 4, 1, 3, 4], dtype=np.int64)
+        draws = [0.0, 0.1, 0.15, 0.5, 0.7, 0.93, 0.999, 0.25]
         for gamma in (None, 2.5):
-            weights = [(u / 6) ** (gamma or 1) for u in units.tolist()]
+            weights = [(u / 4) ** (gamma or 1) for u in units.tolist()]
             picks = ga.roulette_select(units, gamma, len(draws),
                                        ScriptedGenerator(random=[draws]))
             assert picks.tolist() == reference_roulette_select(

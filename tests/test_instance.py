@@ -156,6 +156,16 @@ class TestParse:
                 f"line 3: bad volume '{token}'")):
             parse_instance(f"machines 3\nmax_cell_size 2\npart {token} : 1\n")
 
+    @pytest.mark.parametrize("token", [
+        "1/3e5", "1/3333333333e4400", "1/" + "3" * 4296 + "e5"],
+        ids=["short", "large exponent", "long denominator"])
+    def test_slash_token_with_exponent_is_bad_volume(self, token):
+        # no a/b token takes an exponent, whatever its digits would make
+        # of the exponent of a decimal
+        with pytest.raises(InstanceError, match=re.escape(
+                f"line 3: bad volume '{token}'")):
+            parse_instance(f"machines 3\nmax_cell_size 2\npart {token} : 1\n")
+
     def test_common_denominator_refused_at_its_part(self):
         # 160 parts 1/<3990-digit odd number>, a 640 KB file: each
         # denominator is below MAX_SCALE, but the lcm of the first two has
