@@ -261,7 +261,6 @@ class TestKmeansMatchesReference:
             assert run_multikmeans(inst, restarts, seed) == \
                 reference_multikmeans(inst, restarts, seed)
 
-
     def test_lloyd_on_small_grids(self):
         # square point sets on a few integer levels, with zeros: duplicate
         # points, exact ties and empty clusters at every k up to m. The
