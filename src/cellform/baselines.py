@@ -2,7 +2,7 @@
 
 * run_ega: a GA over edge masks (gene i set = edge i intercellular), run by
   the cut GA's engine (``ga.evolve``); only the encoding (``_EdgeEncoding``:
-  a (pop, E) bool array, the splice crossover of a one-part chain, one bit
+  a (pop, E) bool array, one-point crossover of a one-part chain, one bit
   flip, no canonical form) differs. Fitness is measured on the decoded
   partition, so values are comparable across methods even when a mask
   marks edges that do not actually separate anything.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .evaluation import Evaluation, PopulationEvaluator
 from .ga import Encoding, GAParams, GAResult, compute_k, cut_points, \
-    evolve, make_rng, splice
+    evolve, make_rng
 from .instance import Instance
 
 _ORACLE_GUARD = 12
@@ -40,8 +40,13 @@ class _EdgeEncoding(Encoding):
 
     def crossover(self, a: np.ndarray, b: np.ndarray,
                   rng: np.random.Generator):
-        """One-point crossover at any of the E - 1 gaps (a one-part chain)."""
-        return splice(a, b, cut_points(rng, self.edges, len(a)))
+        """One-point crossover at any of the E - 1 gaps (a one-part chain):
+        the first child takes the edges before the cut from a, the rest
+        from b; the second child is its complement."""
+        mask = np.arange(self.edges) < cut_points(rng, self.edges,
+                                                  len(a))[:, None]
+        diff = (a ^ b) & mask
+        return b ^ diff, a ^ diff
 
     def mutate(self, rows: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:

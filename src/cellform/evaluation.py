@@ -23,13 +23,15 @@ the same units.
 
 A cut chromosome is scored as the cell labels its cut signatures are:
 both describe vertex classes, and one class path builds the keep matrix of
-either. Each cell lies inside one class, so only rows where a class has
-more than N members can hold an oversize cell. One peel counts oversize
-cells: bit-packed sweeps over all rows of a batch at once peel off one cell
-per row per round. It takes those flagged cut and label rows, and every
-row of arbitrary edge masks (EGA, through ``evaluate_keeps``). Only
-``result`` names cells, for the one row it reports. The package needs
-numpy only.
+either. Each cell lies inside one class and a cell of more than N
+machines is joined by at least N kept edges, so only rows where a class
+has more than N members and at least N edges are kept can hold an
+oversize cell. One peel counts oversize cells: bit-packed sweeps over all
+rows of a batch at once peel off one cell per row per round, each seeded
+at the row's unsettled machine of highest degree. It takes those flagged
+cut and label rows, and every row of arbitrary edge masks (EGA, through
+``evaluate_keeps``). Only ``result`` names cells, for the one row it
+reports. The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -146,31 +148,35 @@ class PopulationEvaluator:
     ``evaluate_labels`` passes its labels as one word, and ``_classes``
     alone keeps the edges inside a class. Every cell then lies inside one
     class, and an SC or SN pair (always a flow-graph edge) shares a cell
-    exactly when its edge is kept. Only the rows where more than N
-    vertices share a first word can hold an oversize cell, and ``_peel``
-    counts the oversize cells of those rows alone, all in one batch.
+    exactly when its edge is kept. A cell of more than N vertices is
+    joined by at least N kept edges, so only the rows that keep at least N
+    edges and where more than N vertices share a first word can hold an
+    oversize cell (the edge count is taken first, as it is cheaper than
+    the sort that finds the shared words), and ``_peel`` counts the
+    oversize cells of those rows alone, all in one batch.
 
     ``evaluate_keeps`` takes arbitrary masks and passes every row to the
     same ``_peel``, which also reports the edges inside cells. Whatever
     its rows, the peel works on all of them at once, 64 rows to a uint64
     word. A machine that keeps no edge is a cell of its own. Then each
-    round seeds every row at its lowest unsettled machine and sweeps out
-    from it over the kept edges until nothing changes, so in each row's
-    bit lane the sweep reaches exactly that machine's cell; the round
-    marks the edges with both endpoints in the cell as not crossing,
-    counts the cell as oversize where it has more than N machines, and
-    settles it. Which edges cross and how many cells are oversize is all
-    ``_score`` reads, so the cells never need names; only ``result`` names
-    them, decoding its one row with the union-find of
-    ``instance.vertex_groups`` (cells ordered by lowest member, as in
-    ``decode_partition``). A sweep makes one pass over the 2E arcs per
-    kept edge on the longest shortest path out of a seed, and a batch
-    takes one round per cell of two or more machines in its most divided
-    row. How many such cells a row has depends on the kept share times the
-    flow graph's degree: EGA's half-kept masks leave a few on graphs of
-    average degree 4 or more, but a dozen or more on near-tree graphs of
-    degree about 2, and masks that keep a few percent of a dense graph's
-    edges leave the most.
+    round seeds every row at its unsettled machine of highest flow-graph
+    degree (the lowest such machine on ties) and sweeps out from it over
+    the kept edges until nothing changes, so in each row's bit lane the
+    sweep reaches exactly that machine's cell; the round marks the edges
+    with both endpoints in the cell as not crossing, counts the cell as
+    oversize where it has more than N machines, and settles it. Which
+    edges cross and how many cells are oversize is all ``_score`` reads,
+    so the cells never need names; only ``result`` names them, decoding
+    its one row with the union-find of ``instance.vertex_groups`` (cells
+    ordered by lowest member, as in ``decode_partition``). A round makes
+    one sweep, a pass over the 2E arcs, per kept edge on the longest
+    shortest path out of its seed (a hub seed shortens that path; it does
+    not change the number of rounds), and a batch takes one round per cell
+    of two or more machines in its most divided row. How many such cells
+    a row has depends on the kept share times the flow graph's degree:
+    EGA's half-kept masks leave a few on graphs of average degree 4 or
+    more, but a dozen or more on near-tree graphs of degree about 2, and
+    masks that keep a few percent of a dense graph's edges leave the most.
     """
 
     def __init__(self, inst: Instance):
@@ -197,11 +203,19 @@ class PopulationEvaluator:
         self.part_words = w = (self.m - 2) // 64 + 1
         self.part_mask = np.full(w, ~np.uint64(0))
         self.part_mask[-1] = (1 << (self.m - 1 - 64 * (w - 1))) - 1
-        # both arcs of every edge, grouped by target vertex; every vertex
-        # has one, since build_graph stitches the graph connected
-        arc_dst = np.concatenate([self.edge_v, self.edge_u])
+        # the peel holds machines at positions by degree, highest first
+        # (ties by index), and both arcs of every edge grouped by target
+        # position; every machine has one, since build_graph stitches the
+        # graph connected
+        degree = np.bincount(np.concatenate([self.edge_u, self.edge_v]),
+                             minlength=self.m)
+        position = np.empty(self.m, dtype=np.int64)
+        position[np.argsort(-degree, kind="stable")] = np.arange(self.m)
+        self._pos_u = position[self.edge_u]
+        self._pos_v = position[self.edge_v]
+        arc_dst = np.concatenate([self._pos_v, self._pos_u])
         order = np.argsort(arc_dst, kind="stable")
-        self._arc_src = np.concatenate([self.edge_u, self.edge_v])[order]
+        self._arc_src = np.concatenate([self._pos_u, self._pos_v])[order]
         self._arc_edge = np.tile(np.arange(g.edge_count), 2)[order]
         self._arc_starts = np.searchsorted(arc_dst[order], np.arange(self.m))
 
@@ -331,34 +345,36 @@ class PopulationEvaluator:
                            _POW2[:8].astype(np.uint8))
         # kept[a]: the rows that keep the edge of arc a, as bits
         kept = np.ascontiguousarray(packed.T).view("<u8")[self._arc_edge]
-        # a machine that keeps no edge is a cell of its own, never oversize
-        # (N >= 1); so is every machine of the padding rows
+        # settled[p], per machine position: a machine that keeps no edge is
+        # a cell of its own, never oversize (N >= 1); so is every machine
+        # of the padding rows
         settled = ~np.bitwise_or.reduceat(kept, self._arc_starts)
         inside = np.zeros((len(self.edge_u), words), dtype="<u8")
         oversize = np.zeros(64 * words, dtype=np.int64)
         arcs = np.empty_like(kept)
         while True:
-            # seen[v]: the rows with an unsettled machine among 0..v, so
-            # reach starts each row at its lowest unsettled machine
+            # seen[p]: the rows with an unsettled machine among positions
+            # 0..p, so reach seeds each row at its unsettled machine of
+            # highest degree, a hub from which a cell is mostly reached in
+            # fewer sweeps than from its lowest machine
             seen = np.bitwise_or.accumulate(~settled)
             if not seen[-1].any():
                 break
             reach = seen.copy()
             reach[1:] ^= seen[:-1]
-            # grown over kept arcs until nothing changes, reach[v] holds
-            # the rows in which v is in the seed's cell
+            # grown over kept arcs until nothing changes, reach[p] holds
+            # the rows in which position p is in the seed's cell
             while True:
-                # np.take into a buffer is about 3x faster than
-                # reach[arc_src]
-                np.take(reach, self._arc_src, axis=0, out=arcs)
+                # take into a buffer is about 3x faster than reach[arc_src]
+                reach.take(self._arc_src, axis=0, out=arcs)
                 arcs &= kept
                 grown = np.bitwise_or.reduceat(arcs, self._arc_starts)
                 grown |= reach
-                if np.array_equal(grown, reach):
+                if (grown == reach).all():
                     break
                 reach = grown
-            inside |= np.take(reach, self.edge_u, axis=0) \
-                & np.take(reach, self.edge_v, axis=0)
+            inside |= reach.take(self._pos_u, axis=0) \
+                & reach.take(self._pos_v, axis=0)
             members = np.unpackbits(reach.view(np.uint8), axis=1,
                                     bitorder="little")
             oversize += members.sum(axis=0, dtype=np.int32) > self.max_size
@@ -385,20 +401,29 @@ class PopulationEvaluator:
         of a row are in one class when all S of their keys are equal (cut
         signatures in S words, or one word of labels). An edge is kept
         exactly inside a class, so every cell lies inside one class and
-        the removed edges are the crossing ones. Only a row where more than
-        N vertices share ``keys[0]`` (a run of N + 1 once sorted) can hold
-        an oversize cell: those rows alone go through the peel, in one
-        batch, which counts their oversize cells."""
+        the removed edges are the crossing ones. Only a row that keeps at
+        least N edges and where more than N vertices share ``keys[0]`` (a
+        run of N + 1 once sorted) can hold an oversize cell: those rows
+        alone go through the peel, in one batch, which counts their
+        oversize cells."""
         # gathering vertex-major rows per edge endpoint costs a fraction of
         # gathering the same columns
         by_vertex = keys.transpose(0, 2, 1).copy()
         keep = by_vertex[0][self.edge_u] == by_vertex[0][self.edge_v]
         for word in by_vertex[1:]:
             keep &= word[self.edge_u] == word[self.edge_v]
-        keep = np.ascontiguousarray(keep.T)
-        key = np.sort(keys[0], axis=1)
         cap = self.max_size
-        flagged = np.flatnonzero((key[:, cap:] == key[:, :-cap]).any(axis=1))
+        # a cell of more than N machines is joined by at least N kept
+        # edges, so only the rows that keep as many go on to the class
+        # sort; summing the edge-major bytes, in a type that holds E and
+        # N, costs a fraction of it
+        kept_count = np.add.reduce(
+            keep.view(np.uint8), axis=0,
+            dtype=np.min_scalar_type(max(len(keep), cap)))
+        keep = np.ascontiguousarray(keep.T)
+        rows = np.flatnonzero(kept_count >= cap)
+        key = np.sort(keys[0][rows], axis=1)
+        flagged = rows[(key[:, cap:] == key[:, :-cap]).any(axis=1)]
         oversize = np.zeros(len(keep), dtype=np.int64)
         if len(flagged):
             oversize[flagged] = self._peel(keep[flagged])[1]

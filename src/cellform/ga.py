@@ -51,6 +51,9 @@ def compute_k(machine_count: int, max_cell_size: int) -> int:
 MAX_POPULATION = 10_000
 
 _ALL_ONES = np.uint64(2 ** 64 - 1)
+# _LOW_BITS[n]: a word with its n lowest bits set, n = 0 .. 64, so no mask
+# needs a shift by 64
+_LOW_BITS = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -177,24 +180,6 @@ def cut_points(rng: np.random.Generator, length: int, n: int) -> np.ndarray:
     return rng.integers(1, max(length, 2), n)
 
 
-def splice(a: np.ndarray, b: np.ndarray, col: np.ndarray,
-           low: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One-point crossover of the row pairs (a[i], b[i]), uint64 or bool.
-
-    The first child takes the columns before col[i] from a[i], the ones
-    after it from b[i], and in column col[i] the bits set in low[i] (none
-    if low is None) from a[i]; the second child is its complement.
-    """
-    width = a.shape[1]
-    mask = np.where(np.arange(width) < col[:, None], ~a.dtype.type(0),
-                    a.dtype.type(0))
-    if low is not None:
-        inside = np.flatnonzero(col < width)
-        mask[inside, col[inside]] = low[inside]
-    diff = (a ^ b) & mask
-    return b ^ diff, a ^ diff
-
-
 class Encoding:
     """One way of writing individuals, as the generational engine uses it.
 
@@ -224,6 +209,9 @@ class _CutEncoding(Encoding):
         self.bits = inst.machine_count - 1
         self.words = self.evaluator.part_words
         self.row_mask = np.tile(self.evaluator.part_mask, self.k)
+        # chain position of bit 0 of each word of a row
+        self.word_start = (np.arange(self.k)[:, None] * self.bits
+                           + 64 * np.arange(self.words)).ravel()
 
     def capacity(self, size: int) -> int:
         return (1 << self.bits) ** self.k
@@ -236,15 +224,19 @@ class _CutEncoding(Encoding):
     def crossover(self, a: np.ndarray, b: np.ndarray,
                   rng: np.random.Generator):
         """A fair coin per pair: one-point cut anywhere in the K * (m - 1)
-        bit chain, or at one of the K - 1 part boundaries."""
+        bit chain, or at one of the K - 1 part boundaries. The first child
+        takes the chain bits before the cut from a, the rest from b; the
+        second child is its complement."""
         n = len(a)
-        part, bit = np.divmod(cut_points(rng, self.k * self.bits, n),
-                              self.bits)
+        anywhere = cut_points(rng, self.k * self.bits, n)
         boundary = rng.random(n) < 0.5
-        part = np.where(boundary, cut_points(rng, self.k, n), part)
-        bit[boundary] = 0
-        low = (np.uint64(1) << (bit % 64).astype(np.uint64)) - np.uint64(1)
-        return splice(a, b, part * self.words + bit // 64, low)
+        cut = np.where(boundary, cut_points(rng, self.k, n) * self.bits,
+                       anywhere)
+        # the bits of each word that lie before the cut; a word's bits above
+        # the part width are zero in both parents, whatever the mask says
+        mask = _LOW_BITS[(cut[:, None] - self.word_start).clip(0, 64)]
+        diff = (a ^ b) & mask
+        return b ^ diff, a ^ diff
 
     def mutate(self, rows: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Fitness function, violation counting, and batch evaluation equivalence."""
 
 import functools
+import itertools
 import math
 import random
 import warnings
@@ -611,13 +612,40 @@ class TestPopulationEvaluator:
                 [1, draws - 1, 0]
 
 
+def signatures(parts, m):
+    """The signature of each of the m vertices: bit j is its bit in part
+    j."""
+    return [sum(((p >> v) & 1) << j for j, p in enumerate(parts))
+            for v in range(m)]
+
+
 def largest_class(parts, m, words=None):
     """Most vertices sharing one signature, or its first ``words`` words."""
-    sigs = [sum(((p >> v) & 1) << j for j, p in enumerate(parts))
-            for v in range(m)]
+    sigs = signatures(parts, m)
     if words is not None:
         sigs = [sig % (1 << 64 * words) for sig in sigs]
     return max(Counter(sigs).values())
+
+
+def kept_edges(graph, keys):
+    """Edges of ``graph`` whose ends have equal keys (signatures or
+    labels): the edges a class batch keeps."""
+    return sum(keys[u] == keys[v] for u, v in zip(graph.u, graph.v))
+
+
+def flagged_rows(graph, n, rows, first_word=lambda key: key):
+    """Indices of the rows of per-vertex keys that go through the peel:
+    more than n vertices share the ``first_word`` of their key, and at
+    least n edges are kept (a cell of more than n machines is joined by
+    at least n)."""
+    return [i for i, keys in enumerate(rows)
+            if max(Counter(map(first_word, keys)).values()) > n
+            and kept_edges(graph, keys) >= n]
+
+
+def first_sig_word(sig):
+    """The first 64-bit word of a signature, the one a batch sorts."""
+    return sig % (1 << 64)
 
 
 def spy_peels(monkeypatch, ev):
@@ -646,9 +674,9 @@ def check_peeled(calls, batch, flagged):
 class TestComponentsOnlyForFlaggedRows:
     """evaluate_parts and evaluate_labels count oversize cells only on the
     rows where more than N vertices share a first signature word or a
-    label: the peel gets exactly those keep rows, in one call, and is not
-    called when no row is flagged; every row's result still equals the
-    scalar reference."""
+    label and at least N edges are kept: the peel gets exactly those keep
+    rows, in one call, and is not called when no row is flagged; every
+    row's result still equals the scalar reference."""
 
     @staticmethod
     def peeled_rows(monkeypatch, inst, population, flagged):
@@ -675,8 +703,8 @@ class TestComponentsOnlyForFlaggedRows:
         rng = random.Random(48 + n)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=n)
         population = random_parts_population(rng, k, 1 << 9, 40, 0.8)
-        flagged = [i for i, ch in enumerate(population)
-                   if largest_class(ch, 10) > n]
+        flagged = flagged_rows(build_graph(inst), n,
+                               [signatures(ch, 10) for ch in population])
         assert 0 < len(flagged) < len(population)
         assert len(self.peeled_rows(
             monkeypatch, inst, population, flagged)) == len(flagged)
@@ -685,21 +713,33 @@ class TestComponentsOnlyForFlaggedRows:
     def test_first_word_collision_is_flagged_and_exact(self, monkeypatch):
         # K = 70 at m = 70, N = 1. Row 0: parts 0..62 isolate vertices
         # 0..62 and parts 64..69 vertices 63..68, so every signature is
-        # distinct but vertices 63..69 share the first word 0. Row 1 gives
-        # vertex v the first word v + 1 (vertex 69 keeps 0).
+        # distinct but vertices 63..69 share the first word 0; it keeps no
+        # edge, so it is not peeled. Row 1 gives vertex v the first word
+        # v + 1 (vertex 69 keeps 0). Row 2 is row 0 with the ends of the
+        # one edge among 63..69 on one signature: it keeps that edge, and
+        # the first-word collision sends it to the peel.
         rng = random.Random(71)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InstanceWarning)
             inst = random_instance(rng, 70, max_parts=150, max_cell_size=1)
+        g = build_graph(inst)
+        (a, b), = [(u, v) for u, v in zip(g.u, g.v) if u >= 63]
         collide = tuple([1 << j for j in range(63)] + [0]
                         + [1 << (63 + i) for i in range(6)])
         distinct = tuple(sum(((v + 1) >> j & 1) << v for v in range(69))
                          for j in range(64)) + (0,) * 6
-        population = [collide, distinct]
+        joined = tuple(p & ~(1 << a) | (p >> b & 1) << a for p in collide)
+        population = [collide, distinct, joined]
         assert largest_class(collide, 70) == 1
         assert largest_class(collide, 70, words=1) == 7
         assert largest_class(distinct, 70, words=1) == 1
-        assert len(self.peeled_rows(monkeypatch, inst, population, [0])) == 1
+        assert largest_class(joined, 70) == 2
+        assert largest_class(joined, 70, words=1) == 7
+        assert [kept_edges(g, signatures(ch, 70)) for ch in population] \
+            == [0, 0, 1]
+        assert flagged_rows(g, 1, [signatures(ch, 70) for ch in population],
+                            first_sig_word) == [2]
+        assert len(self.peeled_rows(monkeypatch, inst, population, [2])) == 1
         check_parts_against_scalar(inst, population)
 
 
@@ -709,13 +749,34 @@ class TestComponentsOnlyForFlaggedRows:
         rng = random.Random(52)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=3)
         labels = random_label_matrix(rng, 10, 60)
-        flagged = [i for i, row in enumerate(labels)
-                   if max(Counter(row.tolist()).values()) > 3]
-        assert 0 < len(flagged) < len(labels)
         ev = PopulationEvaluator(inst)
+        flagged = flagged_rows(ev.graph, 3, labels.tolist())
+        assert 0 < len(flagged) < len(labels)
         calls = spy_peels(monkeypatch, ev)
         batch = ev.evaluate_labels(labels)
         check_peeled(calls, batch, flagged)
+        for i, row in enumerate(labels):
+            assert ev.result(batch, i) == reference_label_evaluation(
+                inst, row, ev.cfg)
+
+    def test_class_of_few_kept_edges_is_not_peeled(self, monkeypatch):
+        # on the shop above (N = 3), row 0 puts four machines joined by
+        # fewer than three edges in one class and every other machine in
+        # a class of its own: no cell can be oversize, so the row is not
+        # peeled. Row 1, one class of all ten machines, is.
+        inst = random_instance(random.Random(52), 10, max_parts=20,
+                               max_cell_size=3)
+        ev = PopulationEvaluator(inst)
+        group = next(four for four in itertools.combinations(range(10), 4)
+                     if kept_edges(ev.graph, [v if v not in four else -1
+                                              for v in range(10)]) < 3)
+        labels = np.array([[-1 if v in group else v for v in range(10)],
+                           [0] * 10])
+        assert max(Counter(labels[0].tolist()).values()) == 4
+        assert kept_edges(ev.graph, labels[0].tolist()) < 3
+        calls = spy_peels(monkeypatch, ev)
+        batch = ev.evaluate_labels(labels)
+        check_peeled(calls, batch, [1])
         for i, row in enumerate(labels):
             assert ev.result(batch, i) == reference_label_evaluation(
                 inst, row, ev.cfg)
@@ -760,8 +821,8 @@ class TestEndpointTable:
         assert 0 < open_rows[0] < open_rows[1] < 350
 
         population = random_parts_population(rng, k, 1 << (m - 1), 120, 0.5)
-        flagged = [i for i, ch in enumerate(population)
-                   if largest_class(ch, m, words=1) > n]
+        flagged = flagged_rows(g, n, [signatures(ch, m) for ch in population],
+                               first_sig_word)
         assert 0 < len(flagged) < len(population)
         with monkeypatch.context() as patch:
             calls = spy_peels(patch, ev)
@@ -850,8 +911,9 @@ class TestOneCellSweep:
 class TestManySweeps:
     """Sparse masks leave many small cells, so the peel runs many rounds:
     at m = 130 with 2% to 20% of the edges kept, three words of rows
-    (pop 129), SC and SN pairs, and rows in which machine 0 keeps no edge,
-    every row equals the reference evaluation of its partition. So do the
+    (pop 129), SC and SN pairs, and rows in which machine 0 or the machine
+    of highest degree (the peel's first seed) keeps no edge, every row
+    equals the reference evaluation of its partition. So do the
     flagged rows of label batches on a near-tree shop and of sparse
     K = 70 (two signature words) part batches at m = 130, which go through
     the same peel."""
@@ -877,8 +939,10 @@ class TestManySweeps:
         ev = PopulationEvaluator(inst)
         rng = np.random.default_rng(round(100 * density))
         keep = rng.random((129, ev.graph.edge_count)) < density
-        at_zero = (ev.edge_u == 0) | (ev.edge_v == 0)
-        assert not keep[:, at_zero].any(axis=1).all()
+        degree = np.bincount(np.concatenate([ev.edge_u, ev.edge_v]))
+        for machine in (0, degree.argmax()):
+            at = (ev.edge_u == machine) | (ev.edge_v == machine)
+            assert not keep[:, at].any(axis=1).all()
         batch = ev.evaluate_keeps(keep)
         partitions = [decode_partition(ev.graph, mask_from_bits(~row))
                       for row in keep]

@@ -493,9 +493,10 @@ def cut_encoding(m: int, k: int, sorted_form: bool = False):
     return enc
 
 
-# m = 5 and 50 hold a part in one word, m = 96 in two (W = 2) and m = 130
-# in three, whose high and low words order parts differently
-WIDTHS = [5, 50, 96, 130]
+# m = 5 and 50 hold a part in one word, m = 65 a part of one full word,
+# m = 96 in two (W = 2), m = 129 two full words and m = 130 three, whose
+# high and low words order parts differently
+WIDTHS = [5, 50, 65, 96, 129, 130]
 
 
 class TestVectorOperatorsMatchReferences:
