@@ -24,14 +24,13 @@ the same units.
 A cut chromosome is scored as the cell labels its cut signatures are:
 both describe vertex classes, and one class path builds the keep matrix of
 either. Each cell lies inside one class and a cell of more than N
-machines is joined by at least N kept edges, so only rows where a class
-has more than N members and at least N edges are kept can hold an
-oversize cell. One peel counts oversize cells: bit-packed sweeps over all
-rows of a batch at once peel off one cell per row per round, each seeded
-at the row's unsettled machine of highest degree. It takes those flagged
-cut and label rows, and every row of arbitrary edge masks (EGA, through
-``evaluate_keeps``). Only ``result`` names cells, for the one row it
-reports. The package needs numpy only.
+machines is joined by at least N kept edges, so only a row that keeps at
+least N edges can hold an oversize cell. One peel counts oversize cells:
+bit-packed sweeps over all rows of a batch at once peel off one cell per
+row per round, each seeded at the row's unsettled machine of highest
+degree. It takes those flagged cut and label rows, and every row of
+arbitrary edge masks (EGA, through ``evaluate_keeps``). Only ``result``
+names cells, for the one row it reports. The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -141,19 +140,17 @@ class PopulationEvaluator:
     ``build_basis`` (the highest vertex excluded, bit v of a part selects
     the cut isolating vertex v). The signature of vertex v is the K-bit
     string whose bit j is bit v of part j, held in S = ceil(K / 64) words
-    of the narrowest unsigned type of at least 16 bits that holds
-    min(K, 64) bits; an edge survives the union of cuts exactly when its
-    endpoints have equal signatures. So signatures are vertex labels:
-    ``evaluate_parts`` builds the (S, pop, m) signature words and
-    ``evaluate_labels`` passes its labels as one word, and ``_classes``
-    alone keeps the edges inside a class. Every cell then lies inside one
-    class, and an SC or SN pair (always a flow-graph edge) shares a cell
-    exactly when its edge is kept. A cell of more than N vertices is
-    joined by at least N kept edges, so only the rows that keep at least N
-    edges and where more than N vertices share a first word can hold an
-    oversize cell (the edge count is taken first, as it is cheaper than
-    the sort that finds the shared words), and ``_peel`` counts the
-    oversize cells of those rows alone, all in one batch.
+    of the narrowest unsigned type that holds min(K, 64) bits; an edge
+    survives the union of cuts exactly when its endpoints have equal
+    signatures. So signatures are vertex labels: ``evaluate_parts`` builds
+    the (S, pop, m) signature words and ``evaluate_labels`` passes its
+    labels as one word, and ``_classes`` alone keeps the edges inside a
+    class. Every cell then lies inside one class, and an SC or SN pair
+    (always a flow-graph edge) shares a cell exactly when its edge is kept.
+    A cell of more than N vertices is joined by at least N kept edges, so
+    only the rows that keep at least N edges can hold an oversize cell,
+    and ``_peel`` counts the oversize cells of those rows alone, all in
+    one batch.
 
     ``evaluate_keeps`` takes arbitrary masks and passes every row to the
     same ``_peel``, which also reports the edges inside cells. Whatever
@@ -303,9 +300,8 @@ class PopulationEvaluator:
                              axis=2, count=self.m, bitorder="little")
         # keys[s, i, v]: bits 64s.. of vertex v's signature in individual
         # i, a sum of distinct powers of two in the narrowest unsigned type
-        # of at least 16 bits that holds min(K, 64) bits (numpy sorts uint8
-        # rows several times slower than uint16 ones)
-        sig_type = np.min_scalar_type(max((1 << min(k, 64)) - 1, 0xFFFF))
+        # that holds min(K, 64) bits
+        sig_type = np.min_scalar_type((1 << min(k, 64)) - 1)
         keys = np.empty(((k + 63) // 64, pop, self.m), dtype=sig_type)
         for s in range(len(keys)):
             block = bits[:, 64 * s:64 * s + 64]
@@ -386,8 +382,8 @@ class PopulationEvaluator:
 
         The cells' boundary edges are removed and the cells read off the
         remaining graph, so a labelled cell that is disconnected in the
-        flow graph counts as its connected pieces. Labels are compared as
-        given (any dtype numpy sorts), never cast. Raises ValueError unless
+        flow graph counts as its connected pieces. Labels are compared for
+        equality as given (any dtype), never cast. Raises ValueError unless
         the matrix is (pop >= 1, m).
         """
         labels = np.asarray(labels)
@@ -402,28 +398,22 @@ class PopulationEvaluator:
         signatures in S words, or one word of labels). An edge is kept
         exactly inside a class, so every cell lies inside one class and
         the removed edges are the crossing ones. Only a row that keeps at
-        least N edges and where more than N vertices share ``keys[0]`` (a
-        run of N + 1 once sorted) can hold an oversize cell: those rows
-        alone go through the peel, in one batch, which counts their
-        oversize cells."""
+        least N edges can hold an oversize cell: those rows alone go
+        through the peel, in one batch, which counts their oversize
+        cells."""
         # gathering vertex-major rows per edge endpoint costs a fraction of
         # gathering the same columns
         by_vertex = keys.transpose(0, 2, 1).copy()
         keep = by_vertex[0][self.edge_u] == by_vertex[0][self.edge_v]
         for word in by_vertex[1:]:
             keep &= word[self.edge_u] == word[self.edge_v]
-        cap = self.max_size
         # a cell of more than N machines is joined by at least N kept
-        # edges, so only the rows that keep as many go on to the class
-        # sort; summing the edge-major bytes, in a type that holds E and
-        # N, costs a fraction of it
-        kept_count = np.add.reduce(
-            keep.view(np.uint8), axis=0,
-            dtype=np.min_scalar_type(max(len(keep), cap)))
+        # edges, so only the rows that keep as many go through the peel;
+        # the edge-major bytes are summed in a type that holds E
+        kept_count = np.add.reduce(keep.view(np.uint8), axis=0,
+                                   dtype=np.min_scalar_type(len(keep)))
         keep = np.ascontiguousarray(keep.T)
-        rows = np.flatnonzero(kept_count >= cap)
-        key = np.sort(keys[0][rows], axis=1)
-        flagged = rows[(key[:, cap:] == key[:, :-cap]).any(axis=1)]
+        flagged = np.flatnonzero(kept_count >= self.max_size)
         oversize = np.zeros(len(keep), dtype=np.int64)
         if len(flagged):
             oversize[flagged] = self._peel(keep[flagged])[1]

@@ -453,10 +453,9 @@ class TestPopulationEvaluator:
 
     @pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 33, 64, 65])
     def test_parts_match_scalar_at_signature_widths(self, k):
-        # signatures take the narrowest unsigned type of at least 16 bits
-        # holding K bits; a row whose only nonzero part is the last one sets
-        # the top bit of the signature, which a type one bit too narrow
-        # would drop
+        # signatures take the narrowest unsigned type holding K bits; a row
+        # whose only nonzero part is the last one sets the top bit of the
+        # signature, which a type one bit too narrow would drop
         rng = random.Random(k)
         inst = generate_instance(k, 2 * k, 1, seed=k)
         population = random_parts_population(rng, k, 1 << (k - 1), 6, 0.3)
@@ -619,12 +618,9 @@ def signatures(parts, m):
             for v in range(m)]
 
 
-def largest_class(parts, m, words=None):
-    """Most vertices sharing one signature, or its first ``words`` words."""
-    sigs = signatures(parts, m)
-    if words is not None:
-        sigs = [sig % (1 << 64 * words) for sig in sigs]
-    return max(Counter(sigs).values())
+def largest_class(parts, m):
+    """Most vertices sharing one signature."""
+    return max(Counter(signatures(parts, m)).values())
 
 
 def kept_edges(graph, keys):
@@ -633,19 +629,11 @@ def kept_edges(graph, keys):
     return sum(keys[u] == keys[v] for u, v in zip(graph.u, graph.v))
 
 
-def flagged_rows(graph, n, rows, first_word=lambda key: key):
+def flagged_rows(graph, n, rows):
     """Indices of the rows of per-vertex keys that go through the peel:
-    more than n vertices share the ``first_word`` of their key, and at
-    least n edges are kept (a cell of more than n machines is joined by
-    at least n)."""
-    return [i for i, keys in enumerate(rows)
-            if max(Counter(map(first_word, keys)).values()) > n
-            and kept_edges(graph, keys) >= n]
-
-
-def first_sig_word(sig):
-    """The first 64-bit word of a signature, the one a batch sorts."""
-    return sig % (1 << 64)
+    those that keep at least n edges (a cell of more than n machines is
+    joined by at least n)."""
+    return [i for i, keys in enumerate(rows) if kept_edges(graph, keys) >= n]
 
 
 def spy_peels(monkeypatch, ev):
@@ -671,11 +659,10 @@ def check_peeled(calls, batch, flagged):
     return rows
 
 
-class TestComponentsOnlyForFlaggedRows:
+class TestPeelOnlyRowsKeepingNEdges:
     """evaluate_parts and evaluate_labels count oversize cells only on the
-    rows where more than N vertices share a first signature word or a
-    label and at least N edges are kept: the peel gets exactly those keep
-    rows, in one call, and is not called when no row is flagged; every
+    rows that keep at least N edges: the peel gets exactly those keep
+    rows, in one call, and is not called when no row keeps as many; every
     row's result still equals the scalar reference."""
 
     @staticmethod
@@ -688,18 +675,32 @@ class TestComponentsOnlyForFlaggedRows:
             batch = ev.evaluate_parts(ev.pack_parts(population))
         return check_peeled(calls, batch, flagged)
 
-    def test_no_rows_when_classes_fit(self, monkeypatch):
+    @staticmethod
+    def check_labels(monkeypatch, inst, labels, flagged):
+        """Check that evaluate_labels peels exactly the keep rows of the
+        ``flagged`` label rows and that every row equals the reference."""
+        ev = PopulationEvaluator(inst)
+        with monkeypatch.context() as patch:
+            calls = spy_peels(patch, ev)
+            batch = ev.evaluate_labels(labels)
+        check_peeled(calls, batch, flagged)
+        for i, row in enumerate(labels):
+            assert ev.result(batch, i) == reference_label_evaluation(
+                inst, row, ev.cfg)
+
+    def test_no_rows_when_fewer_than_n_edges_kept(self, monkeypatch):
         rng = random.Random(47)
         inst = random_instance(rng, 8, max_cell_size=2)
+        g = build_graph(inst)
         population = [ch for ch in random_parts_population(rng, 6, 1 << 7, 60)
-                      if largest_class(ch, 8) <= 2]
+                      if kept_edges(g, signatures(ch, 8)) < 2]
         assert len(population) >= 10
         assert self.peeled_rows(monkeypatch, inst, population, []) == []
         check_parts_against_scalar(inst, population)
 
     @pytest.mark.parametrize("n, k", [(1, 8), (2, 5)])
-    def test_only_flagged_rows(self, monkeypatch, n, k):
-        # sparse parts: some rows have a class larger than N, some do not
+    def test_only_rows_keeping_n_edges(self, monkeypatch, n, k):
+        # sparse parts: some rows keep N edges or more, some do not
         rng = random.Random(48 + n)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=n)
         population = random_parts_population(rng, k, 1 << 9, 40, 0.8)
@@ -710,14 +711,14 @@ class TestComponentsOnlyForFlaggedRows:
             monkeypatch, inst, population, flagged)) == len(flagged)
         check_parts_against_scalar(inst, population)
 
-    def test_first_word_collision_is_flagged_and_exact(self, monkeypatch):
+    def test_two_word_signatures_are_exact(self, monkeypatch):
         # K = 70 at m = 70, N = 1. Row 0: parts 0..62 isolate vertices
         # 0..62 and parts 64..69 vertices 63..68, so every signature is
-        # distinct but vertices 63..69 share the first word 0; it keeps no
-        # edge, so it is not peeled. Row 1 gives vertex v the first word
+        # distinct although vertices 63..69 share the first word 0, and
+        # the row keeps no edge. Row 1 gives vertex v the first word
         # v + 1 (vertex 69 keeps 0). Row 2 is row 0 with the ends of the
-        # one edge among 63..69 on one signature: it keeps that edge, and
-        # the first-word collision sends it to the peel.
+        # one edge among 63..69 on one signature: it keeps that edge and
+        # is the one row peeled.
         rng = random.Random(71)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InstanceWarning)
@@ -730,63 +731,95 @@ class TestComponentsOnlyForFlaggedRows:
                          for j in range(64)) + (0,) * 6
         joined = tuple(p & ~(1 << a) | (p >> b & 1) << a for p in collide)
         population = [collide, distinct, joined]
-        assert largest_class(collide, 70) == 1
-        assert largest_class(collide, 70, words=1) == 7
-        assert largest_class(distinct, 70, words=1) == 1
-        assert largest_class(joined, 70) == 2
-        assert largest_class(joined, 70, words=1) == 7
+        assert [largest_class(ch, 70) for ch in population] == [1, 1, 2]
         assert [kept_edges(g, signatures(ch, 70)) for ch in population] \
             == [0, 0, 1]
-        assert flagged_rows(g, 1, [signatures(ch, 70) for ch in population],
-                            first_sig_word) == [2]
+        assert flagged_rows(g, 1, [signatures(ch, 70)
+                                   for ch in population]) == [2]
         assert len(self.peeled_rows(monkeypatch, inst, population, [2])) == 1
         check_parts_against_scalar(inst, population)
 
-
-    def test_only_flagged_label_rows(self, monkeypatch):
+    def test_only_label_rows_keeping_n_edges(self, monkeypatch):
         # rows of 1..10 labels on 10 machines, N = 3: a row is peeled only
-        # when more than 3 machines share a label
+        # when it keeps at least 3 edges
         rng = random.Random(52)
         inst = random_instance(rng, 10, max_parts=20, max_cell_size=3)
         labels = random_label_matrix(rng, 10, 60)
-        ev = PopulationEvaluator(inst)
-        flagged = flagged_rows(ev.graph, 3, labels.tolist())
+        flagged = flagged_rows(build_graph(inst), 3, labels.tolist())
         assert 0 < len(flagged) < len(labels)
-        calls = spy_peels(monkeypatch, ev)
-        batch = ev.evaluate_labels(labels)
-        check_peeled(calls, batch, flagged)
-        for i, row in enumerate(labels):
-            assert ev.result(batch, i) == reference_label_evaluation(
-                inst, row, ev.cfg)
+        self.check_labels(monkeypatch, inst, labels, flagged)
 
-    def test_class_of_few_kept_edges_is_not_peeled(self, monkeypatch):
-        # on the shop above (N = 3), row 0 puts four machines joined by
-        # fewer than three edges in one class and every other machine in
-        # a class of its own: no cell can be oversize, so the row is not
-        # peeled. Row 1, one class of all ten machines, is.
+    @staticmethod
+    def shop_of_n3():
+        """The N = 3 shop of the label tests, and its flow graph."""
         inst = random_instance(random.Random(52), 10, max_parts=20,
                                max_cell_size=3)
-        ev = PopulationEvaluator(inst)
+        return inst, build_graph(inst)
+
+    def test_class_of_few_kept_edges_is_not_peeled(self, monkeypatch):
+        # on the N = 3 shop, row 0 puts four machines joined by fewer than
+        # three edges in one class and every other machine in a class of
+        # its own: no cell can be oversize, so the row is not peeled. Row
+        # 1, one class of all ten machines, is.
+        inst, g = self.shop_of_n3()
         group = next(four for four in itertools.combinations(range(10), 4)
-                     if kept_edges(ev.graph, [v if v not in four else -1
-                                              for v in range(10)]) < 3)
+                     if kept_edges(g, [v if v not in four else -1
+                                       for v in range(10)]) < 3)
         labels = np.array([[-1 if v in group else v for v in range(10)],
                            [0] * 10])
         assert max(Counter(labels[0].tolist()).values()) == 4
-        assert kept_edges(ev.graph, labels[0].tolist()) < 3
-        calls = spy_peels(monkeypatch, ev)
-        batch = ev.evaluate_labels(labels)
-        check_peeled(calls, batch, [1])
-        for i, row in enumerate(labels):
-            assert ev.result(batch, i) == reference_label_evaluation(
-                inst, row, ev.cfg)
+        assert kept_edges(g, labels[0].tolist()) < 3
+        self.check_labels(monkeypatch, inst, labels, [1])
+
+    def test_fitting_classes_keeping_n_edges_are_peeled(self, monkeypatch):
+        # on the N = 3 shop, row 0 pairs the ends of three disjoint
+        # flow-graph edges and leaves every other machine on its own: no
+        # class exceeds N, but the row keeps three edges, so it is peeled
+        # (and found to hold no oversize cell). Row 1 keeps no edge and is
+        # not peeled.
+        inst, g = self.shop_of_n3()
+        row = list(range(10))
+        used = set()
+        for u, v in zip(g.u, g.v):
+            if len(used) < 6 and not {u, v} & used:
+                row[v] = u
+                used |= {u, v}
+        labels = np.array([row, list(range(10))])
+        assert len(used) == 6
+        assert max(Counter(row).values()) == 2
+        assert kept_edges(g, row) == 3
+        self.check_labels(monkeypatch, inst, labels, [0])
+
+    def test_no_row_peeled_when_n_exceeds_e(self, monkeypatch):
+        # N = 10^30 exceeds E, so no row keeps N edges and none is peeled,
+        # not even the one class of all machines; every part, label and
+        # keep row still equals the reference
+        rng = random.Random(30)
+        shop = random_instance(rng, 12, max_parts=20)
+        inst = Instance(12, 10 ** 30, shop.parts, shop.cohabit,
+                        shop.separate)
+        population = random_parts_population(rng, 4, 1 << 11, 30, 0.3)
+        assert self.peeled_rows(monkeypatch, inst, population, []) == []
+        check_parts_against_scalar(inst, population)
+        labels = np.concatenate([random_label_matrix(rng, 12, 30),
+                                 np.zeros((1, 12), dtype=int)])
+        self.check_labels(monkeypatch, inst, labels, [])
+        ev = PopulationEvaluator(inst)
+        keep = np.random.default_rng(30).random(
+            (20, ev.graph.edge_count)) < 0.5
+        batch = ev.evaluate_keeps(keep)
+        for i, row in enumerate(keep):
+            assert ev.result(batch, i) == reference_evaluation(
+                inst, decode_partition(ev.graph, mask_from_bits(~row)),
+                ev.cfg)
 
 
-class TestEndpointTable:
+class TestOneEvaluatorForEveryBatch:
     """One evaluator serves batches of any size and kind in turn: 200 keep
-    rows, 350 keep rows, then cut chromosomes and label rows, whose
-    flagged rows go through the same peel in one call. Every row, read
-    back through ``result``, equals the scalar reference."""
+    rows, 350 keep rows, then cut chromosomes, whose rows that keep at
+    least N edges go through the same peel in one call, and label rows.
+    Every row, read back through ``result``, equals the scalar
+    reference."""
 
     @pytest.mark.parametrize("m, n, k", [(10, 2, 3), (80, 6, 8)])
     def test_batches_of_changing_size(self, monkeypatch, m, n, k):
@@ -821,8 +854,8 @@ class TestEndpointTable:
         assert 0 < open_rows[0] < open_rows[1] < 350
 
         population = random_parts_population(rng, k, 1 << (m - 1), 120, 0.5)
-        flagged = flagged_rows(g, n, [signatures(ch, m) for ch in population],
-                               first_sig_word)
+        flagged = flagged_rows(g, n,
+                               [signatures(ch, m) for ch in population])
         assert 0 < len(flagged) < len(population)
         with monkeypatch.context() as patch:
             calls = spy_peels(patch, ev)
@@ -953,7 +986,8 @@ class TestManySweeps:
     def test_near_tree_label_rows(self):
         # E = 101 on 96 machines, a third of the edges fictive. Row i < 120
         # draws from i + 1 labels, so rows of few labels leave many cells;
-        # the last nine rows, classes of 1 to 3 machines, are not flagged
+        # the last nine rows, classes of 1 to 3 machines, keep fewer than
+        # N = 3 edges and are not peeled
         inst = generate_instance(96, 48, 3, 3)
         ev = PopulationEvaluator(inst)
         labels = np.concatenate([
@@ -961,9 +995,8 @@ class TestManySweeps:
             [np.arange(96) // (1 + i % 3) for i in range(9)]])
         refs = [reference_label_evaluation(inst, row, ev.cfg)
                 for row in labels]
-        flagged = [i for i, row in enumerate(labels)
-                   if max(Counter(row.tolist()).values()) > 3]
-        assert 64 < len(flagged) < len(labels)
+        flagged = flagged_rows(ev.graph, 3, labels.tolist())
+        assert len(flagged) > 64 and max(flagged) < 120
         assert max(peel_rounds(refs[i].partition) for i in flagged) >= 10
         assert {ref.violations > 0 for ref in refs} == {False, True}
         self.check(ev, ev.evaluate_labels(labels), refs)
@@ -981,7 +1014,7 @@ class TestManySweeps:
         refs = [reference_evaluation(
             inst, decode_chromosome(parts, basis, g), ev.cfg)
             for parts in population]
-        assert sum(largest_class(ch, 130, words=1) > 6
+        assert sum(kept_edges(g, signatures(ch, 130)) >= 6
                    for ch in population) >= 30
         assert max(peel_rounds(ref.partition) for ref in refs) >= 15
         self.check(ev, ev.evaluate_parts(ev.pack_parts(population)), refs)
@@ -1130,7 +1163,8 @@ class TestLabelsMatchComponentsReference:
     on random label matrices. The fuzz is checked to contain label classes
     that are disconnected in the flow graph, classes larger than N that
     split into pieces both within and above N, split SC and united SN
-    pairs, and float labels that an int cast would merge."""
+    pairs, float labels that an int cast would merge, and labels of mixed
+    types, which need only compare equal."""
 
     @staticmethod
     def check(inst, labels):
@@ -1199,3 +1233,18 @@ class TestLabelsMatchComponentsReference:
             as_int = ev.evaluate_labels(labels.astype(np.int64))
             merged += int((as_float.keep != as_int.keep).any())
         assert merged >= 10
+
+    def test_labels_need_only_compare_equal(self):
+        # str and int labels cannot be sorted together; mixed, they score
+        # exactly as the integer labels they stand for
+        rng = random.Random(99)
+        inst = random_instance(rng, 10, max_parts=20, max_cell_size=3)
+        labels = random_label_matrix(rng, 10, 40)
+        mixed = np.array([[v if v % 2 else str(v) for v in row]
+                          for row in labels.tolist()], dtype=object)
+        ev = PopulationEvaluator(inst)
+        as_int, as_mixed = ev.evaluate_labels(labels), \
+            ev.evaluate_labels(mixed)
+        for name in ("traffic_units", "violations", "fitness_units", "keep"):
+            assert (getattr(as_int, name) == getattr(as_mixed, name)).all()
+        self.check(inst, labels)
