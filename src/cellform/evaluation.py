@@ -29,8 +29,11 @@ least N edges can hold an oversize cell. One peel counts oversize cells:
 bit-packed sweeps over all rows of a batch at once peel off one cell per
 row per round, each seeded at the row's unsettled machine of highest
 degree. It takes those flagged cut and label rows, and every row of
-arbitrary edge masks (EGA, through ``evaluate_keeps``). Only ``result``
-names cells, for the one row it reports. The package needs numpy only.
+arbitrary edge masks (EGA, through ``evaluate_keeps``). A batch holds
+one edge-major (E, pop) matrix, the edges with both ends in one cell:
+for class rows that is the keep matrix itself, for masks the peel reports
+it, and the score and the batch read it as built. Only ``result`` names
+cells, for the one column it reports. The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -104,15 +107,16 @@ class EvalBatch:
 
     ``traffic_units`` and ``fitness_units`` have the evaluator's unit dtype
     (int64, or object when the fitness range exceeds int64); violations are
-    int64 and ``keep`` is the (pop, E) boolean matrix of the edges left
-    inside cells. The cells themselves are decoded only on request, one row
-    at a time, by ``PopulationEvaluator.result``.
+    int64 and ``inside`` is the edge-major (E, pop) boolean matrix of the
+    edges with both ends in one cell, column i for row i. Every field has
+    the rows on its last axis. The cells themselves are decoded only on
+    request, one row at a time, by ``PopulationEvaluator.result``.
     """
 
     traffic_units: np.ndarray
     violations: np.ndarray
     fitness_units: np.ndarray
-    keep: np.ndarray
+    inside: np.ndarray
 
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -145,42 +149,46 @@ class PopulationEvaluator:
     signatures. So signatures are vertex labels: ``evaluate_parts`` builds
     the (S, pop, m) signature words and ``evaluate_labels`` passes its
     labels as one word, and ``_classes`` alone keeps the edges inside a
-    class. Every cell then lies inside one class, and an SC or SN pair
-    (always a flow-graph edge) shares a cell exactly when its edge is kept.
-    A cell of more than N vertices is joined by at least N kept edges, so
-    only the rows that keep at least N edges can hold an oversize cell,
-    and ``_peel`` counts the oversize cells of those rows alone, all in
-    one batch.
+    class, as an edge-major (E, pop) matrix. Every cell then lies inside
+    one class, so the kept edges are exactly the edges inside cells, and
+    an SC or SN pair (always a flow-graph edge) shares a cell exactly when
+    its edge is kept. A cell of more than N vertices is joined by at least
+    N kept edges, so only the rows that keep at least N edges can hold an
+    oversize cell, and ``_peel`` counts the oversize cells of those rows
+    alone, all in one batch.
 
     ``evaluate_keeps`` takes arbitrary masks and passes every row to the
-    same ``_peel``, which also reports the edges inside cells. Whatever
-    its rows, the peel works on all of them at once, 64 rows to a uint64
-    word. A machine that keeps no edge is a cell of its own. Then each
-    round seeds every row at its unsettled machine of highest flow-graph
-    degree (the lowest such machine on ties) and sweeps out from it over
-    the kept edges until nothing changes, so in each row's bit lane the
-    sweep reaches exactly that machine's cell; the round marks the edges
-    with both endpoints in the cell as not crossing, counts the cell as
-    oversize where it has more than N machines, and settles it. Which
-    edges cross and how many cells are oversize is all ``_score`` reads,
-    so the cells never need names; only ``result`` names them, decoding
-    its one row with the union-find of ``instance.vertex_groups`` (cells
-    ordered by lowest member, as in ``decode_partition``). A round makes
-    one sweep, a pass over the 2E arcs, per kept edge on the longest
-    shortest path out of its seed (a hub seed shortens that path; it does
-    not change the number of rounds), and a batch takes one round per cell
-    of two or more machines in its most divided row. How many such cells
-    a row has depends on the kept share times the flow graph's degree:
-    EGA's half-kept masks leave a few on graphs of average degree 4 or
-    more, but a dozen or more on near-tree graphs of degree about 2, and
-    masks that keep a few percent of a dense graph's edges leave the most.
+    same ``_peel``, which also reports the edges inside cells, unpacked to
+    the same (E, pop) layout. Whatever its rows, the peel works on all of
+    them at once, 64 rows to a uint64 word. A machine that keeps no edge
+    is a cell of its own. Then each round seeds every row at its unsettled
+    machine of highest flow-graph degree (the lowest such machine on ties)
+    and sweeps out from it over the kept edges until nothing changes, so
+    in each row's bit lane the sweep reaches exactly that machine's cell;
+    the round marks the edges with both endpoints in the cell as inside,
+    counts the cell as oversize where it has more than N machines, and
+    settles it. Which edges lie inside cells and how many cells are
+    oversize is all ``_score`` reads (traffic is the total weight less the
+    weight inside), so the cells never need names; only ``result`` names
+    them, decoding its one column with the union-find of
+    ``instance.vertex_groups`` (cells ordered by lowest member, as in
+    ``decode_partition``). A round makes one sweep, a pass over the 2E
+    arcs, per kept edge on the longest shortest path out of its seed (a
+    hub seed shortens that path; it does not change the number of rounds),
+    and a batch takes one round per cell of two or more machines in its
+    most divided row. How many such cells a row has depends on the kept
+    share times the flow graph's degree: EGA's half-kept masks leave a few
+    on graphs of average degree 4 or more, but a dozen or more on
+    near-tree graphs of degree about 2, and masks that keep a few percent
+    of a dense graph's edges leave the most.
     """
 
     def __init__(self, inst: Instance):
         self.graph = g = build_graph(inst)
         self.scale = g.scale
         # B = total flow, or 1 when there is none
-        self.bound_units = sum(g.units) or g.scale
+        self._total_units = sum(g.units)
+        self.bound_units = self._total_units or g.scale
         self.cfg = cfg = FitnessConfig(
             Fraction(self.bound_units, g.scale),
             inst.machine_count + len(inst.cohabit) + len(inst.separate))
@@ -226,7 +234,7 @@ class PopulationEvaluator:
         """Exact Evaluation of row ``i`` of a batch."""
         traffic = self.to_fraction(batch.traffic_units[i])
         violations = int(batch.violations[i])
-        kept = np.flatnonzero(batch.keep[i])
+        kept = np.flatnonzero(batch.inside[:, i])
         cells = vertex_groups(self.m, zip(self.edge_u[kept].tolist(),
                                           self.edge_v[kept].tolist()))
         return Evaluation(Partition(tuple(map(tuple, cells))), traffic,
@@ -313,18 +321,18 @@ class PopulationEvaluator:
         """Evaluate masks given as a (pop, E) boolean keep matrix.
 
         Raises ValueError unless the matrix is (pop >= 1, E). The batch
-        holds its own copy, so ``result`` reads the masks as they were.
+        holds the peel's edges inside cells, not the masks, so ``result``
+        reads the cells as they were however the caller reuses its matrix.
         """
-        keep = np.array(keep, dtype=bool)
+        keep = np.asarray(keep, dtype=bool)
         if keep.ndim != 2 or not len(keep) \
                 or keep.shape[1] != len(self.edge_u):
             raise ValueError(f"keep matrix must be (pop >= 1, "
                              f"{len(self.edge_u)}), got {keep.shape}")
         inside, oversize = self._peel(keep)
-        # an edge crosses unless one cell holds both its ends
-        crossing = np.unpackbits(~inside.view(np.uint8), axis=1,
-                                 count=len(keep), bitorder="little")
-        return self._score(keep, crossing.T.view(bool), oversize)
+        inside = np.unpackbits(inside.view(np.uint8), axis=1,
+                               count=len(keep), bitorder="little")
+        return self._score(inside.view(bool), oversize)
 
     def _peel(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(inside, oversize) of a (pop >= 1, E) bool keep matrix: bit i of
@@ -412,23 +420,25 @@ class PopulationEvaluator:
         # the edge-major bytes are summed in a type that holds E
         kept_count = np.add.reduce(keep.view(np.uint8), axis=0,
                                    dtype=np.min_scalar_type(len(keep)))
-        keep = np.ascontiguousarray(keep.T)
         flagged = np.flatnonzero(kept_count >= self.max_size)
-        oversize = np.zeros(len(keep), dtype=np.int64)
+        oversize = np.zeros(keep.shape[1], dtype=np.int64)
         if len(flagged):
-            oversize[flagged] = self._peel(keep[flagged])[1]
-        return self._score(keep, ~keep, oversize)
+            oversize[flagged] = self._peel(keep[:, flagged].T)[1]
+        # every edge inside a class is kept, so the kept edges are exactly
+        # the edges inside cells
+        return self._score(keep, oversize)
 
-    def _score(self, keep: np.ndarray, crossing: np.ndarray,
-               oversize: np.ndarray) -> EvalBatch:
-        """Batch from the edges crossing cells and the oversize cell count
-        per row: a split SC pair is a crossing SC edge, a united SN pair a
-        non-crossing SN edge."""
-        violations = (oversize + crossing[:, self.sc_edges].sum(axis=1)
-                      + (~crossing[:, self.sn_edges]).sum(axis=1)
-                      ).astype(np.int64)
-        traffic = np.einsum("ij,j->i", crossing, self.weight_units)
+    def _score(self, inside: np.ndarray, oversize: np.ndarray) -> EvalBatch:
+        """Batch from the (E, pop) edges inside cells and the oversize cell
+        count per row: a split SC pair is an SC edge not inside a cell, a
+        united SN pair an SN edge inside one, and traffic is the weight of
+        the edges not inside a cell."""
+        sc, sn = inside[self.sc_edges], inside[self.sn_edges]
+        violations = oversize + len(sc) - sc.sum(axis=0) + sn.sum(axis=0)
+        # from the total flow, not B: B is one scale unit when there is none
+        traffic = self._total_units \
+            - np.einsum("ji,j->i", inside, self.weight_units)
         fitness_units = (self.bound_units - traffic) \
             + (self.u - violations).astype(self.units_dtype) \
             * self.bound_units
-        return EvalBatch(traffic, violations, fitness_units, keep)
+        return EvalBatch(traffic, violations, fitness_units, inside)

@@ -303,10 +303,11 @@ def evolve(encoding: type[Encoding], inst: Instance,
     of parents, cross each pair, top the population up with fresh random
     individuals, mutate a mutation_rate share (one gene each), put everyone
     in canonical form, evaluate, and reinsert the elite, with its whole
-    batch row, over the worst individual. best_history holds the exact Y of
-    the best individual so far after each generation; the one reported is
-    the first row, in generation and row order, whose Y beats every earlier
-    Y. Same seed, same best_history.
+    batch row (the last axis of every batch field), over the worst
+    individual. best_history holds the exact Y of the best individual so
+    far after each generation; the one reported is the first row, in
+    generation and row order, whose Y beats every earlier Y. Same seed,
+    same best_history.
     """
     t0 = time.perf_counter()
     enc = encoding(inst)
@@ -326,7 +327,7 @@ def evolve(encoding: type[Encoding], inst: Instance,
 
     for _ in range(params.generations):
         elite = population[top]
-        elite_row = [a[top] for a in vars(batch).values()]
+        elite_row = [a[..., top] for a in vars(batch).values()]
 
         parents = population[roulette_select(batch.fitness_units,
                                              params.gamma, n_mate, rng)]
@@ -342,7 +343,7 @@ def evolve(encoding: type[Encoding], inst: Instance,
         worst = int(batch.fitness_units.argmin())
         population[worst] = elite
         for a, value in zip(vars(batch).values(), elite_row):
-            a[worst] = value
+            a[..., worst] = value
 
         # the elite, now at worst, holds the best Y so far
         top = int(batch.fitness_units.argmax())

@@ -241,7 +241,8 @@ def check_fitness_at_least_bound(inst, seed):
     """Y >= B on random parts, keep and label rows: a cell of more than
     N >= 1 machines holds two or more, so at most m / 2 cells are oversize,
     v <= m / 2 + |SC| + |SN| < u and Y = (B - Z) + (u - v) * B >= B.
-    ``ga.roulette_select`` divides by the largest Y with no zero guard."""
+    ``ga.roulette_select`` divides by the largest Y with no zero guard.
+    Returns the evaluator and its parts, keep and label batches."""
     rng = random.Random(seed)
     ev = PopulationEvaluator(inst)
     m, e = inst.machine_count, ev.graph.edge_count
@@ -257,11 +258,12 @@ def check_fitness_at_least_bound(inst, seed):
     labels = [[rng.randrange(top) for _ in range(m)]
               for top in (1, 2, m // 2 or 1, m) for _ in range(3)]
     labels.append([v // 2 for v in range(m)])
-    for batch in (ev.evaluate_parts(ev.pack_parts(parts)),
-                  ev.evaluate_keeps(np.array(keeps)),
-                  ev.evaluate_labels(np.array(labels))):
+    batches = (ev.evaluate_parts(ev.pack_parts(parts)),
+               ev.evaluate_keeps(np.array(keeps)),
+               ev.evaluate_labels(np.array(labels)))
+    for batch in batches:
         assert (batch.fitness_units >= ev.bound_units).all()
-    return ev
+    return ev, batches
 
 
 class TestFitnessAtLeastBound:
@@ -284,8 +286,14 @@ class TestFitnessAtLeastBound:
         make_instance(5, 2, [(0, (1, 2, 3))], cohabit=[(1, 3)],
                       separate=[(2, 4)])], ids=["no parts", "zero volume"])
     def test_shop_without_flow(self, inst):
-        ev = check_fitness_at_least_bound(inst, 0)
+        ev, batches = check_fitness_at_least_bound(inst, 0)
         assert ev.bound_units == ev.scale and ev.cfg.bound == 1
+        # B is one scale unit, not the total flow: traffic read off B
+        # would be positive here and still leave Y >= B
+        for batch in batches:
+            assert (batch.traffic_units == 0).all()
+            assert all(ev.result(batch, i).traffic == 0
+                       for i in range(len(batch.traffic_units)))
 
 
 @st.composite
@@ -396,7 +404,7 @@ class TestPartsAreSignatureLabels:
             parts = ev.evaluate_parts(ev.pack_parts(population))
             labels = ev.evaluate_labels(signature_labels(population, m))
             for name in ("traffic_units", "violations", "fitness_units",
-                         "keep"):
+                         "inside"):
                 a, b = getattr(parts, name), getattr(labels, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -652,9 +660,10 @@ def spy_peels(monkeypatch, ev):
 
 def check_peeled(calls, batch, flagged):
     """Check that the peel ran once on exactly the keep rows of the
-    ``flagged`` rows of a batch, in order, and not at all when no row is
-    flagged; return those rows."""
-    rows = [tuple(batch.keep[i].tolist()) for i in flagged]
+    ``flagged`` rows of a batch (a class row keeps exactly its edges
+    inside cells), in order, and not at all when no row is flagged; return
+    those rows."""
+    rows = [tuple(batch.inside[:, i].tolist()) for i in flagged]
     assert calls == ([rows] if rows else [])
     return rows
 
@@ -812,6 +821,30 @@ class TestPeelOnlyRowsKeepingNEdges:
             assert ev.result(batch, i) == reference_evaluation(
                 inst, decode_partition(ev.graph, mask_from_bits(~row)),
                 ev.cfg)
+
+
+class TestBatchRowsOnLastAxis:
+    """Every EvalBatch field holds the rows on its last axis, and
+    ``inside`` is edge-major (E, pop): ``evolve`` reinserts its elite as
+    ``a[..., worst]`` on every field."""
+
+    @pytest.mark.parametrize("pop", [1, 64, 65])
+    def test_every_batch_kind(self, pop):
+        rng = random.Random(pop)
+        inst = generate_instance(12, 24, 3, seed=pop)
+        ev = PopulationEvaluator(inst)
+        m, e = inst.machine_count, ev.graph.edge_count
+        k = compute_k(m, inst.max_cell_size)
+        parts = [[rng.getrandbits(m - 1) for _ in range(k)]
+                 for _ in range(pop)]
+        keeps = [[rng.random() < 0.5 for _ in range(e)] for _ in range(pop)]
+        labels = [[rng.randrange(4) for _ in range(m)] for _ in range(pop)]
+        for batch in (ev.evaluate_parts(ev.pack_parts(parts)),
+                      ev.evaluate_keeps(np.array(keeps)),
+                      ev.evaluate_labels(np.array(labels))):
+            for name, value in vars(batch).items():
+                assert value.shape[-1] == pop, name
+            assert batch.inside.shape == (e, pop)
 
 
 class TestOneEvaluatorForEveryBatch:
@@ -1087,7 +1120,7 @@ class TestEvaluatePartsWordArrays:
         a = ev.evaluate_parts(words)
         b = ev.evaluate_parts(ev.pack_parts(chains))
         for field in ("traffic_units", "violations", "fitness_units",
-                      "keep"):
+                      "inside"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     @pytest.mark.parametrize("m", [5, 65, 66, 130])
@@ -1231,7 +1264,7 @@ class TestLabelsMatchComponentsReference:
             ev = PopulationEvaluator(inst)
             as_float = ev.evaluate_labels(labels)
             as_int = ev.evaluate_labels(labels.astype(np.int64))
-            merged += int((as_float.keep != as_int.keep).any())
+            merged += int((as_float.inside != as_int.inside).any())
         assert merged >= 10
 
     def test_labels_need_only_compare_equal(self):
@@ -1245,6 +1278,7 @@ class TestLabelsMatchComponentsReference:
         ev = PopulationEvaluator(inst)
         as_int, as_mixed = ev.evaluate_labels(labels), \
             ev.evaluate_labels(mixed)
-        for name in ("traffic_units", "violations", "fitness_units", "keep"):
+        for name in ("traffic_units", "violations", "fitness_units",
+                     "inside"):
             assert (getattr(as_int, name) == getattr(as_mixed, name)).all()
         self.check(inst, labels)
