@@ -7,45 +7,17 @@ names valid partitions. k-means clusters the traffic-matrix rows and is
 fast but blind to the combinatorial structure.
 """
 
-import time
-
-from cellform import GAParams, generate_instance, run_ega, run_ga, \
-    run_multikmeans
-from cellform.baselines import exhaustive_oracle
+from cellform import generate_instance, solve
 
 inst = generate_instance(9, 27, 3, 8, seed=77)
 print("instance: 9 machines, 27 parts, max cell size 3\n")
 print(f"{'method':>12}  {'traffic':>8}  {'feasible':>8}  {'seconds':>8}")
 
-
-def report(name, traffic, feasible, seconds):
-    print(f"{name:>12}  {str(traffic):>8}  {'yes' if feasible else 'no':>8}"
-          f"  {seconds:>8.2f}")
-
-
-def ga_traffic(res):
-    return res.best_evaluation.traffic if res.feasible_found else "UF"
-
-
-params = GAParams(population_size=200, generations=150, seed=7,
-                  variant="scga")
-res = run_ga(inst, params)
-report("scga", ga_traffic(res), res.feasible_found, res.wall_time)
-
-res = run_ga(inst, GAParams(population_size=200, generations=150, seed=7,
-                            variant="cga"))
-report("cga", ga_traffic(res), res.feasible_found, res.wall_time)
-
-res = run_ega(inst, params)
-report("ega", ga_traffic(res), res.feasible_found, res.wall_time)
-
-t0 = time.perf_counter()
-ev = run_multikmeans(inst, restarts=5, seed=7)
-if ev is None:
-    report("multikmeans", "UF", False, time.perf_counter() - t0)
-else:
-    report("multikmeans", ev.traffic, ev.feasible, time.perf_counter() - t0)
-
-t0 = time.perf_counter()
-ev = exhaustive_oracle(inst)
-report("oracle", ev.traffic, ev.feasible, time.perf_counter() - t0)
+# every method through the dispatch the CLI and the bench use, which times
+# it; only the GAs read the GA settings, and only k-means reads restarts
+for method in ("scga", "cga", "ega", "multikmeans", "oracle"):
+    ev, seconds = solve(inst, method, seed=7, restarts=5,
+                        population_size=200, generations=150)
+    feasible = ev is not None and ev.feasible
+    print(f"{method:>12}  {str(ev.traffic) if feasible else 'UF':>8}  "
+          f"{'yes' if feasible else 'no':>8}  {seconds:>8.2f}")

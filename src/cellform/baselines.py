@@ -168,11 +168,14 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     (``PopulationEvaluator.evaluate_labels``), so a cluster that is
     disconnected in the flow graph counts as its connected pieces. Each
     restart's clusterings are scored as one batch as soon as they are
-    drawn, and only the best row so far is kept, so memory does
-    not grow with ``restarts``. The Gram matrix of the traffic rows is the
-    call's one matrix product: it is built once and every k and restart
-    runs ``_lloyd`` on it. Every draw comes from ``ga.make_rng(seed)``, as
-    in the GAs, so a negative seed has its own stream.
+    drawn, in the narrowest unsigned type that holds every label (k < m).
+    The batch's top ``EvalBatch.rank`` is its first least-traffic feasible
+    row when it has one; it is kept only when feasible and of a rank above
+    the best so far, so memory does not grow with ``restarts``. The Gram
+    matrix of the traffic rows is the call's one matrix product: it is
+    built once and every k and restart runs ``_lloyd`` on it. Every draw
+    comes from ``ga.make_rng(seed)``, as in the GAs, so a negative seed
+    has its own stream.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -196,13 +199,11 @@ def run_multikmeans(inst: Instance, restarts: int = 1,
     for _ in range(restarts):
         batch = evaluator.evaluate_labels(np.array(
             [_lloyd(points, gram, sq_norms, k, rng) for k in ks],
-            dtype=np.int64))
-        feasible = np.flatnonzero(batch.violations == 0)
-        if len(feasible):
-            i = feasible[np.argmin(batch.traffic_units[feasible])]
-            if best is None or \
-                    batch.traffic_units[i] < best[0].traffic_units[best[1]]:
-                best = batch, i
+            dtype=np.min_scalar_type(m - 1)))
+        i = batch.rank.argmax()
+        if batch.violations[i] == 0 and (
+                best is None or batch.rank[i] > best[0].rank[best[1]]):
+            best = batch, i
     return None if best is None else evaluator.result(*best)
 
 

@@ -7,13 +7,16 @@ edges marked as crossing cells). For maximization the solvers use
 
 where B bounds Z (the sum of all flows, or 1 if that is zero), u is the
 constraint count m + |SC| + |SN| and v the number of violated constraints
-(oversize cells, split cohabitation pairs, united separation pairs). Any
-solution violating fewer constraints then outranks every solution violating
-more, and among equal violation counts lower traffic wins. An oversize cell
-holds two or more machines, so at most m / 2 are, v < u and Y >= B > 0.
-Y itself is always kept exact; ``ga.roulette_select`` weighs a GA's rows by
-(Y / Y_max)^gamma (gamma = 1 unless set), which preserves order and cannot
-overflow.
+(oversize cells, split cohabitation pairs, united separation pairs). Among
+equal violation counts lower traffic gives higher Y, but Y's tiers meet at
+Z = B, where v violations tie v + 1 with Z = 0. So every solver picks its
+rows by ``EvalBatch.rank`` = Y - v (in weight units) instead, whose tier v
+spans [(u - v) * B - v, (u - v + 1) * B - v]: any solution violating fewer
+constraints outranks every solution violating more, and within a tier less
+traffic ranks higher. An oversize cell holds two or more machines, so at
+most m / 2 are, v < u and Y >= B > 0. Y itself is always kept exact;
+``ga.roulette_select`` weighs a GA's rows by (Y / Y_max)^gamma (gamma = 1
+unless set), which preserves Y's order and cannot overflow.
 
 ``PopulationEvaluator(inst)`` is the one evaluator every solver runs on. It
 builds the instance's flow graph and fitness config itself, scores whole
@@ -111,12 +114,21 @@ class EvalBatch:
     edges with both ends in one cell, column i for row i. Every field has
     the rows on its last axis. The cells themselves are decoded only on
     request, one row at a time, by ``PopulationEvaluator.result``.
+    ``rank`` is the one row order of every solver, derived from the fields.
     """
 
     traffic_units: np.ndarray
     violations: np.ndarray
     fitness_units: np.ndarray
     inside: np.ndarray
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Y - v per row, in units and the units' dtype: fewer violations
+        always rank higher and, among equal violations, less traffic does,
+        also where Y ties at Z = B (tier v spans [(u - v) * B - v,
+        (u - v + 1) * B - v])."""
+        return self.fitness_units - self.violations
 
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -410,11 +422,12 @@ class PopulationEvaluator:
         through the peel, in one batch, which counts their oversize
         cells."""
         # gathering vertex-major rows per edge endpoint costs a fraction of
-        # gathering the same columns
+        # gathering the same columns, and take costs less than indexing
         by_vertex = keys.transpose(0, 2, 1).copy()
-        keep = by_vertex[0][self.edge_u] == by_vertex[0][self.edge_v]
+        u, v = self.edge_u, self.edge_v
+        keep = by_vertex[0].take(u, axis=0) == by_vertex[0].take(v, axis=0)
         for word in by_vertex[1:]:
-            keep &= word[self.edge_u] == word[self.edge_v]
+            keep &= word.take(u, axis=0) == word.take(v, axis=0)
         # a cell of more than N machines is joined by at least N kept
         # edges, so only the rows that keep as many go through the peel;
         # the edge-major bytes are summed in a type that holds E

@@ -26,7 +26,6 @@ population evaluator that ranked it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,6 @@ class GAResult:
     best_chromosome: object
     best_evaluation: Evaluation
     best_history: list
-    wall_time: float
     feasible_found: bool
 
 
@@ -304,12 +302,13 @@ def evolve(encoding: type[Encoding], inst: Instance,
     individuals, mutate a mutation_rate share (one gene each), put everyone
     in canonical form, evaluate, and reinsert the elite, with its whole
     batch row (the last axis of every batch field), over the worst
-    individual. best_history holds the exact Y of the best individual so
-    far after each generation; the one reported is the first row, in
-    generation and row order, whose Y beats every earlier Y. Same seed,
-    same best_history.
+    individual. Best and worst are by ``EvalBatch.rank`` (fewest
+    violations, then least traffic); the roulette alone weighs Y.
+    best_history holds the exact Y of the best individual so far after
+    each generation (the top rank has the top Y); the one reported is the
+    first row, in generation and row order, whose rank beats every earlier
+    rank. Same seed, same best_history.
     """
-    t0 = time.perf_counter()
     enc = encoding(inst)
     evaluator = enc.evaluator
     rng = make_rng(params.seed)
@@ -318,7 +317,7 @@ def evolve(encoding: type[Encoding], inst: Instance,
     population = init_population(
         size, enc.capacity(size), lambda n: enc.canonical(enc.draw(rng, n)))
     batch = enc.evaluate(population)
-    top = int(batch.fitness_units.argmax())
+    top = int(batch.rank.argmax())
     best = population[top]
 
     n_mate = round(params.crossover_rate * size) // 2 * 2
@@ -340,20 +339,20 @@ def evolve(encoding: type[Encoding], inst: Instance,
 
         population = enc.canonical(nxt)
         batch = enc.evaluate(population)
-        worst = int(batch.fitness_units.argmin())
+        worst = int(batch.rank.argmin())
         population[worst] = elite
         for a, value in zip(vars(batch).values(), elite_row):
             a[..., worst] = value
 
-        # the elite, now at worst, holds the best Y so far
-        top = int(batch.fitness_units.argmax())
-        if batch.fitness_units[top] > batch.fitness_units[worst]:
+        # the elite, now at worst, holds the best rank so far
+        rank = batch.rank
+        top = int(rank.argmax())
+        if rank[top] > rank[worst]:
             best = population[top]
         history.append(evaluator.to_fraction(batch.fitness_units[top]))
 
     best_eval = evaluator.result(enc.evaluate(best[None, :]), 0)
-    return GAResult(enc.public(best), best_eval, history,
-                    time.perf_counter() - t0, best_eval.feasible)
+    return GAResult(enc.public(best), best_eval, history, best_eval.feasible)
 
 
 def run_ga(inst: Instance, params: GAParams) -> GAResult:

@@ -268,19 +268,30 @@ def reference_lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     return assign
 
 
-def reference_multikmeans(inst: Instance, restarts: int = 1, seed: int = 0):
-    """Reference for ``run_multikmeans``: one ``reference_evaluation`` per
+def reference_kmeans_labels(inst: Instance, restarts: int, seed: int,
+                            events: Counter | None = None) -> list:
+    """The clusterings ``reference_multikmeans`` scores: per restart, the
+    ``reference_lloyd`` assignment of every k ascending, all drawn from one
+    ``make_rng(seed)`` stream, as ``run_multikmeans`` draws its own.
+    ``events``, when given, counts the events of the first restart."""
+    m = inst.machine_count
+    points = dense_traffic(inst)
+    rng = make_rng(seed)
+    return [[reference_lloyd(points, k, rng, events if not r else None)
+             for k in range(compute_k(m, inst.max_cell_size), m)]
+            for r in range(restarts)]
+
+
+def reference_multikmeans(inst: Instance, labels: list):
+    """Reference for ``run_multikmeans``, on the clusterings of
+    ``reference_kmeans_labels``: one ``reference_evaluation`` per
     clustering, on the connected pieces its boundary leaves, the best kept
     as the clusterings arrive."""
     evaluator = PopulationEvaluator(inst)
     g, cfg = evaluator.graph, evaluator.cfg
-    m = inst.machine_count
-    points = dense_traffic(inst)
-    rng = make_rng(seed)
     best = None
-    for _ in range(restarts):
-        for k in range(compute_k(m, inst.max_cell_size), m):
-            assign = reference_lloyd(points, k, rng)
+    for restart in labels:
+        for assign in restart:
             mask = boundary_mask(g, partition_from_labels(assign))
             ev = reference_evaluation(inst, decode_partition(g, mask), cfg)
             if ev.feasible and (best is None or ev.traffic < best.traffic):

@@ -1,6 +1,7 @@
 """Edge-encoding GA, k-means clustering, and the exhaustive oracle."""
 
 import copy
+import itertools
 import random
 import tracemalloc
 import warnings
@@ -20,7 +21,8 @@ from cellform.bench import BENCH_METHODS
 from cellform.ga import make_rng
 from helpers import (boundary_mask, brute_force_optimum, dense_traffic,
                      instances, make_instance, partition_from_labels,
-                     partition_traffic, random_instance, reference_lloyd,
+                     partition_traffic, random_instance,
+                     reference_kmeans_labels, reference_lloyd,
                      reference_multikmeans)
 
 
@@ -224,22 +226,47 @@ def _kmeans_shops():
                 for m in (20, 37, 52, 64, 81, 100)]
 
 
+@pytest.fixture(scope="module")
+def kmeans_runs():
+    """Each of ``_kmeans_shops`` solved once for the module: with
+    ``restarts = 1 + seed % 2``, the result of ``run_multikmeans(inst,
+    restarts, seed)``, every assignment its ``_lloyd`` returned (restarts
+    outer, k ascending) and the reference labels of the same draws
+    (``reference_kmeans_labels``); and the reference events of every
+    shop's first restart."""
+    events = Counter()
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for seed, inst in enumerate(_kmeans_shops()):
+            assigns = []
+
+            def spy(*args):
+                assigns.append(_lloyd(*args))
+                return assigns[-1]
+
+            mp.setattr(baselines, "_lloyd", spy)
+            restarts = 1 + seed % 2
+            result = run_multikmeans(inst, restarts, seed)
+            runs.append((inst, restarts, result, assigns,
+                         reference_kmeans_labels(inst, restarts, seed,
+                                                 events)))
+    return runs, events
+
+
 class TestKmeansMatchesReference:
     """The O(m k) distances and the batched scoring change no result."""
 
-    def test_lloyd_assignments_identical(self):
+    def test_lloyd_assignments_identical(self, kmeans_runs):
         saw_oversize = saw_disconnected = False
-        events = Counter()
-        for seed, inst in enumerate(_kmeans_shops()):
+        runs, events = kmeans_runs
+        for inst, restarts, _, assigns, labels in runs:
             m = inst.machine_count
             g = build_graph(inst)
-            points = dense_traffic(inst)
-            gram, sq_norms = points @ points.T, (points ** 2).sum(axis=1)
-            ours, ref = make_rng(seed), make_rng(seed)
-            for k in range(compute_k(m, inst.max_cell_size), m):
-                assign = _lloyd(points, gram, sq_norms, k, ours)
-                assert np.array_equal(
-                    assign, reference_lloyd(points, k, ref, events))
+            ks = range(compute_k(m, inst.max_cell_size), m)
+            assert len(assigns) == restarts * len(ks)
+            for assign, expected in zip(assigns, itertools.chain(*labels)):
+                assert np.array_equal(assign, expected)
+            for assign in assigns[:len(ks)]:
                 saw_oversize |= bool(
                     (np.bincount(assign) > inst.max_cell_size).any())
                 clusters = partition_from_labels(assign)
@@ -252,14 +279,13 @@ class TestKmeansMatchesReference:
         assert saw_oversize and saw_disconnected
         assert events["tie"] and events["reseed"] and events["unfilled"]
 
-    def test_results_identical(self):
-        shops = _kmeans_shops()
-        assert any(inst.cohabit for inst in shops)
-        assert any(inst.separate for inst in shops)
-        for seed, inst in enumerate(shops):
-            restarts = 1 + seed % 2
-            assert run_multikmeans(inst, restarts, seed) == \
-                reference_multikmeans(inst, restarts, seed)
+    def test_results_identical(self, kmeans_runs):
+        runs, _ = kmeans_runs
+        assert any(inst.cohabit for inst, *_ in runs)
+        assert any(inst.separate for inst, *_ in runs)
+        for seed, (inst, restarts, result, _, labels) in enumerate(runs):
+            assert restarts == 1 + seed % 2
+            assert result == reference_multikmeans(inst, labels)
 
     def test_lloyd_on_small_grids(self):
         # square point sets on a few integer levels, with zeros: duplicate

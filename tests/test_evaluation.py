@@ -140,6 +140,25 @@ class TestFitnessFormula:
         # between violation levels therefore requires traffic < bound
         assert fitness(F(10), 0, self.CFG) == fitness(F(0), 1, self.CFG)
 
+    @pytest.mark.parametrize("volumes", [
+        (1,), (F(1, 999983), F(1, 999979), F(1, 999961), F(1, 999959))],
+        ids=["int64", "object"])
+    def test_rank_breaks_boundary_tie(self, volumes):
+        # a three-machine chain, N = 2: its singletons are feasible at
+        # Z = B, its one cell is oversize at Z = 0, and their Y tie; rank
+        # puts the feasible row first in either order
+        inst = make_instance(3, 2, [(v, (1, 2, 3)) for v in volumes])
+        ev = PopulationEvaluator(inst)
+        assert ev.units_dtype is (np.int64 if len(volumes) == 1 else object)
+        for labels in ([[0, 1, 2], [0, 0, 0]], [[0, 0, 0], [0, 1, 2]]):
+            batch = ev.evaluate_labels(np.array(labels))
+            feasible = labels.index([0, 1, 2])
+            assert batch.violations[feasible] == 0
+            assert batch.violations[1 - feasible] == 1
+            assert batch.fitness_units[0] == batch.fitness_units[1]
+            assert batch.rank.argmax() == feasible
+            assert batch.rank[feasible] > batch.rank[1 - feasible]
+
     def test_strict_separation_below_bound(self):
         rng = random.Random(8)
         for _ in range(500):
