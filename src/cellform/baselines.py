@@ -70,27 +70,6 @@ def run_ega(inst: Instance, params: GAParams) -> GAResult:
     return evolve(_EdgeEncoding, inst, params)
 
 
-def _nearest(d2: np.ndarray, points: np.ndarray, sq_norms: np.ndarray,
-             c_norms: np.ndarray, centroids) -> np.ndarray:
-    """Nearest centroid per point, as the direct sum of (x - c)^2 picks it.
-
-    ``d2`` holds the screened distances |c|^2 - 2 x.c, which leave out
-    each row's |x|^2. A row whose best centroids lie within rounding error
-    of each other is settled on exact differences against
-    ``centroids(candidates)`` (first index on ties); its candidates always
-    include its exact nearest centroid.
-    """
-    assign = d2.argmin(axis=1)
-    # far above the rounding error of either form for any practical m
-    slack = 1e-9 * (sq_norms + c_norms.max())
-    close = d2 <= (d2[np.arange(len(d2)), assign] + slack)[:, None]
-    for row in np.flatnonzero(close.sum(axis=1) > 1):
-        tied = np.flatnonzero(close[row])
-        exact = ((points[row] - centroids(tied)) ** 2).sum(axis=1)
-        assign[row] = tied[exact.argmin()]
-    return assign
-
-
 def _lloyd(points: np.ndarray, gram: np.ndarray, sq_norms: np.ndarray,
            k: int, rng: np.random.Generator) -> np.ndarray:
     """Euclidean k-means to an assignment fixpoint (cap 100 iterations), in
@@ -98,12 +77,18 @@ def _lloyd(points: np.ndarray, gram: np.ndarray, sq_norms: np.ndarray,
 
     Centroids start on k distinct rows drawn by ``rng.choice``; an empty
     cluster is re-seeded on the row farthest from its assigned centroid.
-    The loop multiplies no matrices: x . c_j is the mean of x's Gram
-    entries with the members of cluster j, and |c_j|^2 the members' mean
-    of x . c_j. Explicit centroids are built, bit-identical to per-cluster
-    means, only when a row is settled on exact differences or a cluster is
-    re-seeded. Memory is O(m * k) beyond ``gram``, and every choice is the
-    one exact differences (x - c)^2 would make.
+    The loop multiplies no matrices: x . c_j is the mean of the Gram rows
+    of cluster j's members at x, and |c_j|^2 the members' mean of x . c_j.
+    Each point goes to the centroid of least screened distance
+    |c|^2 - 2 x.c, which leaves out the point's |x|^2. A point whose best
+    centroids lie within a slack of 1e-9 (|x|^2 + max |c|^2) of each other,
+    far above the rounding error of either form, is settled on exact
+    differences (x - c)^2 against those candidates, first index on ties;
+    the candidates always include its exact nearest centroid. Explicit
+    centroids are built, bit-identical to per-cluster means, only when a
+    point is settled that way or a cluster is re-seeded. Memory is
+    O(m * k) beyond ``gram`` and the (m, m) member index, and every choice
+    is the one exact differences would make.
     """
     m = len(points)
     seeds = rng.choice(m, k, replace=False)
@@ -112,44 +97,51 @@ def _lloyd(points: np.ndarray, gram: np.ndarray, sq_norms: np.ndarray,
         points[seeds]
     stale = np.zeros(k, dtype=bool)
     rows = np.arange(m)
-    bins = rows[:, None] * k
-    assign = counts = None
+    assign = counts = index = None
+
+    def member_sums(values: np.ndarray) -> np.ndarray:
+        # bincount adds each cluster's rows in index order, as mean() does,
+        # so the sums are bit-identical to per-cluster sums
+        return np.bincount(index, weights=values.ravel(),
+                           minlength=k * m).reshape(k, m)
 
     def built(clusters: np.ndarray) -> np.ndarray:
         if stale.any():
-            # bincount adds each cluster's rows in index order, as mean()
-            # does, so the centroids are bit-identical to per-cluster means
-            sums = np.bincount((assign[:, None] * m + rows).ravel(),
-                               weights=points.ravel(),
-                               minlength=k * m).reshape(k, m)
-            centroids[stale] = sums[stale] / counts[stale, None]
+            centroids[stale] = member_sums(points)[stale] / counts[stale, None]
             stale[:] = False
         return centroids[clusters]
 
-    for _ in range(100):
+    def nearest() -> tuple[np.ndarray, np.ndarray]:
         d2 = c_norms - 2.0 * cross
-        new_assign = _nearest(d2, points, sq_norms, c_norms, built)
+        near = d2.argmin(axis=1)
+        slack = 1e-9 * (sq_norms + c_norms.max())
+        close = d2 <= (d2[rows, near] + slack)[:, None]
+        for row in np.flatnonzero(close.sum(axis=1) > 1):
+            tied = np.flatnonzero(close[row])
+            exact = ((points[row] - built(tied)) ** 2).sum(axis=1)
+            near[row] = tied[exact.argmin()]
+        return near, np.bincount(near, minlength=k)
+
+    for _ in range(100):
+        new_assign, new_counts = nearest()
         for _ in range(k):
-            empty = np.flatnonzero(np.bincount(new_assign, minlength=k) == 0)
+            empty = np.flatnonzero(new_counts == 0)
             if not len(empty):
                 break
             dist = ((points - built(new_assign)) ** 2).sum(axis=1)
             j, far = empty[0], int(dist.argmax())
             centroids[j], cross[:, j], c_norms[j] = \
                 points[far], gram[:, far], sq_norms[far]
-            d2[:, j] = c_norms[j] - 2.0 * cross[:, j]
-            new_assign = _nearest(d2, points, sq_norms, c_norms, built)
+            new_assign, new_counts = nearest()
         if assign is not None and (new_assign == assign).all():
             break
         # a cluster left unfilled keeps its centroid: re-seeding, which
         # ran, built every stale one
-        assign, counts = new_assign, np.bincount(new_assign, minlength=k)
+        assign, counts = new_assign, new_counts
         filled = counts > 0
-        # each cluster's Gram entries are summed in its members' index order
-        sums = np.bincount((bins + assign).ravel(),
-                           weights=gram.ravel(),
-                           minlength=m * k).reshape(m, k)
-        cross[:, filled] = sums[:, filled] / counts[filled]
+        index = (assign[:, None] * m + rows).ravel()
+        # Gram rows, not columns: P . P^T is bitwise symmetric
+        cross[:, filled] = member_sums(gram)[filled].T / counts[filled]
         c_norms[filled] = np.bincount(
             assign, weights=cross[rows, assign],
             minlength=k)[filled] / counts[filled]

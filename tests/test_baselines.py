@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cellform import (GAParams, InstanceWarning, PopulationEvaluator,
-                      baselines, build_graph, compute_k, decode_partition,
-                      generate_instance, run_ega, run_ga, run_multikmeans,
-                      solve)
+from cellform import (GAParams, Instance, InstanceWarning, Part,
+                      PopulationEvaluator, baselines, build_graph, compute_k,
+                      decode_partition, generate_instance, run_ega, run_ga,
+                      run_multikmeans, solve)
 from cellform.baselines import _lloyd, exhaustive_oracle
 from cellform.bench import BENCH_METHODS
 from cellform.ga import make_rng
@@ -286,6 +286,41 @@ class TestKmeansMatchesReference:
         for seed, (inst, restarts, result, _, labels) in enumerate(runs):
             assert restarts == 1 + seed % 2
             assert result == reference_multikmeans(inst, labels)
+
+    @pytest.mark.parametrize("shape", ["no parts", "star", "zero chain",
+                                       "unused machines"])
+    def test_shops_with_repeated_rows(self, shape, monkeypatch):
+        # shops whose traffic rows repeat: identical rows tie on identical
+        # centroids at every k, so close calls are settled on exact
+        # differences and empty clusters re-seeded over and over; at
+        # m = 16 the reference solves each in well under a second. Two of
+        # the shapes have no feasible clustering, so every assignment is
+        # compared as well as the result
+        m, n = 16, 4
+        parts = {
+            "no parts": (),
+            "star": tuple(Part(1, (0, i)) for i in range(1, m)),
+            "zero chain": tuple(Part(0, (i, i + 1)) for i in range(m - 1)),
+            "unused machines": generate_instance(8, 16, 4, 4, seed=1).parts,
+        }[shape]
+        inst = Instance(m, n, parts)
+        assigns = []
+
+        def spy(*args):
+            assigns.append(_lloyd(*args))
+            return assigns[-1]
+
+        monkeypatch.setattr(baselines, "_lloyd", spy)
+        events = Counter()
+        for restarts in (1, 2):
+            assigns.clear()
+            result = run_multikmeans(inst, restarts, restarts)
+            labels = reference_kmeans_labels(inst, restarts, restarts, events)
+            expected = list(itertools.chain(*labels))
+            assert len(assigns) == len(expected)
+            assert all(map(np.array_equal, assigns, expected))
+            assert result == reference_multikmeans(inst, labels)
+        assert events["tie"] and events["reseed"]
 
     def test_lloyd_on_small_grids(self):
         # square point sets on a few integer levels, with zeros: duplicate
