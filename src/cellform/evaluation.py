@@ -36,7 +36,15 @@ arbitrary edge masks (EGA, through ``evaluate_keeps``). A batch holds
 one edge-major (E, pop) matrix, the edges with both ends in one cell:
 for class rows that is the keep matrix itself, for masks the peel reports
 it, and the score and the batch read it as built. Only ``result`` names
-cells, for the one column it reports. The package needs numpy only.
+cells, for the one column it reports.
+
+The score reads every sum over that matrix from one float64 product,
+R @ inside: R holds a row of ones (the kept-edge count that flags class
+rows for the peel), the SC and SN edge indicators, and the edge weights
+split into L base-2^b limbs, b = 53 - E.bit_length(). A sum of E digits
+below 2^b is an integer below 2^53, so the product is exact in whatever
+order BLAS adds, on any thread count; the limbs are then combined in the
+unit dtype. The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -109,11 +117,13 @@ class EvalBatch:
     """Vector results for one population.
 
     ``traffic_units`` and ``fitness_units`` have the evaluator's unit dtype
-    (int64, or object when the fitness range exceeds int64); violations are
-    int64 and ``inside`` is the edge-major (E, pop) boolean matrix of the
-    edges with both ends in one cell, column i for row i. Every field has
-    the rows on its last axis. The cells themselves are decoded only on
-    request, one row at a time, by ``PopulationEvaluator.result``.
+    (int64, or object when the fitness range exceeds int64) and are exact:
+    the float64 product they come from sums integers below 2^53 (see
+    ``PopulationEvaluator``). Violations are int64 and ``inside`` is the
+    edge-major (E, pop) boolean matrix of the edges with both ends in one
+    cell, column i for row i. Every field has the rows on its last axis.
+    The cells themselves are decoded only on request, one row at a time,
+    by ``PopulationEvaluator.result``.
     ``rank`` is the one row order of every solver, derived from the fields.
     """
 
@@ -132,6 +142,8 @@ class EvalBatch:
 
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+# entries of the edges inside cells per block of the score's product
+_BLOCK = 1 << 16
 
 
 class PopulationEvaluator:
@@ -193,6 +205,23 @@ class PopulationEvaluator:
     on graphs of average degree 4 or more, but a dozen or more on
     near-tree graphs of degree about 2, and masks that keep a few percent
     of a dense graph's edges leave the most.
+
+    Every count and weight the batch needs comes from one product,
+    ``_sums``: R @ inside, with R the (3 + L, E) float64 matrix built here.
+    Row 0 is all ones and counts the kept edges, which ``_classes``
+    compares with min(N, E + 1), an integer a float64 holds exactly
+    however large N is. Rows 1 and 2 mark the SC and SN edges. Rows 3 and
+    up hold the edge weights in L base-2^b limbs, digit j of weight w being
+    (w >> bj) mod 2^b, with b = 53 - E.bit_length(): a sum of at most E
+    digits is at most E * (2^b - 1) < 2^53, so every partial sum is an
+    integer float64 holds exactly, whatever order and thread count BLAS
+    sums in. L = ceil(bits of the largest weight / b), at least 1; it is 1
+    on shops whose weights are below 2^b. ``_score`` casts the sums to
+    int64 and adds limb j times 2^bj in the unit dtype, so int64 and
+    Python-int units take the same path. The product runs over blocks of
+    whole edges, at most 2^16 entries of ``inside`` each (one edge at
+    least), so the bool-to-float64 cast numpy makes for BLAS holds one
+    block, 512 KB at most below pop 2^16, not the whole matrix.
     """
 
     def __init__(self, inst: Instance):
@@ -213,8 +242,14 @@ class PopulationEvaluator:
         self.weight_units = np.array(g.units, dtype=self.units_dtype)
         self.max_size = inst.max_cell_size
         # each SC or SN pair is one flow-graph edge
-        self.sc_edges = np.flatnonzero(g.in_sc)
-        self.sn_edges = np.flatnonzero(g.in_sn)
+        self._sc_count = sum(g.in_sc)
+        # R of the score's product: ones, the SC and SN indicators and
+        # the weights in L base-2^b limbs (see above)
+        self._limb_bits = b = 53 - g.edge_count.bit_length()
+        limbs = max(1, -(-max(g.units, default=0).bit_length() // b))
+        self._rows = np.vstack([np.ones(g.edge_count), g.in_sc, g.in_sn] + [
+            (self.weight_units >> b * j) & ((1 << b) - 1)
+            for j in range(limbs)]).astype(np.float64)
         # uint64 words per part (parts are below 2^(m-1)), and the bits a
         # part may set in each of them
         self.part_words = w = (self.m - 2) // 64 + 1
@@ -343,8 +378,8 @@ class PopulationEvaluator:
                              f"{len(self.edge_u)}), got {keep.shape}")
         inside, oversize = self._peel(keep)
         inside = np.unpackbits(inside.view(np.uint8), axis=1,
-                               count=len(keep), bitorder="little")
-        return self._score(inside.view(bool), oversize)
+                               count=len(keep), bitorder="little").view(bool)
+        return self._score(inside, oversize, self._sums(inside))
 
     def _peel(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(inside, oversize) of a (pop >= 1, E) bool keep matrix: bit i of
@@ -428,29 +463,41 @@ class PopulationEvaluator:
         keep = by_vertex[0].take(u, axis=0) == by_vertex[0].take(v, axis=0)
         for word in by_vertex[1:]:
             keep &= word.take(u, axis=0) == word.take(v, axis=0)
-        # a cell of more than N machines is joined by at least N kept
-        # edges, so only the rows that keep as many go through the peel;
-        # the edge-major bytes are summed in a type that holds E
-        kept_count = np.add.reduce(keep.view(np.uint8), axis=0,
-                                   dtype=np.min_scalar_type(len(keep)))
-        flagged = np.flatnonzero(kept_count >= self.max_size)
+        # every edge inside a class is kept, so the kept edges are exactly
+        # the edges inside cells; a cell of more than N machines is joined
+        # by at least N kept edges, so only the rows that keep as many go
+        # through the peel; no row keeps more than E, so min(N, E + 1),
+        # exact in float64 whatever N is, flags the same rows as N
+        sums = self._sums(keep)
+        flagged = np.flatnonzero(sums[0] >= min(self.max_size, len(keep) + 1))
         oversize = np.zeros(keep.shape[1], dtype=np.int64)
         if len(flagged):
             oversize[flagged] = self._peel(keep[:, flagged].T)[1]
-        # every edge inside a class is kept, so the kept edges are exactly
-        # the edges inside cells
-        return self._score(keep, oversize)
+        return self._score(keep, oversize, sums)
 
-    def _score(self, inside: np.ndarray, oversize: np.ndarray) -> EvalBatch:
-        """Batch from the (E, pop) edges inside cells and the oversize cell
-        count per row: a split SC pair is an SC edge not inside a cell, a
-        united SN pair an SN edge inside one, and traffic is the weight of
-        the edges not inside a cell."""
-        sc, sn = inside[self.sc_edges], inside[self.sn_edges]
-        violations = oversize + len(sc) - sc.sum(axis=0) + sn.sum(axis=0)
+    def _sums(self, inside: np.ndarray) -> np.ndarray:
+        """R @ inside, (3 + L, pop) exact integer float64 sums, over blocks
+        of whole edges of at most 2^16 entries of ``inside`` (one edge at
+        least)."""
+        step = max(1, _BLOCK // inside.shape[1])
+        sums = self._rows[:, :step] @ inside[:step]
+        for lo in range(step, len(inside), step):
+            sums += self._rows[:, lo:lo + step] @ inside[lo:lo + step]
+        return sums
+
+    def _score(self, inside: np.ndarray, oversize: np.ndarray,
+               sums: np.ndarray) -> EvalBatch:
+        """Batch from the (E, pop) edges inside cells, the oversize cell
+        count per row and ``_sums(inside)``: a split SC pair is an SC edge
+        not inside a cell, a united SN pair an SN edge inside one, and
+        traffic is the weight of the edges not inside a cell."""
+        counts = sums.astype(np.int64)
+        violations = oversize + self._sc_count - counts[1] + counts[2]
+        kept_weight = counts[3].astype(self.units_dtype)
+        for j, limb in enumerate(counts[4:], 1):
+            kept_weight += limb.astype(self.units_dtype) << self._limb_bits * j
         # from the total flow, not B: B is one scale unit when there is none
-        traffic = self._total_units \
-            - np.einsum("ji,j->i", inside, self.weight_units)
+        traffic = self._total_units - kept_weight
         fitness_units = (self.bound_units - traffic) \
             + (self.u - violations).astype(self.units_dtype) \
             * self.bound_units

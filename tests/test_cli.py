@@ -389,8 +389,9 @@ class TestSolve:
 class TestHugeFlows:
     """Flows near the float64 limit: a shop whose fitness Y does not fit a
     float64 still solves with every method (the roulette weights and the
-    k-means points are scaled), and a total flow beyond the float64 range
-    is an input error."""
+    k-means points are scaled), a total flow beyond the float64 range
+    is an input error, and so is no cell-size limit: one beyond the
+    float64 range solves with every method."""
 
     # Y = (B - Z) + (u - v) * B reaches 5 * 1.2e308
     BIG = "machines 4\nmax_cell_size 2\npart 4e307 : 1 2 3 4\n" \
@@ -414,6 +415,18 @@ class TestHugeFlows:
                         "--gens", "5"]) == 2
         assert "total flow exceeds the float64 range" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_max_cell_size_beyond_float_range(self, tmp_path, capsys,
+                                              method):
+        # N has no upper limit; at 10^400 every cell fits
+        path = tmp_path / "roomy.txt"
+        path.write_text(f"machines 5\nmax_cell_size {10 ** 400}\n"
+                        "part 2 : 1 2 3\npart 1 : 4 5 1\ncohabit 2 4\n",
+                        encoding="utf-8")
+        assert run_cli(["solve", str(path), "--method", method, "--pop", "6",
+                        "--gens", "5", "--reps", "2"]) == 0
+        assert "feasible: yes" in capsys.readouterr().out
 
 
 class TestSeeds:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ from cellform import (FitnessConfig, InstanceWarning, Partition,
                       compute_k, cut_from_index, decode_chromosome, decode_partition,
                       fitness, generate_instance, union_cuts,
                       violation_breakdown)
-from cellform import Instance, Part, ga, mask_from_bits
+from cellform import Instance, Part, evaluation, ga, mask_from_bits
 from helpers import ScriptedGenerator, instances, make_instance, \
     random_instance, reference_evaluation, reference_label_evaluation, \
     total_weight
@@ -273,7 +274,7 @@ def check_fitness_at_least_bound(inst, seed):
     keeps += [matching_keep(ev, rng) for _ in range(4)]
     for keep in keeps[-4:]:
         # split every SC pair, unite every SN pair
-        keep[ev.sc_edges], keep[ev.sn_edges] = False, True
+        keep[list(ev.graph.in_sc)], keep[list(ev.graph.in_sn)] = False, True
     labels = [[rng.randrange(top) for _ in range(m)]
               for top in (1, 2, m // 2 or 1, m) for _ in range(3)]
     labels.append([v // 2 for v in range(m)])
@@ -822,10 +823,17 @@ class TestPeelOnlyRowsKeepingNEdges:
         # N = 10^30 exceeds E, so no row keeps N edges and none is peeled,
         # not even the one class of all machines; every part, label and
         # keep row still equals the reference
+        self.check_no_row_peeled(monkeypatch, 10 ** 30)
+
+    def test_no_row_peeled_at_n_beyond_float_range(self, monkeypatch):
+        # N has no upper limit: at 10^400 no float holds it, and the rows
+        # are flagged against min(N, E + 1) instead
+        self.check_no_row_peeled(monkeypatch, 10 ** 400)
+
+    def check_no_row_peeled(self, monkeypatch, n):
         rng = random.Random(30)
         shop = random_instance(rng, 12, max_parts=20)
-        inst = Instance(12, 10 ** 30, shop.parts, shop.cohabit,
-                        shop.separate)
+        inst = Instance(12, n, shop.parts, shop.cohabit, shop.separate)
         population = random_parts_population(rng, 4, 1 << 11, 30, 0.3)
         assert self.peeled_rows(monkeypatch, inst, population, []) == []
         check_parts_against_scalar(inst, population)
@@ -1301,3 +1309,167 @@ class TestLabelsMatchComponentsReference:
                      "inside"):
             assert (getattr(as_int, name) == getattr(as_mixed, name)).all()
         self.check(inst, labels)
+
+
+def chain_shop(weights, max_cell_size=3, cohabit=(), separate=()):
+    """Machines 1..len(weights) + 1 in a chain whose edge i weighs
+    ``weights[i]`` units (scale 1): E = len(weights)."""
+    return make_instance(len(weights) + 1, max_cell_size,
+                         [(w, (i + 1, i + 2)) for i, w in enumerate(weights)],
+                         cohabit, separate)
+
+
+def prime_shop():
+    """12 machines whose volumes have prime denominators near 10^6: the
+    fitness range exceeds int64, so the units are Python ints."""
+    primes = [1000003, 1000033, 1000037, 1000039]
+    routings = [(F(7 * i + 3, p), (i + 1, (i + 2) % 12 + 1, i % 12 + 1))
+                for i, p in enumerate(primes * 3)]
+    return make_instance(12, 4, routings, cohabit=[(1, 2)],
+                         separate=[(3, 4)])
+
+
+def dense_shop():
+    """m = 40 with about 650 edges, SC and SN pairs: a batch of 300 rows
+    spans at least three blocks of the score's product."""
+    rng = random.Random(40)
+    routings = [(rng.randint(1, 9), tuple(rng.sample(range(1, 41), 6)))
+                for _ in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstanceWarning)
+        return make_instance(40, 5, routings, cohabit=[(1, 2), (3, 4)],
+                             separate=[(5, 6)])
+
+
+# b = 53 - E.bit_length() = 49 at E = 15: fifteen digits of 2^49 - 1 sum
+# to just below 2^53, and a weight of 2^49 takes a second limb
+_B15 = 1 << 49
+EXACT_SHOPS = {
+    "digits 2^b - 1": lambda: chain_shop([_B15 - 1] * 15, 4, [(1, 2)],
+                                         [(3, 4)]),
+    "digits 2^b": lambda: chain_shop([_B15, _B15 - 1] * 7 + [_B15], 4,
+                                     [(5, 6)], [(7, 8)]),
+    "int64 two limbs": lambda: chain_shop(
+        [(1 << 54) + 7919 * i for i in range(8)], 3),
+    "object primes": prime_shop,
+    "object beyond float": lambda: make_instance(
+        4, 2, [(F(4 * 10 ** 307), (1, 2, 3, 4)), (1, (2, 3))]),
+    "no flow": lambda: make_instance(5, 2, [(0, (1, 2, 3))],
+                                     cohabit=[(1, 3)], separate=[(2, 4)]),
+    "no parts": lambda: Instance(5, 1, ()),
+    "three blocks": dense_shop,
+}
+
+
+def reference_fields(ev, refs):
+    """The batch fields the evaluator must return for rows whose exact
+    evaluations are ``refs``: traffic and fitness in its units and unit
+    dtype, int64 violations, and the (E, pop) edges with both ends in one
+    cell."""
+    g = ev.graph
+    labels = [ref.partition.labels(g.machine_count) for ref in refs]
+    return {
+        "traffic_units": np.array([int(ref.traffic * ev.scale)
+                                   for ref in refs], dtype=ev.units_dtype),
+        "violations": np.array([ref.violations for ref in refs],
+                               dtype=np.int64),
+        "fitness_units": np.array([int(ref.fitness * ev.scale)
+                                   for ref in refs], dtype=ev.units_dtype),
+        "inside": np.array([[row[u] == row[v] for row in labels]
+                            for u, v in zip(g.u, g.v)],
+                           dtype=bool).reshape(g.edge_count, len(refs)),
+    }
+
+
+class TestExactScoreProduct:
+    """The score sums the edges inside cells with one float64 product,
+    over blocks of edges, in L base-2^b limbs with b = 53 - E.bit_length().
+    On digits at 2^b - 1 and 2^b, two int64 limbs, Python-int units, shops
+    without flow and a batch of three blocks, every field of every parts,
+    label and keep batch equals the scalar reference in dtype, shape and
+    bytes (values and Python ints for object units), and so does every
+    result, at any BLAS thread count."""
+
+    LIMBS = {"digits 2^b - 1": 1, "digits 2^b": 2, "int64 two limbs": 2,
+             "object primes": 2, "object beyond float": 21, "no flow": 1,
+             "no parts": 1, "three blocks": 1}
+
+    @staticmethod
+    def check(batch, ev, refs):
+        for name, want in reference_fields(ev, refs).items():
+            got = getattr(batch, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            if got.dtype == object:
+                assert all(type(x) is int for x in got.tolist()), name
+                assert got.tolist() == want.tolist(), name
+            else:
+                assert got.tobytes() == want.tobytes(), name
+        for i, ref in enumerate(refs):
+            assert ev.result(batch, i) == ref
+
+    @pytest.mark.parametrize("shop", sorted(EXACT_SHOPS))
+    def test_batches_equal_reference(self, shop):
+        inst = EXACT_SHOPS[shop]()
+        ev = PopulationEvaluator(inst)
+        g, cfg, m = ev.graph, ev.cfg, inst.machine_count
+        e = g.edge_count
+        assert len(ev._rows) - 3 == self.LIMBS[shop]
+        assert (ev.units_dtype is object) == shop.startswith("object")
+        pop = 300 if shop == "three blocks" else 40
+        if shop == "three blocks":
+            assert e > 2 * (evaluation._BLOCK // pop)
+        rng = random.Random(shop)
+        # the one class of all machines keeps every edge, at the largest
+        # sums; dense parts and distinct labels keep few or none
+        k = compute_k(m, inst.max_cell_size)
+        parts = random_parts_population(rng, k, 1 << (m - 1), pop - 2, 0.5)
+        parts += [(0,) * k, ((1 << (m - 1)) - 1,) * k]
+        labels = np.concatenate([random_label_matrix(rng, m, pop - 2),
+                                 np.zeros((1, m), dtype=int),
+                                 np.arange(m)[None]])
+        keep = np.random.default_rng(e).random((pop, e)) < 0.7
+        keep[0], keep[1] = True, False
+        basis = build_basis(g)
+        self.check(ev.evaluate_parts(ev.pack_parts(parts)), ev, [
+            reference_evaluation(inst, decode_chromosome(ch, basis, g), cfg)
+            for ch in parts])
+        self.check(ev.evaluate_labels(labels), ev, [
+            reference_label_evaluation(inst, row, cfg) for row in labels])
+        self.check(ev.evaluate_keeps(keep), ev, [
+            reference_evaluation(
+                inst, decode_partition(g, mask_from_bits(~row)), cfg)
+            for row in keep])
+
+
+def complete_shop(m):
+    """Every pair of m machines routed once: the complete flow graph,
+    E = m(m - 1) / 2."""
+    return Instance(m, 8, tuple(
+        Part(Fraction(1 + (a * b) % 7), (a, b))
+        for a in range(m) for b in range(a + 1, m)))
+
+
+def test_score_product_transient_within_one_block(monkeypatch):
+    # E = 19,900 and pop 200: a whole-matrix product would cast the
+    # (E, pop) bool matrix to a 32 MB float64 temporary; the blocked one
+    # holds one block of at most 2^16 float64 entries (512 KB) at a time,
+    # plus the (3 + L, pop) sums
+    ev = PopulationEvaluator(complete_shop(200))
+    keep = np.random.default_rng(0).random((200, ev.graph.edge_count)) < 0.5
+    product, peaks = ev._sums, []
+
+    def traced(inside):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sums = product(inside)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return sums
+
+    monkeypatch.setattr(ev, "_sums", traced)
+    tracemalloc.start()
+    try:
+        batch = ev.evaluate_keeps(keep)
+    finally:
+        tracemalloc.stop()
+    assert batch.inside.shape == (19900, 200)
+    assert len(peaks) == 1 and peaks[0] <= 8 * evaluation._BLOCK + 32 * 1024
