@@ -141,7 +141,10 @@ class EvalBatch:
         return self.fitness_units - self.violations
 
 
-_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+# (shift, mask) of the three rounds that transpose the 8 x 8 bit matrix of
+# each uint64 word, byte r bit b <-> byte b bit r
+_TRANSPOSE_ROUNDS = [(7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                     (28, 0x00000000F0F0F0F0)]
 # entries of the edges inside cells per block of the score's product
 _BLOCK = 1 << 16
 
@@ -171,9 +174,10 @@ class PopulationEvaluator:
     of the narrowest unsigned type that holds min(K, 64) bits; an edge
     survives the union of cuts exactly when its endpoints have equal
     signatures. So signatures are vertex labels: ``evaluate_parts`` builds
-    the (S, pop, m) signature words and ``evaluate_labels`` passes its
-    labels as one word, and ``_classes`` alone keeps the edges inside a
-    class, as an edge-major (E, pop) matrix. Every cell then lies inside
+    the vertex-major (S, m, pop) signature words by 8 x 8 bit-matrix
+    transposes (``_signatures``), ``evaluate_labels`` passes its labels,
+    transposed, as one word, and ``_classes`` alone keeps the edges inside
+    a class, as an edge-major (E, pop) matrix. Every cell then lies inside
     one class, so the kept edges are exactly the edges inside cells, and
     an SC or SN pair (always a flow-graph edge) shares a cell exactly when
     its edge is kept. A cell of more than N vertices is joined by at least
@@ -220,8 +224,9 @@ class PopulationEvaluator:
     int64 and adds limb j times 2^bj in the unit dtype, so int64 and
     Python-int units take the same path. The product runs over blocks of
     whole edges, at most 2^16 entries of ``inside`` each (one edge at
-    least), so the bool-to-float64 cast numpy makes for BLAS holds one
-    block, 512 KB at most below pop 2^16, not the whole matrix.
+    least), each cast into one float64 buffer the evaluator keeps for all
+    its products: 512 KB, grown to one edge of pop entries above pop 2^16,
+    so no product allocates a cast of its own.
     """
 
     def __init__(self, inst: Instance):
@@ -250,6 +255,9 @@ class PopulationEvaluator:
         self._rows = np.vstack([np.ones(g.edge_count), g.in_sc, g.in_sn] + [
             (self.weight_units >> b * j) & ((1 << b) - 1)
             for j in range(limbs)]).astype(np.float64)
+        # one float64 block of ``inside`` for the product, reused by every
+        # call; pop > 2^16 grows it to one edge of pop entries
+        self._cast = np.empty(_BLOCK)
         # uint64 words per part (parts are below 2^(m-1)), and the bits a
         # part may set in each of them
         self.part_words = w = (self.m - 2) // 64 + 1
@@ -349,20 +357,43 @@ class PopulationEvaluator:
         if self._above_range(words):
             raise ValueError(
                 f"chromosome parts must be in 0..2^{self.m - 1} - 1")
-        pop, k = len(words), words.shape[1] // w
-        # bits[i, j, v]: bit v of part j of individual i, for the m machines
-        bits = np.unpackbits(words.view(np.uint8).reshape(pop, k, 8 * w),
-                             axis=2, count=self.m, bitorder="little")
-        # keys[s, i, v]: bits 64s.. of vertex v's signature in individual
-        # i, a sum of distinct powers of two in the narrowest unsigned type
-        # that holds min(K, 64) bits
-        sig_type = np.min_scalar_type((1 << min(k, 64)) - 1)
-        keys = np.empty(((k + 63) // 64, pop, self.m), dtype=sig_type)
-        for s in range(len(keys)):
-            block = bits[:, 64 * s:64 * s + 64]
-            np.einsum("ijv,j->iv", block,
-                      _POW2[:block.shape[1]].astype(sig_type), out=keys[s])
-        return self._classes(keys)
+        return self._classes(self._signatures(words))
+
+    def _signatures(self, words: np.ndarray) -> np.ndarray:
+        """(S, m, pop) signature keys of a valid (pop, K * W) "<u8" word
+        array: keys[s, v, i] holds bits 64s.. of vertex v's signature in
+        row i, in the narrowest unsigned type t that holds min(K, 64) bits.
+
+        Byte c of part j holds bit v of part j for the vertices
+        v = 8c .. 8c + 7. One transposing copy gathers, for each byte c,
+        row i and group g of eight parts, the bytes c of parts 8g .. 8g + 7
+        into one little-endian word: an 8 x 8 bit matrix, byte r = part
+        8g + r, bit b = vertex 8c + b. Three shift-xor rounds transpose
+        every matrix at once (Warren, Hacker's Delight, 7-3), so byte b
+        becomes signature byte g of vertex 8c + b, and one transposing
+        copy writes those bytes vertex-major. The parts are zero-padded to
+        8G, G = S * itemsize(t), and the bytes to ceil(m / 8), which gives
+        vertex m - 1 (never set in a part) key 0 also where m - 1 = 64W.
+        Beyond the words themselves this holds three arrays (the matrices,
+        the rounds' scratch and the keys) of about pop * K * m / 8 bytes.
+        """
+        pop, k = len(words), words.shape[1] // self.part_words
+        sig = np.min_scalar_type((1 << min(k, 64)) - 1).newbyteorder("<")
+        s, t, c = (k + 63) // 64, sig.itemsize, (self.m + 7) // 8
+        mats = np.zeros((c, pop, 8 * s * t), dtype=np.uint8)
+        by_byte = words.view(np.uint8).reshape(pop, k, -1).transpose(2, 0, 1)
+        mats[:len(by_byte), :, :k] = by_byte[:c]
+        x = mats.view("<u8")
+        swap = np.empty_like(x)
+        for shift, mask in _TRANSPOSE_ROUNDS:
+            np.right_shift(x, shift, out=swap)
+            swap ^= x
+            swap &= mask
+            x ^= swap
+            swap <<= shift
+            x ^= swap
+        keys = mats.reshape(c, pop, s, t, 8).transpose(2, 0, 4, 1, 3).copy()
+        return keys.view(sig).reshape(s, 8 * c, pop)[:, :self.m]
 
     def evaluate_keeps(self, keep: np.ndarray) -> EvalBatch:
         """Evaluate masks given as a (pop, E) boolean keep matrix.
@@ -393,7 +424,7 @@ class PopulationEvaluator:
         # byte b of edge e has bit i set when row 8b + i keeps e; summing
         # powers of two is about twice as fast as np.packbits across rows
         packed = np.einsum("ijk,j->ik", padded.reshape(8 * words, 8, -1),
-                           _POW2[:8].astype(np.uint8))
+                           1 << np.arange(8, dtype=np.uint8))
         # kept[a]: the rows that keep the edge of arc a, as bits
         kept = np.ascontiguousarray(packed.T).view("<u8")[self._arc_edge]
         # settled[p], per machine position: a machine that keeps no edge is
@@ -445,10 +476,10 @@ class PopulationEvaluator:
         if labels.ndim != 2 or not len(labels) or labels.shape[1] != self.m:
             raise ValueError(f"label matrix must be (pop >= 1, {self.m}), "
                              f"got {labels.shape}")
-        return self._classes(labels[None])
+        return self._classes(np.ascontiguousarray(labels.T)[None])
 
     def _classes(self, keys: np.ndarray) -> EvalBatch:
-        """Batch for vertex classes given as (S, pop, m) keys: two vertices
+        """Batch for vertex classes given as (S, m, pop) keys: two vertices
         of a row are in one class when all S of their keys are equal (cut
         signatures in S words, or one word of labels). An edge is kept
         exactly inside a class, so every cell lies inside one class and
@@ -458,10 +489,9 @@ class PopulationEvaluator:
         cells."""
         # gathering vertex-major rows per edge endpoint costs a fraction of
         # gathering the same columns, and take costs less than indexing
-        by_vertex = keys.transpose(0, 2, 1).copy()
         u, v = self.edge_u, self.edge_v
-        keep = by_vertex[0].take(u, axis=0) == by_vertex[0].take(v, axis=0)
-        for word in by_vertex[1:]:
+        keep = keys[0].take(u, axis=0) == keys[0].take(v, axis=0)
+        for word in keys[1:]:
             keep &= word.take(u, axis=0) == word.take(v, axis=0)
         # every edge inside a class is kept, so the kept edges are exactly
         # the edges inside cells; a cell of more than N machines is joined
@@ -479,10 +509,16 @@ class PopulationEvaluator:
         """R @ inside, (3 + L, pop) exact integer float64 sums, over blocks
         of whole edges of at most 2^16 entries of ``inside`` (one edge at
         least)."""
-        step = max(1, _BLOCK // inside.shape[1])
-        sums = self._rows[:, :step] @ inside[:step]
-        for lo in range(step, len(inside), step):
-            sums += self._rows[:, lo:lo + step] @ inside[lo:lo + step]
+        pop = inside.shape[1]
+        step = max(1, _BLOCK // pop)
+        if len(self._cast) < step * pop:
+            self._cast = np.empty(step * pop)
+        sums = np.zeros((len(self._rows), pop))
+        for lo in range(0, len(inside), step):
+            block = inside[lo:lo + step]
+            cast = self._cast[:block.size].reshape(block.shape)
+            np.copyto(cast, block)
+            sums += self._rows[:, lo:lo + step] @ cast
         return sums
 
     def _score(self, inside: np.ndarray, oversize: np.ndarray,

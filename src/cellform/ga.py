@@ -230,9 +230,10 @@ class _CutEncoding(Encoding):
         boundary = rng.random(n) < 0.5
         cut = np.where(boundary, cut_points(rng, self.k, n) * self.bits,
                        anywhere)
-        # the bits of each word that lie before the cut; a word's bits above
-        # the part width are zero in both parents, whatever the mask says
-        mask = _LOW_BITS[(cut[:, None] - self.word_start).clip(0, 64)]
+        # the bits of each word that lie before the cut, the offsets below 0
+        # clipped to 0 and above 64 to 64; a word's bits above the part
+        # width are zero in both parents, whatever the mask says
+        mask = _LOW_BITS.take(cut[:, None] - self.word_start, mode="clip")
         diff = (a ^ b) & mask
         return b ^ diff, a ^ diff
 
@@ -328,11 +329,10 @@ def evolve(encoding: type[Encoding], inst: Instance,
         elite = population[top]
         elite_row = [a[..., top] for a in vars(batch).values()]
 
-        parents = population[roulette_select(batch.fitness_units,
-                                             params.gamma, n_mate, rng)]
+        picks = roulette_select(batch.fitness_units, params.gamma, n_mate, rng)
         nxt = np.empty_like(population)
         nxt[0:n_mate:2], nxt[1:n_mate:2] = enc.crossover(
-            parents[0::2], parents[1::2], rng)
+            population[picks[0::2]], population[picks[1::2]], rng)
         nxt[n_mate:] = enc.draw(rng, size - n_mate)
         mutants = rng.choice(size, n_mutate, replace=False)
         nxt[mutants] = enc.mutate(nxt[mutants], rng)

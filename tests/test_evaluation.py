@@ -1192,6 +1192,63 @@ class TestEvaluatePartsWordArrays:
         assert [ev.unpack_parts(row) for row in words] == rows
 
 
+def reference_keys(rows, m):
+    """Signature keys from Python ints: keys[s][v][i] has bit j - 64s set
+    when part j of row i, 64s <= j < 64s + 64, has bit v set."""
+    k = len(rows[0])
+    return [[[sum((parts[j] >> v & 1) << j - 64 * s
+                  for j in range(64 * s, min(k, 64 * s + 64)))
+              for parts in rows] for v in range(m)]
+            for s in range((k + 63) // 64)]
+
+
+class TestSignatureKeys:
+    """``_signatures`` turns part words into vertex-major (S, m, pop) keys
+    by 8 x 8 bit-matrix transposes; every key equals its Python-int
+    reference, across part counts that are no multiple of 8, part words
+    that end exactly at vertex m - 2 (m = 64W + 1) and populations on both
+    sides of 64."""
+
+    @pytest.mark.parametrize("pop", [1, 7, 64, 65])
+    @pytest.mark.parametrize("m", [2, 9, 63, 64, 65, 66, 129, 130])
+    @pytest.mark.parametrize("k", [1, 3, 7, 8, 9, 16, 17, 24, 33, 64, 65,
+                                   129])
+    def test_keys_equal_reference(self, k, m, pop):
+        ev = PopulationEvaluator(chain_shop([1] * (m - 1)))
+        rng = random.Random(1000 * k + m)
+        top = (1 << (m - 1)) - 1
+        # the first row's only nonzero part is the last one, at the top of
+        # the range; the others mix dense, sparse and zero parts
+        rows = [(0,) * (k - 1) + (top,)] + [
+            tuple(rng.getrandbits(m - 1) & rng.choice([top, rng.getrandbits(
+                m - 1)]) if rng.random() < 0.8 else 0 for _ in range(k))
+            for _ in range(pop - 1)]
+        keys = ev._signatures(ev.pack_parts(rows))
+        assert keys.dtype == np.min_scalar_type((1 << min(k, 64)) - 1)
+        assert keys.shape == ((k + 63) // 64, m, pop)
+        assert keys.astype(object).tolist() == reference_keys(rows, m)
+
+
+def test_signature_transient_below_unpacked_bits():
+    # m = 1024, K = 128, pop 64: unpacking one byte per bit held
+    # pop * K * m bytes (8.4 MB); the transposes hold three arrays of
+    # pop * K * m / 8 bytes (the bit matrices, the rounds' scratch and
+    # the keys)
+    m, k, pop = 1024, 128, 64
+    ev = PopulationEvaluator(chain_shop([1] * (m - 1)))
+    rng = np.random.default_rng(0)
+    words = rng.integers(0, 2 ** 64, (pop, k * ev.part_words),
+                         dtype=np.uint64) & np.tile(ev.part_mask, k)
+    tracemalloc.start()
+    try:
+        keys = ev._signatures(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.shape == (2, m, pop)
+    assert peak < 4 * pop * k * m // 8 < pop * k * m
+
+
 class TestKeepsAndLabelsRejectMalformed:
     """evaluate_keeps takes only (pop >= 1, E) keep matrices and
     evaluate_labels only (pop >= 1, m) label matrices: any other shape
@@ -1439,6 +1496,20 @@ class TestExactScoreProduct:
             reference_evaluation(
                 inst, decode_partition(g, mask_from_bits(~row)), cfg)
             for row in keep])
+
+
+def test_batch_wider_than_one_block_grows_the_cast_buffer():
+    # pop 2^16 + 5 rows: a block of one edge holds more entries than the
+    # evaluator's float64 buffer, which grows to one edge; the batch equals
+    # its two halves scored apart, field by field
+    ev = PopulationEvaluator(chain_shop([1, 2, 3]))
+    labels = np.random.default_rng(0).integers(0, 3, ((1 << 16) + 5, 4))
+    whole = ev.evaluate_labels(labels)
+    assert len(ev._cast) == len(labels)
+    halves = [ev.evaluate_labels(part) for part in np.array_split(labels, 2)]
+    for name, got in vars(whole).items():
+        want = np.concatenate([getattr(h, name) for h in halves], axis=-1)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def complete_shop(m):
